@@ -1,0 +1,6 @@
+"""Import pvsmooth from this checkout's src/ tree, as run.py does."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
