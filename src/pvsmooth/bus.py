@@ -1,4 +1,4 @@
-"""Bus sessions: transports, ADC/DAC quantization, latency, and frame logs.
+"""Bus sessions: one session loop, its peers, quantization, latency, frame logs.
 
 The plant-side bus boundary is where physics meets the wire:
 
@@ -6,21 +6,21 @@ The plant-side bus boundary is where physics meets the wire:
   * inbound setpoint values are quantized (DAC emulation) after decoding,
   * every frame is logged with its raw bytes plus send/delivery times.
 
-Two transports carry the same bytes: an in-process pump (single thread) and
-a loopback TCP socket with the controller serving from another thread. In
-lockstep mode, latency and jitter shift recorded timestamps only, so a run
-is bitwise reproducible on either transport. Free-running mode is a seeded
-discrete-event simulation where delays genuinely decouple delivery from the
-plant's sample clock; identical seeds give identical logs. Delivery within
-one direction is FIFO: a frame never overtakes an earlier one.
+One loop, drive, runs every session; the controller sits behind a peer in
+the same thread or behind a loopback TCP socket, with the same bytes on the
+wire. The session mode is only a delivery rule. In lockstep mode latency and
+jitter shift recorded timestamps only, so a run is bitwise reproducible on
+either peer. In free-running mode delays decouple delivery from the plant's
+sample clock; identical seeds give identical logs. Delivery within one
+direction is FIFO: a frame never overtakes an earlier one.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import socket
 import threading
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,13 +29,14 @@ from .config import QuantizationConfig, ScenarioConfig
 from .controller import ControllerDriver, run_controller
 from .frames import (
     HEADER_LEN,
+    MSG_END,
+    MSG_FAULT,
     MSG_SENSOR,
     MSG_SETPOINT,
     BusFrame,
     FrameError,
     decode_frame,
     encode_frame,
-    end_frame,
     frame_length,
     sensor_frame,
     setpoint_frame,
@@ -62,6 +63,8 @@ def quantize(value: float, bits: int, full_scale: tuple[float, float]) -> float:
     lo, hi = full_scale
     if not lo < hi:
         raise ValueError(f"full_scale requires lo < hi, got {full_scale}")
+    if not math.isfinite(value):
+        return value  # no converter code stands for it; the plant rejects it
     n_codes = 1 << bits
     step = (hi - lo) / n_codes
     v = max(lo, min(hi, value))
@@ -213,30 +216,58 @@ class SessionResult:
 
 
 # ---------------------------------------------------------------------------
-# Lockstep sessions
+# Session loop and peers
 # ---------------------------------------------------------------------------
 
 
-def run_lockstep_inproc(
-    series: PowerSeries, cfg: ScenarioConfig, corrupt_s2c=None
-) -> SessionResult:
-    """Single-threaded lockstep loop through the full codec path."""
-    plant = PlantDriver(series, cfg)
-    ctrl = ControllerDriver(cfg.n_window, cfg.sample_period_s)
-    boundary = PlantBoundary(cfg, series.rated_power_w, corrupt_s2c=corrupt_s2c)
+def drive(plant: PlantDriver, boundary: PlantBoundary, peer, free_running: bool) -> None:
+    """Run one session from the plant side until END has reached the peer.
 
+    Before each tick, every queued frame due by the horizon is delivered:
+    sensor frames to the peer, its replies to plant.hold. The horizon is the
+    tick's sample time when free-running and infinite in lockstep. A protocol
+    fault is reported to the peer with a FAULT frame before it propagates.
+    """
+    s2c: deque[tuple[bytes, float]] = deque()
+    c2s: deque[tuple[BusFrame, float]] = deque()
     frame = plant.first_sensor()
-    while True:
-        data, t_arrive = boundary.outbound(frame, float(frame.sim_time_ms))
+    try:
+        while True:
+            s2c.append(boundary.outbound(frame, float(frame.sim_time_ms)))
+            more = frame.msg_type == MSG_SENSOR
+            horizon = float(plant.sim_time_ms(plant.k + 1)) if more and free_running else math.inf
+            while s2c and s2c[0][1] <= horizon:
+                data, t_arrive = s2c.popleft()
+                reply = peer.exchange(data)
+                if reply is not None:
+                    c2s.append(boundary.inbound(reply, t_arrive))
+            while c2s and c2s[0][1] <= horizon:
+                plant.hold(c2s.popleft()[0])
+            if not more:
+                return
+            frame = plant.tick()
+    except ProtocolFault:
+        peer.exchange(encode_frame(plant.gap_fault()))
+        raise
+    finally:
+        peer.close()
+
+
+class ControllerPeer:
+    """In-process peer: a ControllerDriver behind the full codec path."""
+
+    def __init__(self, driver: ControllerDriver):
+        self.driver = driver
+
+    def exchange(self, data: bytes) -> bytes | None:
         try:
-            reply = ctrl.on_frame(decode_frame(data))
+            reply = self.driver.on_frame(decode_frame(data))
         except FrameError:
-            reply = ctrl.on_bad_frame()
-        if reply is None:
-            break  # END delivered; session complete
-        sp, _ = boundary.inbound(encode_frame(reply), t_arrive)
-        frame = plant.on_setpoint(sp)
-    return SessionResult(plant, ctrl, boundary.log, boundary.delays.draws)
+            reply = self.driver.on_bad_frame()
+        return None if reply is None else encode_frame(reply)
+
+    def close(self) -> None:
+        """Nothing to release; the driver stays readable."""
 
 
 class SocketEndpoint:
@@ -248,8 +279,19 @@ class SocketEndpoint:
     def send(self, frame: BusFrame) -> None:
         self.conn.sendall(encode_frame(frame))
 
-    def send_bytes(self, data: bytes) -> None:
+    def exchange(self, data: bytes) -> bytes | None:
+        """Send a plant frame; return the controller's reply, if one comes.
+
+        The controller answers every frame but an intact END or FAULT.
+        """
         self.conn.sendall(data)
+        if data[5] != MSG_SENSOR:
+            try:
+                if decode_frame(data).msg_type in (MSG_END, MSG_FAULT):
+                    return None
+            except FrameError:
+                pass
+        return self.recv_bytes()
 
     def _recv_exact(self, n: int) -> bytes:
         buf = b""
@@ -278,34 +320,38 @@ class SocketEndpoint:
         self.conn.close()
 
 
-def lockstep_plant_pump(
-    plant: PlantDriver, boundary: PlantBoundary, endpoint: SocketEndpoint
-) -> None:
-    """Drive the plant side of a lockstep session over a connected socket.
-
-    The controller on the far end may live in another thread or another
-    process; the strict sensor/setpoint alternation serializes the loop
-    either way, so scheduling cannot influence the numbers.
-    """
-    frame = plant.first_sensor()
-    while True:
-        data, t_arrive = boundary.outbound(frame, float(frame.sim_time_ms))
-        endpoint.send_bytes(data)
-        if frame.msg_type != MSG_SENSOR:
-            break  # END or FAULT delivered; no reply expected
-        reply_bytes = endpoint.recv_bytes()
-        sp, _ = boundary.inbound(reply_bytes, t_arrive)
-        try:
-            frame = plant.on_setpoint(sp)
-        except ProtocolFault:
-            endpoint.send(plant.gap_fault())
-            raise
-
-
-def run_lockstep_socket(series: PowerSeries, cfg: ScenarioConfig) -> SessionResult:
-    """Lockstep loop over a loopback TCP socket, controller in its own thread."""
+def _run_inproc(
+    series: PowerSeries, cfg: ScenarioConfig, corrupt_s2c, free_running: bool
+) -> SessionResult:
     plant = PlantDriver(series, cfg)
-    boundary = PlantBoundary(cfg, series.rated_power_w)
+    peer = ControllerPeer(ControllerDriver(cfg.n_window))
+    boundary = PlantBoundary(cfg, series.rated_power_w, corrupt_s2c=corrupt_s2c)
+    drive(plant, boundary, peer, free_running)
+    return SessionResult(plant, peer.driver, boundary.log, boundary.delays.draws)
+
+
+def run_lockstep_inproc(
+    series: PowerSeries, cfg: ScenarioConfig, corrupt_s2c=None
+) -> SessionResult:
+    """Lockstep session in one thread, through the full codec path."""
+    return _run_inproc(series, cfg, corrupt_s2c, free_running=False)
+
+
+def run_free_running(
+    series: PowerSeries, cfg: ScenarioConfig, corrupt_s2c=None
+) -> SessionResult:
+    """Free-running session in one thread: each tick integrates under the last
+    setpoint delivered by the tick's sample time (zero-order hold).
+    """
+    return _run_inproc(series, cfg, corrupt_s2c, free_running=True)
+
+
+def run_lockstep_socket(
+    series: PowerSeries, cfg: ScenarioConfig, corrupt_s2c=None
+) -> SessionResult:
+    """Lockstep session over a loopback TCP socket, controller in its own thread."""
+    plant = PlantDriver(series, cfg)
+    boundary = PlantBoundary(cfg, series.rated_power_w, corrupt_s2c=corrupt_s2c)
 
     listener = socket.create_server(("127.0.0.1", 0))
     port = listener.getsockname()[1]
@@ -313,98 +359,19 @@ def run_lockstep_socket(series: PowerSeries, cfg: ScenarioConfig) -> SessionResu
 
     def serve() -> None:
         with socket.create_connection(("127.0.0.1", port)) as conn:
-            ctrl_box["driver"] = run_controller(
-                SocketEndpoint(conn), cfg.n_window, cfg.sample_period_s
-            )
+            ctrl_box["driver"] = run_controller(SocketEndpoint(conn), cfg.n_window)
 
     thread = threading.Thread(target=serve, daemon=True)
     thread.start()
     conn, _ = listener.accept()
     listener.close()
-    plant_end = SocketEndpoint(conn)
     try:
-        lockstep_plant_pump(plant, boundary, plant_end)
+        drive(plant, boundary, SocketEndpoint(conn), free_running=False)
     finally:
-        plant_end.close()
         thread.join(timeout=10.0)
     ctrl = ctrl_box.get("driver")
     if ctrl is None:
         raise ProtocolFault("controller thread did not complete")
-    return SessionResult(plant, ctrl, boundary.log, boundary.delays.draws)
-
-
-# ---------------------------------------------------------------------------
-# Free-running session (event-driven, in-process)
-# ---------------------------------------------------------------------------
-
-_EV_DELIVER = 0
-_EV_TICK = 1
-
-
-def run_free_running(series: PowerSeries, cfg: ScenarioConfig) -> SessionResult:
-    """Seeded discrete-event loop without sensor/setpoint handshaking.
-
-    The plant samples on its own clock and integrates each interval with the
-    most recent setpoint delivered by integration time (zero-order hold on
-    setpoints). The controller answers every sensor frame immediately on
-    delivery. With zero latency this reduces to the lockstep pairing.
-    """
-    plant = PlantDriver(series, cfg)
-    ctrl = ControllerDriver(cfg.n_window, cfg.sample_period_s)
-    boundary = PlantBoundary(cfg, series.rated_power_w)
-    period_ms = cfg.sample_period_s * 1000.0
-    n = plant.n_samples
-
-    events: list[tuple[float, int, int, object]] = []
-    counter = 0
-
-    def push(t: float, kind: int, payload: object) -> None:
-        nonlocal counter
-        heapq.heappush(events, (t, kind, counter, payload))
-        counter += 1
-
-    def send_to_controller(frame: BusFrame, t_send: float) -> None:
-        data, t_deliver = boundary.outbound(frame, t_send)
-        push(t_deliver, _EV_DELIVER, (S2C, data))
-
-    held_setpoint = 0.0
-    last_held_seq = 0
-
-    send_to_controller(plant.first_sensor(), 0.0)
-    for k in range(1, n + 1):
-        push(k * period_ms, _EV_TICK, k)
-
-    while events:
-        t_now, kind, _, payload = heapq.heappop(events)
-        if kind == _EV_DELIVER:
-            direction, content = payload
-            if direction == S2C:
-                reply = ctrl.on_frame(decode_frame(content))
-                if reply is None:
-                    continue
-                sp, t_deliver = boundary.inbound(encode_frame(reply), t_now)
-                push(t_deliver, _EV_DELIVER, (C2S, sp))
-            else:
-                frame = content
-                if frame.msg_type == MSG_SETPOINT and frame.seq > last_held_seq:
-                    held_setpoint = frame.values[0]
-                    last_held_seq = frame.seq
-        else:
-            k = payload
-            plant.apply_interval(held_setpoint)
-            if k < n:
-                send_to_controller(
-                    sensor_frame(
-                        k + 1,
-                        plant.sim_time_ms(k),
-                        float(series.samples[k]),
-                        plant.battery.v_terminal_v,
-                    ),
-                    t_now,
-                )
-            else:
-                send_to_controller(end_frame(n + 1, plant.sim_time_ms(n)), t_now)
-    plant.done = True
     return SessionResult(plant, ctrl, boundary.log, boundary.delays.draws)
 
 

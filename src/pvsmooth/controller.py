@@ -63,9 +63,8 @@ class SmoothingController:
     full recomputation every N steps to bound floating-point drift.
     """
 
-    def __init__(self, n: int, t_s: float = 5.0):
+    def __init__(self, n: int):
         self.state = ControllerState(n=n)
-        self.t_s = t_s
 
     def _advance(self, p_pv_w: float) -> float:
         """Insert one sample and return the new buffer mean."""
@@ -126,15 +125,15 @@ CONTROLLER_LOG_COLUMNS = ("k", "p_pv_w", "v_batt_v", "p_hat_w", "p_batt_w", "i_s
 class ControllerDriver:
     """Frame-level wrapper: sensor frames in, setpoint frames out.
 
-    Transport-agnostic; the lockstep pump or a blocking endpoint loop feeds
-    it one frame at a time. Every received frame gets exactly one response
+    Transport-agnostic; the in-process bus peer or a blocking endpoint loop
+    feeds it one frame at a time. Every received frame gets exactly one response
     carrying the same sequence number. Malformed input produces a safe
     zero-current setpoint (the sample is lost, as a corrupted analog read
     would be) and bumps the error counter.
     """
 
-    def __init__(self, n: int, t_s: float = 5.0):
-        self.controller = SmoothingController(n, t_s)
+    def __init__(self, n: int):
+        self.controller = SmoothingController(n)
         self.rows: list[ControllerLogRow] = []
         self.error_count = 0
         self.expected_seq = 1
@@ -192,13 +191,13 @@ class ControllerDriver:
         return setpoint_frame(seq, 0, 0.0)
 
 
-def run_controller(endpoint, n: int, t_s: float = 5.0) -> ControllerDriver:
+def run_controller(endpoint, n: int) -> ControllerDriver:
     """Serve a bus endpoint until the peer ends the session or disconnects.
 
-    Blocking loop suitable for a thread or a dedicated process; the in-process
-    lockstep pump drives a ControllerDriver directly instead.
+    Blocking loop suitable for a thread or a dedicated process; in-process
+    sessions drive a ControllerDriver directly instead (bus.ControllerPeer).
     """
-    driver = ControllerDriver(n, t_s)
+    driver = ControllerDriver(n)
     while not driver.done:
         try:
             frame = endpoint.recv()

@@ -141,12 +141,11 @@ PLANT_TRACE_COLUMNS = (
 
 
 class PlantDriver:
-    """Frame-level plant: emits sensor frames, applies setpoint frames.
+    """Frame-level plant: emits sensor frames, holds setpoint frames.
 
-    Lockstep shape: each accepted setpoint advances the plant exactly one
-    sample and yields the next sensor frame (or the end-of-session marker).
-    The free-running engine bypasses the frame pairing and calls
-    apply_interval on its own clock instead.
+    hold is the one place a setpoint enters the plant; tick integrates one
+    sample under the held current and yields the next sensor frame (or the
+    end-of-session marker). The session loop decides when a setpoint is held.
     """
 
     def __init__(self, series: PowerSeries, cfg: ScenarioConfig):
@@ -155,7 +154,8 @@ class PlantDriver:
         self.battery = initial_battery_state(cfg.battery)
         self.rows: list[PlantLogRow] = []
         self.k = 0  # samples applied so far
-        self.last_setpoint_a = 0.0
+        self.held_seq = 0  # sequence number of the held setpoint
+        self.held_a = 0.0  # held current request; 0 A until the first setpoint
         self.done = False
 
     @property
@@ -192,20 +192,31 @@ class PlantDriver:
             )
         )
         self.k = k
-        self.last_setpoint_a = i_request_a
 
-    def on_setpoint(self, frame: BusFrame) -> BusFrame:
-        """Lockstep: consume SETPOINT(seq=k), return SENSOR(seq=k+1) or END."""
+    def hold(self, frame: BusFrame) -> None:
+        """Hold SETPOINT(seq=held_seq+1) for the coming intervals.
+
+        A non-finite current is rejected here, before any clamp: min/max
+        clamps turn NaN into a limit value.
+        """
+        expected = self.held_seq + 1
         if frame.msg_type == MSG_FAULT:
-            raise ProtocolFault("controller reported a fault frame", step=self.k + 1)
+            raise ProtocolFault("controller reported a fault frame", step=expected)
         if frame.msg_type != MSG_SETPOINT:
-            raise ProtocolFault(f"expected SETPOINT, got {frame.type_name}", step=self.k + 1)
-        expected = self.k + 1
+            raise ProtocolFault(f"expected SETPOINT, got {frame.type_name}", step=expected)
         if frame.seq != expected:
             raise ProtocolFault(
                 f"setpoint sequence gap: expected {expected}, got {frame.seq}", step=expected
             )
-        self.apply_interval(frame.values[0])
+        i_set_a = frame.values[0]
+        if not math.isfinite(i_set_a):
+            raise ProtocolFault(f"non-finite setpoint current {i_set_a}", step=expected)
+        self.held_seq = expected
+        self.held_a = i_set_a
+
+    def tick(self) -> BusFrame:
+        """Integrate one interval under the held setpoint; return SENSOR(k+1) or END."""
+        self.apply_interval(self.held_a)
         if self.k == self.n_samples:
             self.done = True
             return end_frame(self.k + 1, self.sim_time_ms(self.k))
@@ -215,6 +226,11 @@ class PlantDriver:
             float(self.series.samples[self.k]),
             self.battery.v_terminal_v,
         )
+
+    def on_setpoint(self, frame: BusFrame) -> BusFrame:
+        """Lockstep step: hold SETPOINT(seq=k), then tick."""
+        self.hold(frame)
+        return self.tick()
 
     def gap_fault(self) -> BusFrame:
         self.done = True

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -8,6 +10,8 @@ from conftest import ideal_battery
 from pvsmooth.bus import (
     C2S,
     S2C,
+    PlantBoundary,
+    drive,
     quantize,
     resolve_quantization,
     run_free_running,
@@ -22,8 +26,16 @@ from pvsmooth.config import (
     validate_scenario,
 )
 from pvsmooth.controller import SmoothingController
-from pvsmooth.frames import MSG_END, MSG_SENSOR, MSG_SETPOINT
-from pvsmooth.plant import PlantDriver
+from pvsmooth.frames import (
+    MSG_END,
+    MSG_FAULT,
+    MSG_SENSOR,
+    MSG_SETPOINT,
+    decode_frame,
+    encode_frame,
+    setpoint_frame,
+)
+from pvsmooth.plant import PlantDriver, ProtocolFault
 from pvsmooth.series import PowerSeries
 from pvsmooth.synth import synth_pv
 
@@ -44,6 +56,13 @@ def test_quantize_endpoints():
     # hi clamps to the top code, one step below hi
     assert quantize(4096.0, 12, (0.0, 4096.0)) == 4095.0
     assert quantize(1e9, 12, (0.0, 4096.0)) == 4095.0
+
+
+def test_quantize_passes_non_finite_values_through():
+    # no converter code stands for NaN or inf; clamping NaN gave the top code
+    assert math.isnan(quantize(math.nan, 12, (-110.0, 110.0)))
+    assert quantize(math.inf, 12, (-110.0, 110.0)) == math.inf
+    assert quantize(-math.inf, 12, (-110.0, 110.0)) == -math.inf
 
 
 def test_quantize_rejects_bad_range():
@@ -143,7 +162,7 @@ def test_controller_in_separate_process_matches_inproc(tmp_path):
     import subprocess
     import sys
 
-    from pvsmooth.bus import PlantBoundary, SocketEndpoint, lockstep_plant_pump
+    from pvsmooth.bus import SocketEndpoint
     from pvsmooth.run import write_controller_log
 
     series = synth_pv("cloud_random", 600, 5, 3000.0, seed=17)
@@ -161,7 +180,7 @@ def test_controller_in_separate_process_matches_inproc(tmp_path):
         "from pvsmooth.controller import run_controller\n"
         "from pvsmooth.run import write_controller_log\n"
         f"conn = socket.create_connection(('127.0.0.1', {port}))\n"
-        f"driver = run_controller(SocketEndpoint(conn), n={cfg.n_window}, t_s={cfg.sample_period_s})\n"
+        f"driver = run_controller(SocketEndpoint(conn), n={cfg.n_window})\n"
         f"write_controller_log(driver.rows, r'{log_remote}')\n"
     )
     proc = subprocess.Popen([sys.executable, "-c", script])
@@ -170,9 +189,7 @@ def test_controller_in_separate_process_matches_inproc(tmp_path):
         listener.close()
         plant = PlantDriver(series, cfg)
         boundary = PlantBoundary(cfg, series.rated_power_w)
-        endpoint = SocketEndpoint(conn)
-        lockstep_plant_pump(plant, boundary, endpoint)
-        endpoint.close()
+        drive(plant, boundary, SocketEndpoint(conn), free_running=False)
         assert proc.wait(timeout=30) == 0
     finally:
         if proc.poll() is None:
@@ -219,7 +236,49 @@ def test_loop_equals_direct_function_composition():
     assert [r.p_grid_w for r in plant.rows] == [r.p_grid_w for r in result.plant.rows]
 
 
-def test_corrupted_frame_mid_run_recovers():
+ENGINES = {
+    "inproc": run_lockstep_inproc,
+    "socket": run_lockstep_socket,
+    "free_running": run_free_running,
+}
+
+
+class NanPeer:
+    """Answers every sensor frame with a CRC-valid NaN setpoint."""
+
+    def __init__(self):
+        self.received = []
+        self.closed = False
+
+    def exchange(self, data):
+        frame = decode_frame(data)
+        self.received.append(frame)
+        if frame.msg_type != MSG_SENSOR:
+            return None
+        return encode_frame(setpoint_frame(frame.seq, frame.sim_time_ms, math.nan))
+
+    def close(self):
+        self.closed = True
+
+
+@pytest.mark.parametrize("quantization", [None, QuantizationConfig(bits=12)], ids=["raw", "dac"])
+def test_drive_faults_on_nan_setpoint(quantization):
+    series = PowerSeries([10.0, 20.0, 30.0], 5.0, 100.0)
+    cfg = validate_scenario(
+        ScenarioConfig(window_s=10.0, transport=TransportConfig(quantization=quantization))
+    )
+    plant = PlantDriver(series, cfg)
+    peer = NanPeer()
+    with pytest.raises(ProtocolFault, match="non-finite"):
+        drive(plant, PlantBoundary(cfg, series.rated_power_w), peer, free_running=False)
+    # nothing was integrated, and the peer was told before the session ended
+    assert plant.rows == []
+    assert [f.msg_type for f in peer.received] == [MSG_SENSOR, MSG_FAULT]
+    assert peer.closed
+
+
+@pytest.mark.parametrize("engine", ENGINES.values(), ids=ENGINES.keys())
+def test_corrupted_frame_mid_run_recovers(engine):
     series = PowerSeries([10.0, 20.0, 30.0, 40.0], 5.0, 100.0)
     cfg = validate_scenario(ScenarioConfig(window_s=10.0))
 
@@ -230,7 +289,7 @@ def test_corrupted_frame_mid_run_recovers():
             return bytes(out)
         return data
 
-    result = run_lockstep_inproc(series, cfg, corrupt_s2c=flip_bit)
+    result = engine(series, cfg, corrupt_s2c=flip_bit)
     assert result.controller.error_count == 1
     fault_rows = [r for r in result.controller.rows if r.fault]
     assert len(fault_rows) == 1
@@ -296,13 +355,23 @@ def test_free_running_delivery_times_replay_from_draws():
         assert abs(draw) <= 50.0
 
 
-def test_free_running_zero_latency_matches_lockstep():
-    series = synth_pv("cloud_random", 900, 5, 3000.0, seed=6)
-    lock = run_lockstep_inproc(series, validate_scenario(ScenarioConfig()))
-    free = run_free_running(series, freerun_cfg(latency=0.0, jitter=0.0))
-    assert [(r.k, r.soc, r.p_grid_w) for r in free.plant.rows] == [
-        (r.k, r.soc, r.p_grid_w) for r in lock.plant.rows
-    ]
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 200),
+    window_s=st.sampled_from([5.0, 60.0, 1800.0]),
+)
+@settings(max_examples=20, deadline=None)
+def test_free_running_zero_latency_matches_lockstep(seed, n, window_s):
+    # with no delay the free-running delivery rule and the socket peer change
+    # nothing: same frames, same times, same plant and controller rows
+    series = synth_pv("cloud_random", n * 5.0, 5, 3000.0, seed=seed)
+    cfg = validate_scenario(ScenarioConfig(window_s=window_s, seed=seed))
+    lock = run_lockstep_inproc(series, cfg)
+    free_cfg = validate_scenario(replace(cfg, transport=TransportConfig(mode="free_running")))
+    for other in (run_free_running(series, free_cfg), run_lockstep_socket(series, cfg)):
+        assert other.log.tagged_bytes() == lock.log.tagged_bytes()
+        assert other.plant.rows == lock.plant.rows
+        assert other.controller.rows == lock.controller.rows
 
 
 def test_free_running_latency_holds_stale_setpoints():

@@ -199,6 +199,18 @@ def test_fault_frame_raises():
         d.on_setpoint(fault_frame(1, 0))
 
 
+@pytest.mark.parametrize("current", [math.nan, math.inf, -math.inf])
+def test_non_finite_setpoint_is_a_protocol_fault(current):
+    # min/max clamps pass NaN through as a limit value (+55 A), so the plant
+    # must reject it before any clamp, and integrate nothing
+    d, _ = make_driver([100.0, 200.0])
+    d.first_sensor()
+    with pytest.raises(ProtocolFault, match="non-finite"):
+        d.on_setpoint(setpoint_frame(1, 0, current))
+    assert d.rows == []
+    assert d.held_seq == 0
+
+
 def test_setpoint_past_series_end_faults():
     d, _ = make_driver([100.0])
     d.first_sensor()
