@@ -38,7 +38,7 @@ def main() -> None:
         )
         art = run_scenario(cfg, series, f"/tmp/latency_sweep/{int(latency)}")
         # grid power = what the feeder actually sees after the laggy battery
-        p_grid = np.array([r.p_grid_w for r in art.session.plant.rows])
+        p_grid = art.session.plant.trace.numpy("p_grid_w")
         grid = ramp_report(
             PowerSeries(p_grid, 5.0, 3000.0, _skip_validation=True), 60.0, 5.0,
             warmup_s=cfg.window_s,

@@ -21,7 +21,9 @@ import math
 import socket
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -43,9 +45,12 @@ from .frames import (
 )
 from .plant import PlantDriver, ProtocolFault
 from .series import PowerSeries
+from .util import Columns
 
-S2C = "s2c"  # plant sensor -> controller
-C2S = "c2s"  # controller setpoint -> plant
+# frame directions, as coded in the frame log, and their names in frame tags
+S2C = 0  # plant sensor -> controller
+C2S = 1  # controller setpoint -> plant
+DIRECTION_NAMES = ("s2c", "c2s")
 
 
 # ---------------------------------------------------------------------------
@@ -113,48 +118,70 @@ def resolve_quantization(
 # ---------------------------------------------------------------------------
 
 
+DRAW_BLOCK = 4096  # jitter values taken from the generator at a time
+
+
+def _jitter_draws(rng: np.random.Generator, jitter_ms: float) -> Iterator[float]:
+    """Uniform(-jitter, +jitter) draws, taken from the generator in blocks.
+
+    A block of n draws equals n scalar draws value for value, so the stream
+    does not depend on the block size.
+    """
+    while True:
+        yield from rng.uniform(-jitter_ms, jitter_ms, size=DRAW_BLOCK).tolist()
+
+
 class DelayModel:
     """Seeded per-frame delivery delay: latency +/- uniform jitter.
 
     Draws are consumed in frame transmission order, so a fixed seed fully
-    determines every delivery schedule. All draws are kept for replay checks.
+    determines every delivery schedule. last_draw is the jitter of the most
+    recent delay; the session log keeps it per frame for replay checks.
     """
 
     def __init__(self, latency_ms: float, jitter_ms: float, seed: int):
         self.latency_ms = latency_ms
         self.jitter_ms = jitter_ms
         self.seed = seed
-        self._rng = np.random.default_rng(seed)
-        self.draws: list[float] = []
+        rng = np.random.default_rng(seed)
+        self._draws = _jitter_draws(rng, jitter_ms) if jitter_ms > 0.0 else repeat(0.0)
+        self.last_draw = 0.0
 
     def next_delay_ms(self) -> float:
-        if self.jitter_ms > 0.0:
-            draw = float(self._rng.uniform(-self.jitter_ms, self.jitter_ms))
-        else:
-            draw = 0.0
-        self.draws.append(draw)
+        draw = self.last_draw = next(self._draws)
         return self.latency_ms + draw
 
 
-@dataclass(frozen=True)
-class LoggedFrame:
-    direction: str  # S2C or C2S
-    seq: int
-    msg_type: int
-    t_send_ms: float
-    t_deliver_ms: float
-    data: bytes
+# frame log columns with their array typecodes (seq is the wire's u32);
+# wire_end is the offset in SessionLog.wire just past the frame's bytes
+FRAME_LOG_COLUMNS = {
+    "direction": "b",
+    "seq": "I",
+    "msg_type": "b",
+    "t_send_ms": "d",
+    "t_deliver_ms": "d",
+    "draw_ms": "d",
+    "wire_end": "q",
+}
 
 
-@dataclass
 class SessionLog:
-    frames: list[LoggedFrame] = field(default_factory=list)
+    """Every frame on the bus in transmission order: metadata columns in
+    `frames`, the bytes as sent concatenated in `wire`."""
 
-    def tagged_bytes(self) -> list[tuple[str, bytes]]:
-        return [
-            (f"{f.direction} seq={f.seq} send={f.t_send_ms!r} recv={f.t_deliver_ms!r}", f.data)
-            for f in self.frames
-        ]
+    def __init__(self):
+        self.frames = Columns(FRAME_LOG_COLUMNS)
+        self.wire = bytearray()
+
+    def tagged_bytes(self) -> Iterator[tuple[str, bytes]]:
+        """(tag, wire bytes) per frame, the tag naming direction, seq and times."""
+        start = 0
+        for d, seq, t_send, t_deliver, end in self.frames.rows(
+            ["direction", "seq", "t_send_ms", "t_deliver_ms", "wire_end"]
+        ):
+            tag = f"{DIRECTION_NAMES[d]} seq={seq} send={t_send!r} recv={t_deliver!r}"
+            yield tag, bytes(self.wire[start:end])
+            start = end
 
 
 class PlantBoundary:
@@ -173,12 +200,23 @@ class PlantBoundary:
         self.log = SessionLog()
         self.corrupt_s2c = corrupt_s2c
         self._outbound_count = 0
-        self._last_deliver = {S2C: 0.0, C2S: 0.0}
+        self._last_deliver = [0.0, 0.0]  # by direction code
 
-    def _deliver_time(self, direction: str, t_send_ms: float) -> float:
+    def _log(self, direction: int, frame: BusFrame, data: bytes, t_send_ms: float) -> float:
+        """Draw a frame's delay and log the frame; returns its delivery time."""
         t = t_send_ms + self.delays.next_delay_ms()
         t = max(t, self._last_deliver[direction])  # FIFO per direction
         self._last_deliver[direction] = t
+        log = self.log
+        f = log.frames
+        log.wire += data
+        f.direction.append(direction)
+        f.seq.append(frame.seq)
+        f.msg_type.append(frame.msg_type)
+        f.t_send_ms.append(t_send_ms)
+        f.t_deliver_ms.append(t)
+        f.draw_ms.append(self.delays.last_draw)
+        f.wire_end.append(len(log.wire))
         return t
 
     def outbound(self, frame: BusFrame, t_send_ms: float) -> tuple[bytes, float]:
@@ -189,19 +227,12 @@ class PlantBoundary:
         if self.corrupt_s2c is not None:
             data = self.corrupt_s2c(self._outbound_count, data)
         self._outbound_count += 1
-        t_deliver = self._deliver_time(S2C, t_send_ms)
-        self.log.frames.append(
-            LoggedFrame(S2C, frame.seq, frame.msg_type, t_send_ms, t_deliver, data)
-        )
-        return data, t_deliver
+        return data, self._log(S2C, frame, data, t_send_ms)
 
     def inbound(self, data: bytes, t_send_ms: float) -> tuple[BusFrame, float]:
         """Decode+log a controller frame; quantizes setpoint current (DAC)."""
         frame = decode_frame(data)
-        t_deliver = self._deliver_time(C2S, t_send_ms)
-        self.log.frames.append(
-            LoggedFrame(C2S, frame.seq, frame.msg_type, t_send_ms, t_deliver, data)
-        )
+        t_deliver = self._log(C2S, frame, data, t_send_ms)
         if self.quant is not None and frame.msg_type == MSG_SETPOINT:
             frame = setpoint_frame(frame.seq, frame.sim_time_ms, self.quant.setpoint(frame.values[0]))
         return frame, t_deliver
@@ -212,7 +243,6 @@ class SessionResult:
     plant: PlantDriver
     controller: ControllerDriver
     log: SessionLog
-    delay_draws: list[float]
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +357,7 @@ def _run_inproc(
     peer = ControllerPeer(ControllerDriver(cfg.n_window))
     boundary = PlantBoundary(cfg, series.rated_power_w, corrupt_s2c=corrupt_s2c)
     drive(plant, boundary, peer, free_running)
-    return SessionResult(plant, peer.driver, boundary.log, boundary.delays.draws)
+    return SessionResult(plant, peer.driver, boundary.log)
 
 
 def run_lockstep_inproc(
@@ -372,7 +402,7 @@ def run_lockstep_socket(
     ctrl = ctrl_box.get("driver")
     if ctrl is None:
         raise ProtocolFault("controller thread did not complete")
-    return SessionResult(plant, ctrl, boundary.log, boundary.delays.draws)
+    return SessionResult(plant, ctrl, boundary.log)
 
 
 def run_session(

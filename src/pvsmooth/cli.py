@@ -18,9 +18,9 @@ from .frames import (
     encode_frame,
     end_frame,
     fault_frame,
-    hexdump_lines,
     sensor_frame,
     setpoint_frame,
+    write_hexdump,
 )
 from .ingest import IngestError, IngestSpec, ingest_csv, write_series_csv
 from .plant import PlantFault, ProtocolFault
@@ -28,7 +28,6 @@ from .ramp import RampMetricError, ramp_report, write_rates_file, write_report_j
 from .run import InvariantViolation, resolve_source, run_scenario
 from .series import SeriesError
 from .synth import SynthError, synth_pv
-from .util import atomic_write_text
 
 EXIT_OK = 0
 EXIT_INVARIANT = 2
@@ -213,10 +212,7 @@ def cmd_protocol_check(n_frames: int, seed: int, dump_path: str | None) -> None:
     )
 
     if dump_path:
-        atomic_write_text(
-            dump_path,
-            "\n".join(hexdump_lines([(f.type_name, encode_frame(f)) for f in reference])) + "\n",
-        )
+        write_hexdump([(f.type_name, encode_frame(f)) for f in reference], dump_path)
         click.echo(f"wrote {dump_path}")
 
     failed = [name for name, passed in checks if not passed]

@@ -30,6 +30,7 @@ from .frames import (
     fault_frame,
     setpoint_frame,
 )
+from .util import Columns
 
 
 class ControllerOutput(NamedTuple):
@@ -105,21 +106,17 @@ class SmoothingController:
         return out
 
 
-@dataclass(frozen=True)
-class ControllerLogRow:
-    """One line of the controller step log."""
-
-    k: int
-    p_pv_w: float
-    v_batt_v: float
-    p_hat_w: float
-    p_batt_w: float
-    i_set_a: float
-    warmup: bool
-    fault: bool
-
-
-CONTROLLER_LOG_COLUMNS = ("k", "p_pv_w", "v_batt_v", "p_hat_w", "p_batt_w", "i_set_a", "warmup", "fault")
+# controller_log.csv columns, in file order, with their array typecodes
+CONTROLLER_LOG_COLUMNS = {
+    "k": "q",
+    "p_pv_w": "d",
+    "v_batt_v": "d",
+    "p_hat_w": "d",
+    "p_batt_w": "d",
+    "i_set_a": "d",
+    "warmup": "b",
+    "fault": "b",
+}
 
 
 class ControllerDriver:
@@ -134,7 +131,7 @@ class ControllerDriver:
 
     def __init__(self, n: int):
         self.controller = SmoothingController(n)
-        self.rows: list[ControllerLogRow] = []
+        self.log = Columns(CONTROLLER_LOG_COLUMNS)  # one row per sample, lost ones too
         self.error_count = 0
         self.expected_seq = 1
         self.done = False
@@ -157,37 +154,28 @@ class ControllerDriver:
         p_pv, v_batt = frame.values
         out = self.controller.step(p_pv, v_batt)
         k = self.controller.state.k - 1  # index of the step just taken
-        self.rows.append(
-            ControllerLogRow(
-                k=k,
-                p_pv_w=p_pv,
-                v_batt_v=v_batt,
-                p_hat_w=out.p_hat_w,
-                p_batt_w=out.p_batt_w,
-                i_set_a=out.i_set_a,
-                warmup=k <= self.controller.state.n,
-                fault=out.fault,
-            )
-        )
+        self._log_row(k, p_pv, v_batt, out.p_hat_w, out.p_batt_w, out.i_set_a,
+                      k <= self.controller.state.n, out.fault)
         return setpoint_frame(seq, frame.sim_time_ms, out.i_set_a)
+
+    def _log_row(self, k, p_pv_w, v_batt_v, p_hat_w, p_batt_w, i_set_a, warmup, fault) -> None:
+        log = self.log
+        log.k.append(k)
+        log.p_pv_w.append(p_pv_w)
+        log.v_batt_v.append(v_batt_v)
+        log.p_hat_w.append(p_hat_w)
+        log.p_batt_w.append(p_batt_w)
+        log.i_set_a.append(i_set_a)
+        log.warmup.append(warmup)
+        log.fault.append(fault)
 
     def on_bad_frame(self) -> BusFrame:
         """Undecodable input: respond with a flagged zero setpoint."""
         self.error_count += 1
         seq = self.expected_seq
         self.expected_seq = seq + 1
-        self.rows.append(
-            ControllerLogRow(
-                k=0,
-                p_pv_w=float("nan"),
-                v_batt_v=float("nan"),
-                p_hat_w=float("nan"),
-                p_batt_w=float("nan"),
-                i_set_a=0.0,
-                warmup=False,
-                fault=True,
-            )
-        )
+        nan = math.nan
+        self._log_row(0, nan, nan, nan, nan, 0.0, False, True)
         return setpoint_frame(seq, 0, 0.0)
 
 

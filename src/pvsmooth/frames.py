@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import struct
 import zlib
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
-from .util import atomic_write_text
+from .util import atomic_write_text, chunked
 
 MAGIC = b"HESB"
 VERSION = 0x01
@@ -43,6 +44,8 @@ MSG_FAULT = 0x04
 
 MSG_NAMES = {MSG_SENSOR: "SENSOR", MSG_SETPOINT: "SETPOINT", MSG_END: "END", MSG_FAULT: "FAULT"}
 PAYLOAD_COUNTS = {MSG_SENSOR: 2, MSG_SETPOINT: 1, MSG_END: 0, MSG_FAULT: 0}
+
+_PAYLOAD_LENS = frozenset(8 * n for n in PAYLOAD_COUNTS.values())
 
 _HEADER = struct.Struct("<4sBBIQH")
 
@@ -154,11 +157,25 @@ def decode_frame(data: bytes) -> BusFrame:
 
 
 def frame_length(header: bytes) -> int:
-    """Total frame size implied by a header (for stream reads)."""
+    """Total size of the frame a stream header starts (for stream reads).
+
+    A header with good magic, version and message type gets the length its
+    type implies, so a corrupted length field cannot make a reader wait for
+    bytes that never come. When payload_len is also a length some type has,
+    the longer of the two wins: a flipped type bit (SENSOR read as END) then
+    still consumes the whole frame. Either way a single-bit flip of the type
+    or of the length costs one frame, which decode_frame rejects. For any
+    other header payload_len is the only hint, capped at the longest frame.
+    """
     if len(header) < HEADER_LEN:
         raise FrameTruncated(f"need {HEADER_LEN} header bytes, got {len(header)}")
     (payload_len,) = struct.unpack_from("<H", header, 18)
-    return HEADER_LEN + payload_len + CRC_LEN
+    count = PAYLOAD_COUNTS.get(header[5])
+    if header[:4] == MAGIC and header[4] == VERSION and count is not None:
+        if payload_len in _PAYLOAD_LENS:
+            return HEADER_LEN + max(8 * count, payload_len) + CRC_LEN
+        return HEADER_LEN + 8 * count + CRC_LEN
+    return HEADER_LEN + min(payload_len, max(_PAYLOAD_LENS)) + CRC_LEN
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +183,9 @@ def frame_length(header: bytes) -> int:
 # ---------------------------------------------------------------------------
 
 
-def hexdump_lines(tagged_frames: list[tuple[str, bytes]]) -> list[str]:
+def write_hexdump(tagged_frames: Iterable[tuple[str, bytes]], path: str | Path) -> None:
     """One `tag hex` line per frame; stable text form of a frame log."""
-    return [f"{tag} {data.hex()}" for tag, data in tagged_frames]
-
-
-def write_hexdump(tagged_frames: list[tuple[str, bytes]], path: str | Path) -> None:
-    atomic_write_text(path, "\n".join(hexdump_lines(tagged_frames)) + "\n")
+    atomic_write_text(path, chunked(f"{tag} {data.hex()}\n" for tag, data in tagged_frames))
 
 
 def read_hexdump(path: str | Path) -> list[tuple[str, bytes]]:

@@ -26,6 +26,7 @@ from .frames import (
     sensor_frame,
 )
 from .series import PowerSeries
+from .util import Columns
 
 
 class PlantFault(RuntimeError):
@@ -114,30 +115,17 @@ def battery_step(
     )
 
 
-@dataclass(frozen=True)
-class PlantLogRow:
-    """One line of the plant trace."""
-
-    k: int
-    p_pv_w: float
-    i_request_a: float
-    i_applied_a: float
-    v_terminal_v: float
-    soc: float
-    realized_p_batt_w: float
-    p_grid_w: float
-
-
-PLANT_TRACE_COLUMNS = (
-    "k",
-    "p_pv_w",
-    "i_request_a",
-    "i_applied_a",
-    "v_terminal_v",
-    "soc",
-    "realized_p_batt_w",
-    "p_grid_w",
-)
+# plant_trace.csv columns, in file order, with their array typecodes
+PLANT_TRACE_COLUMNS = {
+    "k": "q",
+    "p_pv_w": "d",
+    "i_request_a": "d",
+    "i_applied_a": "d",
+    "v_terminal_v": "d",
+    "soc": "d",
+    "realized_p_batt_w": "d",
+    "p_grid_w": "d",
+}
 
 
 class PlantDriver:
@@ -152,7 +140,7 @@ class PlantDriver:
         self.series = series
         self.cfg = cfg
         self.battery = initial_battery_state(cfg.battery)
-        self.rows: list[PlantLogRow] = []
+        self.trace = Columns(PLANT_TRACE_COLUMNS)  # one row per applied sample
         self.k = 0  # samples applied so far
         self.held_seq = 0  # sequence number of the held setpoint
         self.held_a = 0.0  # held current request; 0 A until the first setpoint
@@ -175,22 +163,19 @@ class PlantDriver:
             raise PlantFault("setpoint received past the end of the series", step=k)
         p_pv = float(self.series.samples[k - 1])
         i_supply = supply_apply(i_request_a, self.cfg.supply_limit_a)
-        self.battery = battery_step(
+        b = self.battery = battery_step(
             self.battery, self.cfg.battery, i_supply, self.cfg.sample_period_s
         )
-        realized = self.battery.i_applied_a * self.battery.v_terminal_v
-        self.rows.append(
-            PlantLogRow(
-                k=k,
-                p_pv_w=p_pv,
-                i_request_a=i_request_a,
-                i_applied_a=self.battery.i_applied_a,
-                v_terminal_v=self.battery.v_terminal_v,
-                soc=self.battery.soc,
-                realized_p_batt_w=realized,
-                p_grid_w=p_pv - realized,
-            )
-        )
+        realized = b.i_applied_a * b.v_terminal_v
+        t = self.trace
+        t.k.append(k)
+        t.p_pv_w.append(p_pv)
+        t.i_request_a.append(i_request_a)
+        t.i_applied_a.append(b.i_applied_a)
+        t.v_terminal_v.append(b.v_terminal_v)
+        t.soc.append(b.soc)
+        t.realized_p_batt_w.append(realized)
+        t.p_grid_w.append(p_pv - realized)
         self.k = k
 
     def hold(self, frame: BusFrame) -> None:

@@ -29,14 +29,12 @@ import numpy as np
 from . import __version__
 from .bus import SessionResult, run_session
 from .config import ConfigError, ScenarioConfig, config_hash, validate_scenario
-from .controller import CONTROLLER_LOG_COLUMNS, ControllerLogRow
 from .frames import write_hexdump
 from .ingest import IngestSpec, ingest_csv
-from .plant import PLANT_TRACE_COLUMNS, PlantLogRow
 from .ramp import RampReport, ramp_report, report_to_dict, write_rates_file
 from .series import PowerSeries, scale_series
 from .synth import synth_pv
-from .util import atomic_write_text
+from .util import Columns, atomic_write_text
 
 
 class InvariantViolation(RuntimeError):
@@ -77,45 +75,12 @@ class RunArtifacts:
     smoothed_series: PowerSeries
 
 
-def _fmt(value: Any) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def write_controller_log(log: Columns, path: Path) -> None:
+    atomic_write_text(path, log.csv_chunks())
 
 
-def write_controller_log(rows: list[ControllerLogRow], path: Path) -> None:
-    lines = [",".join(CONTROLLER_LOG_COLUMNS)]
-    for r in rows:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (r.k, r.p_pv_w, r.v_batt_v, r.p_hat_w, r.p_batt_w, r.i_set_a, r.warmup, r.fault)
-            )
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def write_plant_trace(rows: list[PlantLogRow], path: Path) -> None:
-    lines = [",".join(PLANT_TRACE_COLUMNS)]
-    for r in rows:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.k,
-                    r.p_pv_w,
-                    r.i_request_a,
-                    r.i_applied_a,
-                    r.v_terminal_v,
-                    r.soc,
-                    r.realized_p_batt_w,
-                    r.p_grid_w,
-                )
-            )
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def write_plant_trace(trace: Columns, path: Path) -> None:
+    atomic_write_text(path, trace.csv_chunks())
 
 
 def _write_histogram_csv(reports: dict[str, RampReport], path: Path) -> None:
@@ -134,34 +99,42 @@ def check_run_invariants(session: SessionResult, cfg: ScenarioConfig) -> None:
     p_batt = p_pv - p_hat from the logged values. SOC bounds are also
     enforced step-by-step inside the plant; this re-checks the trace.
     """
-    for r in session.controller.rows:
-        if r.k == 0:
-            continue  # lost sample (corrupt frame); no arithmetic to check
-        if r.p_batt_w != r.p_pv_w - r.p_hat_w:
+    log = session.controller.log
+    k = log.numpy("k")
+    p_pv, p_hat, p_batt = log.numpy("p_pv_w"), log.numpy("p_hat_w"), log.numpy("p_batt_w")
+    live = k != 0  # k=0 marks a lost sample (corrupt frame); no arithmetic to check
+    breach = live & (p_batt != p_pv - p_hat)
+    with np.errstate(divide="ignore", invalid="ignore"):  # faulted rows may have v <= 0
+        i_set = p_batt / log.numpy("v_batt_v")
+    skew = live & (log.numpy("fault") == 0) & (log.numpy("i_set_a") != i_set)
+    bad = np.flatnonzero(breach | skew)
+    if bad.size:
+        i = bad[0]
+        step = int(k[i])
+        if breach[i]:
             raise InvariantViolation(
-                f"conservation breach at controller step {r.k}: "
-                f"p_batt {r.p_batt_w!r} != p_pv - p_hat {(r.p_pv_w - r.p_hat_w)!r}",
-                step=r.k,
+                f"conservation breach at controller step {step}: p_batt {float(p_batt[i])!r} "
+                f"!= p_pv - p_hat {(float(p_pv[i]) - float(p_hat[i]))!r}",
+                step=step,
             )
-        if not r.fault and r.i_set_a != (r.p_batt_w / r.v_batt_v):
-            raise InvariantViolation(
-                f"setpoint identity breach at controller step {r.k}", step=r.k
-            )
+        raise InvariantViolation(f"setpoint identity breach at controller step {step}", step=step)
     b = cfg.battery
     if b.enforce_soc_limits:
-        for r in session.plant.rows:
-            if not (b.soc_min <= r.soc <= b.soc_max):
-                raise InvariantViolation(
-                    f"soc {r.soc} outside [{b.soc_min}, {b.soc_max}] at plant step {r.k}",
-                    step=r.k,
-                )
+        soc = session.plant.trace.numpy("soc")
+        bad = np.flatnonzero(~((b.soc_min <= soc) & (soc <= b.soc_max)))
+        if bad.size:
+            i = bad[0]
+            step = int(session.plant.trace.k[i])
+            raise InvariantViolation(
+                f"soc {float(soc[i])} outside [{b.soc_min}, {b.soc_max}] at plant step {step}",
+                step=step,
+            )
 
 
 def smoothed_series_from(session: SessionResult, series: PowerSeries) -> PowerSeries:
     """Controller output p_hat as a trace on the same grid and rating."""
-    p_hat = np.array(
-        [r.p_hat_w for r in session.controller.rows if r.k > 0], dtype=np.float64
-    )
+    log = session.controller.log
+    p_hat = log.numpy("p_hat_w")[log.numpy("k") > 0]
     return PowerSeries(
         samples=p_hat,
         sample_period_s=series.sample_period_s,
@@ -222,7 +195,7 @@ def run_scenario(
     smooth_rep = ramp_report(smoothed, cfg.rr_interval_s, limit)
     smooth_rep_post = ramp_report(smoothed, cfg.rr_interval_s, limit, warmup_s=cfg.window_s)
 
-    socs = np.array([r.soc for r in session.plant.rows], dtype=np.float64)
+    socs = session.plant.trace.numpy("soc")
     soc = SocSummary(
         soc_min=float(socs.min()),
         soc_max=float(socs.max()),
@@ -243,8 +216,8 @@ def run_scenario(
         "frames": out / "frames.hex",
     }
 
-    write_plant_trace(session.plant.rows, paths["plant"])
-    write_controller_log(session.controller.rows, paths["ctrl"])
+    write_plant_trace(session.plant.trace, paths["plant"])
+    write_controller_log(session.controller.log, paths["ctrl"])
     write_rates_file(raw_rep, paths["raw_rates"], sample_period_s=series.sample_period_s)
     write_rates_file(smooth_rep, paths["smoothed_rates"], sample_period_s=series.sample_period_s)
     _write_histogram_csv({"raw": raw_rep, "smoothed": smooth_rep}, paths["hist"])

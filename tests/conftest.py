@@ -73,5 +73,21 @@ def ideal_battery(nominal_v: float = 64.0) -> BatteryParams:
     )
 
 
+def column_bytes(table) -> dict[str, bytes]:
+    """Every column of a Columns table as raw bytes: equal only if bitwise
+    equal, so -0.0 differs from 0.0 and NaN equals the same NaN."""
+    return {name: getattr(table, name).tobytes() for name in table.names}
+
+
+def session_bytes(result) -> tuple:
+    """Frame log, wire bytes, plant trace and controller log of a session, bitwise."""
+    return (
+        column_bytes(result.log.frames),
+        bytes(result.log.wire),
+        column_bytes(result.plant.trace),
+        column_bytes(result.controller.log),
+    )
+
+
 def constant_series(value_w: float, n: int, rated_w: float = 3000.0, period_s: float = 5.0) -> PowerSeries:
     return PowerSeries([value_w] * n, period_s, rated_w)

@@ -124,12 +124,13 @@ def test_c2_smoothed_ramp_bound(random_sequences):
 def test_c3_conservation_bitwise(fixture_runs):
     steps = 0
     for name, art in fixture_runs.items():
-        for r in art.session.controller.rows:
-            assert r.p_batt_w == r.p_pv_w - r.p_hat_w, (name, r.k)
+        log = art.session.controller.log
+        for k, p_pv, p_hat, p_batt in log.rows(["k", "p_pv_w", "p_hat_w", "p_batt_w"]):
+            assert p_batt == p_pv - p_hat, (name, k)
             steps += 1
     ideal = fixture_runs["ideal"]
-    p_hat = np.array([r.p_hat_w for r in ideal.session.controller.rows])
-    p_grid = np.array([r.p_grid_w for r in ideal.session.plant.rows])
+    p_hat = ideal.session.controller.log.numpy("p_hat_w")
+    p_grid = ideal.session.plant.trace.numpy("p_grid_w")
     assert np.array_equal(p_grid, p_hat)
     report(f"3 conservation bitwise over {steps} steps in {len(fixture_runs)} runs; "
            f"p_grid == p_hat bitwise on ideal plant: PASS")
@@ -172,15 +173,15 @@ def test_c5_soc_oracle(fixture_runs):
         cfg = art.session.plant.cfg
         b = cfg.battery
         increments = []
-        for r in art.session.plant.rows:
-            eta = b.coulombic_efficiency if r.i_applied_a >= 0 else 1.0 / b.coulombic_efficiency
-            increments.append(eta * r.i_applied_a * cfg.sample_period_s / (3600.0 * b.capacity_ah))
+        for i_applied_a in art.session.plant.trace.i_applied_a:
+            eta = b.coulombic_efficiency if i_applied_a >= 0 else 1.0 / b.coulombic_efficiency
+            increments.append(eta * i_applied_a * cfg.sample_period_s / (3600.0 * b.capacity_ah))
         replay = b.soc_init + math.fsum(increments)
         err = abs(art.soc.soc_final - replay)
         worst = max(worst, err)
         assert err < 1e-9, name
         if b.enforce_soc_limits:
-            socs = np.array([r.soc for r in art.session.plant.rows])
+            socs = art.session.plant.trace.numpy("soc")
             assert socs.min() >= b.soc_min and socs.max() <= b.soc_max, name
     report(f"5 SOC oracle: worst replay error {worst:.2e} < 1e-9; bounds held: PASS")
 
@@ -236,7 +237,7 @@ def test_c7_protocol_conformance():
     cfg = validate_scenario(ScenarioConfig(seed=21))
     inproc = run_lockstep_inproc(series, cfg)
     sock = run_lockstep_socket(series, cfg)
-    assert inproc.log.tagged_bytes() == sock.log.tagged_bytes()
+    assert list(inproc.log.tagged_bytes()) == list(sock.log.tagged_bytes())
 
     fr_cfg = validate_scenario(
         ScenarioConfig(
@@ -246,8 +247,8 @@ def test_c7_protocol_conformance():
     )
     fr1 = run_free_running(series, fr_cfg)
     fr2 = run_free_running(series, fr_cfg)
-    assert fr1.log.tagged_bytes() == fr2.log.tagged_bytes()
-    assert fr1.delay_draws == fr2.delay_draws
+    assert list(fr1.log.tagged_bytes()) == list(fr2.log.tagged_bytes())
+    assert fr1.log.frames.draw_ms == fr2.log.frames.draw_ms
 
     report(f"7 protocol conformance: {n} round trips, {len(reference) * 8} bit flips "
            f"rejected, socket == inproc, free-running schedule reproduced: PASS")

@@ -6,7 +6,7 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ideal_battery
+from conftest import column_bytes, ideal_battery, session_bytes
 from pvsmooth.bus import (
     C2S,
     S2C,
@@ -109,7 +109,8 @@ def three_sample_cfg():
 def test_lockstep_alternation_log():
     series = PowerSeries([10.0, 20.0, 30.0], 5.0, 100.0)
     result = run_lockstep_inproc(series, three_sample_cfg())
-    kinds = [(f.direction, f.msg_type) for f in result.log.frames]
+    f = result.log.frames
+    kinds = list(zip(f.direction, f.msg_type))
     assert kinds == [
         (S2C, MSG_SENSOR),
         (C2S, MSG_SETPOINT),
@@ -119,16 +120,17 @@ def test_lockstep_alternation_log():
         (C2S, MSG_SETPOINT),
         (S2C, MSG_END),
     ]
-    assert [f.seq for f in result.log.frames] == [1, 1, 2, 2, 3, 3, 4]
+    assert f.seq.tolist() == [1, 1, 2, 2, 3, 3, 4]
 
 
 def test_sensor_and_setpoint_counts_match():
     series = synth_pv("cloud_square", 1800, 5, 1000.0)
     result = run_lockstep_inproc(series, validate_scenario(ScenarioConfig()))
-    sensors = [f for f in result.log.frames if f.msg_type == MSG_SENSOR]
-    setpoints = [f for f in result.log.frames if f.msg_type == MSG_SETPOINT]
+    f = result.log.frames
+    sensors = [seq for seq, t in zip(f.seq, f.msg_type) if t == MSG_SENSOR]
+    setpoints = [seq for seq, t in zip(f.seq, f.msg_type) if t == MSG_SETPOINT]
     assert len(sensors) == len(setpoints) == 360
-    assert [f.seq for f in sensors] == [f.seq for f in setpoints]
+    assert sensors == setpoints
 
 
 def test_same_config_reruns_identically():
@@ -138,7 +140,7 @@ def test_same_config_reruns_identically():
     )
     a = run_lockstep_inproc(series, cfg)
     b = run_lockstep_inproc(series, cfg)
-    assert a.log.tagged_bytes() == b.log.tagged_bytes()
+    assert session_bytes(a) == session_bytes(b)
 
 
 def test_socket_matches_inproc_bitwise():
@@ -146,13 +148,7 @@ def test_socket_matches_inproc_bitwise():
     cfg = validate_scenario(ScenarioConfig())
     a = run_lockstep_inproc(series, cfg)
     b = run_lockstep_socket(series, cfg)
-    assert a.log.tagged_bytes() == b.log.tagged_bytes()
-    assert [(r.k, r.p_hat_w, r.i_set_a) for r in a.controller.rows] == [
-        (r.k, r.p_hat_w, r.i_set_a) for r in b.controller.rows
-    ]
-    assert [(r.k, r.soc, r.p_grid_w) for r in a.plant.rows] == [
-        (r.k, r.soc, r.p_grid_w) for r in b.plant.rows
-    ]
+    assert session_bytes(a) == session_bytes(b)
 
 
 def test_controller_in_separate_process_matches_inproc(tmp_path):
@@ -169,7 +165,7 @@ def test_controller_in_separate_process_matches_inproc(tmp_path):
     cfg = validate_scenario(ScenarioConfig(window_s=60.0, seed=17))
     inproc = run_lockstep_inproc(series, cfg)
     log_inproc = tmp_path / "ctrl_inproc.csv"
-    write_controller_log(inproc.controller.rows, log_inproc)
+    write_controller_log(inproc.controller.log, log_inproc)
 
     listener = socket.create_server(("127.0.0.1", 0))
     port = listener.getsockname()[1]
@@ -181,7 +177,7 @@ def test_controller_in_separate_process_matches_inproc(tmp_path):
         "from pvsmooth.run import write_controller_log\n"
         f"conn = socket.create_connection(('127.0.0.1', {port}))\n"
         f"driver = run_controller(SocketEndpoint(conn), n={cfg.n_window})\n"
-        f"write_controller_log(driver.rows, r'{log_remote}')\n"
+        f"write_controller_log(driver.log, r'{log_remote}')\n"
     )
     proc = subprocess.Popen([sys.executable, "-c", script])
     try:
@@ -195,10 +191,9 @@ def test_controller_in_separate_process_matches_inproc(tmp_path):
         if proc.poll() is None:
             proc.kill()
 
-    assert boundary.log.tagged_bytes() == inproc.log.tagged_bytes()
-    assert [(r.k, r.soc, r.p_grid_w) for r in plant.rows] == [
-        (r.k, r.soc, r.p_grid_w) for r in inproc.plant.rows
-    ]
+    assert column_bytes(boundary.log.frames) == column_bytes(inproc.log.frames)
+    assert boundary.log.wire == inproc.log.wire
+    assert column_bytes(plant.trace) == column_bytes(inproc.plant.trace)
     assert log_remote.read_bytes() == log_inproc.read_bytes()
 
 
@@ -211,9 +206,10 @@ def test_lockstep_latency_shifts_timestamps_only():
     a = run_lockstep_inproc(series, cfg0)
     b = run_lockstep_inproc(series, cfg1)
     # identical bytes in identical order, different recorded delivery times
-    assert [f.data for f in a.log.frames] == [f.data for f in b.log.frames]
-    assert all(f.t_deliver_ms == f.t_send_ms for f in a.log.frames)
-    assert all(f.t_deliver_ms >= f.t_send_ms + 150.0 for f in b.log.frames)
+    assert [data for _, data in a.log.tagged_bytes()] == [data for _, data in b.log.tagged_bytes()]
+    fa, fb = a.log.frames, b.log.frames
+    assert fa.t_deliver_ms == fa.t_send_ms
+    assert all(t_deliver >= t_send + 150.0 for t_send, t_deliver in zip(fb.t_send_ms, fb.t_deliver_ms))
 
 
 def test_loop_equals_direct_function_composition():
@@ -229,11 +225,10 @@ def test_loop_equals_direct_function_composition():
         out = ctrl.step(float(series.samples[k]), v)
         plant.apply_interval(out.i_set_a)
         v = plant.battery.v_terminal_v
-        row = result.controller.rows[k]
-        assert row.p_hat_w == out.p_hat_w
-        assert row.i_set_a == out.i_set_a
-    assert [r.soc for r in plant.rows] == [r.soc for r in result.plant.rows]
-    assert [r.p_grid_w for r in plant.rows] == [r.p_grid_w for r in result.plant.rows]
+        assert result.controller.log.p_hat_w[k] == out.p_hat_w
+        assert result.controller.log.i_set_a[k] == out.i_set_a
+    assert plant.trace.soc == result.plant.trace.soc
+    assert plant.trace.p_grid_w == result.plant.trace.p_grid_w
 
 
 ENGINES = {
@@ -272,7 +267,7 @@ def test_drive_faults_on_nan_setpoint(quantization):
     with pytest.raises(ProtocolFault, match="non-finite"):
         drive(plant, PlantBoundary(cfg, series.rated_power_w), peer, free_running=False)
     # nothing was integrated, and the peer was told before the session ended
-    assert plant.rows == []
+    assert len(plant.trace) == 0
     assert [f.msg_type for f in peer.received] == [MSG_SENSOR, MSG_FAULT]
     assert peer.closed
 
@@ -291,12 +286,52 @@ def test_corrupted_frame_mid_run_recovers(engine):
 
     result = engine(series, cfg, corrupt_s2c=flip_bit)
     assert result.controller.error_count == 1
-    fault_rows = [r for r in result.controller.rows if r.fault]
-    assert len(fault_rows) == 1
-    assert fault_rows[0].i_set_a == 0.0
+    log = result.controller.log
+    assert log.fault.tolist() == [0, 1, 0, 0]
+    assert log.k.tolist() == [1, 0, 2, 3]  # the lost sample's row has k=0
+    assert log.i_set_a[1] == 0.0
     # loop survived to completion
     assert result.plant.done
-    assert len(result.plant.rows) == 4
+    assert len(result.plant.trace) == 4
+
+
+def flip_bit_of_frames(indices, byte: int, bit: int):
+    def corrupt(idx: int, data: bytes) -> bytes:
+        if idx in indices:
+            out = bytearray(data)
+            out[byte] ^= 1 << bit
+            return bytes(out)
+        return data
+
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "byte, bit", [(18, 3), (18, 4), (18, 7), (19, 0), (0, 0), (4, 1), (5, 4), (5, 1)],
+    ids=["len-bit3", "len-bit4", "len-bit7", "len-high", "magic", "version", "msg-type",
+         "sensor-to-end"],
+)
+def test_corrupted_header_on_socket_matches_inproc(byte, bit):
+    # a corrupted header must cost one lost sample on the socket too, never a
+    # reader waiting for payload bytes that will not come
+    import threading
+
+    series = PowerSeries([10.0, 20.0, 30.0, 40.0], 5.0, 100.0)
+    cfg = validate_scenario(ScenarioConfig(window_s=10.0))
+    corrupt = flip_bit_of_frames({1}, byte, bit)
+    box = {}
+
+    def run() -> None:
+        box["result"] = run_lockstep_socket(series, cfg, corrupt_s2c=corrupt)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=20.0)
+    assert not thread.is_alive(), "socket session hung on a corrupted header"
+    inproc = run_lockstep_inproc(series, cfg, corrupt_s2c=corrupt)
+    assert inproc.controller.error_count == 1
+    assert list(box["result"].log.tagged_bytes()) == list(inproc.log.tagged_bytes())
+    assert session_bytes(box["result"]) == session_bytes(inproc)
 
 
 def test_quantization_applies_on_the_wire():
@@ -309,11 +344,11 @@ def test_quantization_applies_on_the_wire():
     )
     result = run_lockstep_inproc(series, cfg)
     # the controller saw the quantized power, not the raw one
-    assert all(r.p_pv_w == 1000.0 for r in result.controller.rows)
+    assert result.controller.log.p_pv_w.tolist() == [1000.0] * 3
     # and the plant saw quantized setpoints: multiples of 128/4096 A
     step = 128.0 / 4096.0
-    for r in result.plant.rows:
-        assert abs(r.i_request_a / step - round(r.i_request_a / step)) < 1e-9
+    for i_request_a in result.plant.trace.i_request_a:
+        assert abs(i_request_a / step - round(i_request_a / step)) < 1e-9
 
 
 # --- free-running ---------------------------------------------------------
@@ -333,26 +368,39 @@ def test_free_running_same_seed_identical_logs():
     series = synth_pv("cloud_random", 900, 5, 3000.0, seed=5)
     a = run_free_running(series, freerun_cfg())
     b = run_free_running(series, freerun_cfg())
-    assert a.log.tagged_bytes() == b.log.tagged_bytes()
-    assert a.delay_draws == b.delay_draws
+    assert session_bytes(a) == session_bytes(b)
+    assert any(a.log.frames.draw_ms)
 
 
 def test_free_running_different_seed_differs():
     series = synth_pv("cloud_random", 900, 5, 3000.0, seed=5)
     a = run_free_running(series, freerun_cfg(seed=9))
     b = run_free_running(series, freerun_cfg(seed=10))
-    assert a.log.tagged_bytes() != b.log.tagged_bytes()
+    assert list(a.log.tagged_bytes()) != list(b.log.tagged_bytes())
 
 
 def test_free_running_delivery_times_replay_from_draws():
     series = synth_pv("cloud_random", 600, 5, 3000.0, seed=5)
     result = run_free_running(series, freerun_cfg(latency=100.0, jitter=50.0))
     last = {S2C: 0.0, C2S: 0.0}
-    for frame, draw in zip(result.log.frames, result.delay_draws, strict=True):
-        t = max(frame.t_send_ms + 100.0 + draw, last[frame.direction])
-        last[frame.direction] = t
-        assert t == frame.t_deliver_ms
+    for direction, t_send, t_deliver, draw in result.log.frames.rows(
+        ["direction", "t_send_ms", "t_deliver_ms", "draw_ms"]
+    ):
+        t = max(t_send + 100.0 + draw, last[direction])
+        last[direction] = t
+        assert t == t_deliver
         assert abs(draw) <= 50.0
+
+
+def test_free_running_draws_equal_scalar_draws():
+    # drawing jitter in blocks gives the scalar draw sequence, value for
+    # value, across block boundaries (4,321 frames here)
+    series = synth_pv("cloud_random", 3 * 3600, 5, 3000.0, seed=5)
+    result = run_free_running(series, freerun_cfg(latency=100.0, jitter=50.0, seed=9))
+    rng = np.random.default_rng(9)
+    draws = result.log.frames.draw_ms.tolist()
+    assert len(draws) == 2 * len(series) + 1
+    assert draws == [float(rng.uniform(-50.0, 50.0)) for _ in draws]
 
 
 @given(
@@ -363,15 +411,14 @@ def test_free_running_delivery_times_replay_from_draws():
 @settings(max_examples=20, deadline=None)
 def test_free_running_zero_latency_matches_lockstep(seed, n, window_s):
     # with no delay the free-running delivery rule and the socket peer change
-    # nothing: same frames, same times, same plant and controller rows
+    # nothing: same frames, same times, same plant and controller columns,
+    # bit for bit
     series = synth_pv("cloud_random", n * 5.0, 5, 3000.0, seed=seed)
     cfg = validate_scenario(ScenarioConfig(window_s=window_s, seed=seed))
     lock = run_lockstep_inproc(series, cfg)
     free_cfg = validate_scenario(replace(cfg, transport=TransportConfig(mode="free_running")))
     for other in (run_free_running(series, free_cfg), run_lockstep_socket(series, cfg)):
-        assert other.log.tagged_bytes() == lock.log.tagged_bytes()
-        assert other.plant.rows == lock.plant.rows
-        assert other.controller.rows == lock.controller.rows
+        assert session_bytes(other) == session_bytes(lock)
 
 
 def test_free_running_latency_holds_stale_setpoints():
@@ -385,10 +432,10 @@ def test_free_running_latency_holds_stale_setpoints():
         )
     )
     result = run_free_running(series, cfg)
-    i_set_1 = result.controller.rows[0].i_set_a
+    i_set_1 = result.controller.log.i_set_a[0]
     assert i_set_1 == (100.0 - 50.0) / 53.0
-    assert [r.i_request_a for r in result.plant.rows] == [0.0, 0.0, 0.0, i_set_1]
-    assert len(result.controller.rows) == 4
+    assert result.plant.trace.i_request_a.tolist() == [0.0, 0.0, 0.0, i_set_1]
+    assert len(result.controller.log) == 4
 
 
 def test_free_running_requires_inproc():
@@ -396,3 +443,30 @@ def test_free_running_requires_inproc():
     cfg = freerun_cfg()
     with pytest.raises(ValueError, match="in-process"):
         run_session(series, cfg, transport="socket")
+
+
+def test_session_log_retains_under_400_bytes_per_step():
+    # the plant trace, controller log and frame log are columns: about 250
+    # bytes per step in all (one object per row per log cost about 950)
+    import tracemalloc
+    from pathlib import Path
+
+    import pvsmooth
+
+    series = synth_pv("cloud_random", 2000 * 5.0, 5, 3000.0, seed=1)
+    cfg = validate_scenario(ScenarioConfig(seed=1))
+    tracemalloc.start(1)
+    try:
+        result = run_lockstep_inproc(series, cfg)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    package = Path(pvsmooth.__file__).parent
+    by_module = {
+        Path(stat.traceback[0].filename).stem: stat.size
+        for stat in snapshot.statistics("filename")
+        if Path(stat.traceback[0].filename).parent == package
+    }
+    retained = sum(by_module.get(m, 0) for m in ("plant", "controller", "bus", "util"))
+    assert len(result.plant.trace) == 2000
+    assert retained / 2000 <= 400, by_module

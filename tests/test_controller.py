@@ -142,7 +142,7 @@ def test_driver_answers_every_sensor_frame():
         assert reply is not None
         assert reply.msg_type == MSG_SETPOINT
         assert reply.seq == k
-    assert len(d.rows) == 10
+    assert len(d.log) == 10
     assert d.error_count == 0
 
 
@@ -150,7 +150,7 @@ def test_driver_end_frame_stops():
     d = ControllerDriver(n=4)
     assert d.on_frame(end_frame(1, 0)) is None
     assert d.done
-    assert d.rows == []
+    assert len(d.log) == 0
 
 
 def test_driver_bad_frame_emits_safe_zero():
@@ -161,7 +161,7 @@ def test_driver_bad_frame_emits_safe_zero():
     assert reply.seq == 2
     assert reply.values == (0.0,)
     assert d.error_count == 1
-    assert d.rows[-1].fault
+    assert d.log.fault[-1]
     # the lost sample did not advance the averaging buffer
     assert d.controller.state.k == 2
 
@@ -178,13 +178,13 @@ def test_driver_warmup_flag():
     d = ControllerDriver(n=2)
     for k in range(1, 5):
         d.on_frame(sensor_frame(k, 0, 10.0, 50.0))
-    assert [r.warmup for r in d.rows] == [True, True, False, False]
+    assert d.log.warmup.tolist() == [1, 1, 0, 0]
 
 
 def test_zero_frames_is_clean():
     d = ControllerDriver(n=4)
     d.on_frame(end_frame(1, 0))
-    assert d.rows == [] and d.error_count == 0
+    assert len(d.log) == 0 and d.error_count == 0
 
 
 class ScriptedEndpoint:
@@ -224,7 +224,7 @@ def test_run_controller_loop_corruption_end_and_eof():
     assert [f.seq for f in ep.sent] == [1, 2, 3]
     assert ep.sent[1].values == (0.0,)  # safe zero for the corrupt frame
     assert driver.error_count == 1
-    assert len(driver.rows) == 3 and driver.rows[1].fault
+    assert len(driver.log) == 3 and driver.log.fault.tolist() == [0, 1, 0]
 
 
 def test_run_controller_transport_close_is_clean():
@@ -233,4 +233,4 @@ def test_run_controller_transport_close_is_clean():
     ep = ScriptedEndpoint([sensor_frame(1, 0, 100.0, 50.0)])  # EOF after one frame
     driver = run_controller(ep, n=4)
     assert not driver.done  # closed, not ended; log flushed as-is
-    assert len(driver.rows) == 1 and len(ep.sent) == 1
+    assert len(driver.log) == 1 and len(ep.sent) == 1

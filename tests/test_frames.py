@@ -24,7 +24,6 @@ from pvsmooth.frames import (
     encode_frame,
     end_frame,
     frame_length,
-    hexdump_lines,
     read_hexdump,
     sensor_frame,
     setpoint_frame,
@@ -67,6 +66,34 @@ def test_layout_fields():
 def test_frame_length_from_header():
     data = encode_frame(setpoint_frame(1, 0, 2.0))
     assert frame_length(data[:HEADER_LEN]) == len(data)
+
+
+def test_frame_length_ignores_a_corrupted_length_field():
+    # a good header's type fixes the length: the reader takes exactly one
+    # frame and decode_frame rejects it as truncated
+    data = bytearray(encode_frame(sensor_frame(2, 5000, 1.0, 50.0)))
+    data[18:20] = (0xFFFF).to_bytes(2, "little")
+    assert frame_length(bytes(data[:HEADER_LEN])) == 40
+    with pytest.raises(FrameTruncated):
+        decode_frame(bytes(data))
+
+
+def test_frame_length_keeps_the_payload_of_a_retyped_frame():
+    # SENSOR with bit 1 of the type flipped reads as END: the intact length
+    # field still covers the whole frame, so the stream stays aligned
+    data = bytearray(encode_frame(sensor_frame(2, 5000, 1.0, 50.0)))
+    data[5] ^= 0x02
+    assert frame_length(bytes(data[:HEADER_LEN])) == len(data)
+    with pytest.raises(BadCrc):
+        decode_frame(bytes(data))
+
+
+def test_frame_length_of_a_bad_header_is_capped():
+    data = bytearray(encode_frame(setpoint_frame(1, 0, 2.0)))
+    data[0] ^= 0x01  # bad magic: payload_len is the only hint and is intact
+    assert frame_length(bytes(data[:HEADER_LEN])) == len(data)
+    data[18:20] = (0xFFFF).to_bytes(2, "little")
+    assert frame_length(bytes(data[:HEADER_LEN])) == HEADER_LEN + 16 + 4
 
 
 def test_every_single_bit_flip_is_rejected():
@@ -188,7 +215,7 @@ def test_hexdump_round_trip(tmp_path):
     path = tmp_path / "frames.hex"
     write_hexdump(frames, path)
     assert read_hexdump(path) == frames
-    lines = hexdump_lines(frames)
+    lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("SENSOR ")
     for tag, data in frames:
         decode_frame(data)  # every dumped frame stays decodable

@@ -172,7 +172,7 @@ def test_lockstep_sequence_and_end():
     assert f3.seq == 3 and f3.values[0] == 300.0
     f4 = d.on_setpoint(setpoint_frame(3, 10000, 0.0))
     assert f4.msg_type == MSG_END
-    assert d.done and len(d.rows) == 3
+    assert d.done and len(d.trace) == 3
 
 
 def test_zero_setpoints_hold_soc_and_power():
@@ -180,9 +180,9 @@ def test_zero_setpoints_hold_soc_and_power():
     d.first_sensor()
     for k in range(1, 4):
         d.on_setpoint(setpoint_frame(k, 0, 0.0))
-    assert all(r.soc == 0.5 for r in d.rows)
-    assert all(r.realized_p_batt_w == 0.0 for r in d.rows)
-    assert [r.p_grid_w for r in d.rows] == [100.0, 200.0, 300.0]
+    assert d.trace.soc.tolist() == [0.5] * 3
+    assert d.trace.realized_p_batt_w.tolist() == [0.0] * 3
+    assert d.trace.p_grid_w.tolist() == [100.0, 200.0, 300.0]
 
 
 def test_sequence_gap_raises_protocol_fault():
@@ -207,7 +207,7 @@ def test_non_finite_setpoint_is_a_protocol_fault(current):
     d.first_sensor()
     with pytest.raises(ProtocolFault, match="non-finite"):
         d.on_setpoint(setpoint_frame(1, 0, current))
-    assert d.rows == []
+    assert len(d.trace) == 0
     assert d.held_seq == 0
 
 
@@ -223,10 +223,10 @@ def test_requested_vs_realized_divergence_logged():
     d, _ = make_driver([100.0, 200.0])
     d.first_sensor()
     d.on_setpoint(setpoint_frame(1, 0, 80.0))  # over the 55 A supply ceiling
-    row = d.rows[0]
-    assert row.i_request_a == 80.0
-    assert row.i_applied_a == 55.0
-    assert row.realized_p_batt_w == 55.0 * row.v_terminal_v
+    t = d.trace
+    assert t.i_request_a[0] == 80.0
+    assert t.i_applied_a[0] == 55.0
+    assert t.realized_p_batt_w[0] == 55.0 * t.v_terminal_v[0]
 
 
 def test_closed_loop_constant_pv_settles():
@@ -253,8 +253,8 @@ def test_closed_loop_constant_pv_settles():
     for j in range(1, n_steps + 1):
         p_hat = 1200.0 * min(j, n) / n
         soc = soc + ((1200.0 - p_hat) / 64.0) * 5.0 / (3600.0 * cap_ah)
-    assert plant.rows[-1].soc == soc
+    t = plant.trace
+    assert t.soc[-1] == soc
     # after warm-up the setpoint is exactly zero and soc stops moving
-    late = plant.rows[n:]
-    assert all(r.i_applied_a == 0.0 for r in late)
-    assert all(r.soc == plant.rows[n - 1].soc for r in late)
+    assert t.i_applied_a[n:].tolist() == [0.0] * (n_steps - n)
+    assert t.soc[n:].tolist() == [t.soc[n - 1]] * (n_steps - n)

@@ -1,10 +1,13 @@
 import json
-from dataclasses import replace
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ideal_battery
+from pvsmooth import bus
 from pvsmooth.config import (
     ConfigError,
     QuantizationConfig,
@@ -19,6 +22,7 @@ from pvsmooth.run import (
     check_run_invariants,
     resolve_source,
     run_scenario,
+    smoothed_series_from,
 )
 from pvsmooth.series import PowerSeries
 from pvsmooth.synth import synth_pv
@@ -31,7 +35,7 @@ def test_constant_series_steady_state(tmp_path):
     assert art.raw_report.max_abs_rr == 0.0
     assert art.smoothed_report_postwarmup.max_abs_rr == 0.0
     # SOC charges during warm-up, then freezes once p_hat reaches the input
-    socs = [r.soc for r in art.session.plant.rows]
+    socs = art.session.plant.trace.soc
     assert socs[-1] == socs[360]
     assert art.soc.soc_final == socs[-1]
 
@@ -72,13 +76,12 @@ def test_grid_power_identity_ideal_fixture(tmp_path):
     series = PowerSeries(np.floor(base.samples), 5.0, 3000.0)
     cfg = ScenarioConfig(window_s=1280.0, battery=ideal_battery(64.0))
     art = run_scenario(cfg, series, tmp_path / "out")
-    plant, ctrl = art.session.plant.rows, art.session.controller.rows
-    p_hat = np.array([r.p_hat_w for r in ctrl])
-    p_batt = np.array([r.p_batt_w for r in ctrl])
-    assert np.array_equal(np.array([r.i_request_a for r in plant]),
-                          np.array([r.i_applied_a for r in plant]))
-    assert np.array_equal(np.array([r.realized_p_batt_w for r in plant]), p_batt)
-    assert np.array_equal(np.array([r.p_grid_w for r in plant]), p_hat)
+    plant, ctrl = art.session.plant.trace, art.session.controller.log
+    p_hat = ctrl.numpy("p_hat_w")
+    p_batt = ctrl.numpy("p_batt_w")
+    assert np.array_equal(plant.numpy("i_request_a"), plant.numpy("i_applied_a"))
+    assert np.array_equal(plant.numpy("realized_p_batt_w"), p_batt)
+    assert np.array_equal(plant.numpy("p_grid_w"), p_hat)
 
 
 def test_realized_tracks_requested_with_losses(tmp_path):
@@ -87,9 +90,9 @@ def test_realized_tracks_requested_with_losses(tmp_path):
     # voltage, so the gap is i_k * R * (i_k - i_km1)
     series = synth_pv("clear", 3600, 5, 2000.0)
     art = run_scenario(ScenarioConfig(), series, tmp_path / "out")
-    p_batt = np.array([r.p_batt_w for r in art.session.controller.rows])
-    realized = np.array([r.realized_p_batt_w for r in art.session.plant.rows])
-    i = np.array([r.i_applied_a for r in art.session.plant.rows])
+    p_batt = art.session.controller.log.numpy("p_batt_w")
+    realized = art.session.plant.trace.numpy("realized_p_batt_w")
+    i = art.session.plant.trace.numpy("i_applied_a")
     i_prev = np.concatenate([[0.0], i[:-1]])
     bound = np.abs(i) * 0.05 * np.abs(i - i_prev) + 1e-9
     assert np.all(np.abs(realized - p_batt) <= bound)
@@ -162,7 +165,7 @@ def test_free_running_mode_via_config(tmp_path):
         transport=TransportConfig(mode="free_running", latency_ms=100.0, jitter_ms=50.0),
     )
     art = run_scenario(cfg, series, tmp_path / "out")
-    assert len(art.session.plant.rows) == 360
+    assert len(art.session.plant.trace) == 360
     doc = json.loads(art.metrics_path.read_text())
     assert doc["mode"] == "free_running"
 
@@ -173,10 +176,10 @@ def test_soc_guard_trips_on_breach(tmp_path):
     cfg = validate_scenario(ScenarioConfig(window_s=60.0))
     art = run_scenario(cfg, series, tmp_path / "out")
     session = art.session
-    row = session.plant.rows[3]
-    session.plant.rows[3] = replace(row, soc=0.99)
-    with pytest.raises(InvariantViolation, match="soc"):
+    session.plant.trace.soc[3] = 0.99
+    with pytest.raises(InvariantViolation, match="soc") as err:
         check_run_invariants(session, cfg)
+    assert err.value.step == 4
 
 
 def test_conservation_check_trips_on_doctored_log(tmp_path):
@@ -184,10 +187,95 @@ def test_conservation_check_trips_on_doctored_log(tmp_path):
     cfg = validate_scenario(ScenarioConfig(window_s=60.0))
     art = run_scenario(cfg, series, tmp_path / "out")
     session = art.session
-    row = session.controller.rows[5]
-    session.controller.rows[5] = replace(row, p_batt_w=row.p_batt_w + 1e-9)
-    with pytest.raises(InvariantViolation, match="conservation"):
+    session.controller.log.p_batt_w[5] += 1e-9
+    with pytest.raises(InvariantViolation, match="conservation breach at controller step 6"):
         check_run_invariants(session, cfg)
+
+
+def test_invariant_check_reports_the_first_offending_step(tmp_path):
+    series = synth_pv("clear", 600, 5, 1000.0)
+    cfg = validate_scenario(ScenarioConfig(window_s=60.0))
+    session = run_scenario(cfg, series, tmp_path / "out").session
+    log = session.controller.log
+    log.p_batt_w[40] += 1e-9
+    log.i_set_a[20] += 1e-9
+    with pytest.raises(InvariantViolation, match="setpoint identity breach at controller step 21"):
+        check_run_invariants(session, cfg)
+    log.p_batt_w[10] += 1.0
+    with pytest.raises(InvariantViolation, match="conservation breach at controller step 11") as err:
+        check_run_invariants(session, cfg)
+    assert err.value.step == 11
+
+
+def loop_invariant_check(session, cfg):
+    """The per-row reference the vectorised check must agree with: the
+    (step, message) of the first breach, or None."""
+    for k, p_pv, v_batt, p_hat, p_batt, i_set, _warmup, fault in session.controller.log.rows():
+        if k == 0:
+            continue
+        if p_batt != p_pv - p_hat:
+            return k, f"conservation breach at controller step {k}: p_batt {p_batt!r} != p_pv - p_hat {(p_pv - p_hat)!r}"
+        if not fault and i_set != p_batt / v_batt:
+            return k, f"setpoint identity breach at controller step {k}"
+    b = cfg.battery
+    if b.enforce_soc_limits:
+        for k, soc in session.plant.trace.rows(["k", "soc"]):
+            if not (b.soc_min <= soc <= b.soc_max):
+                return k, f"soc {soc} outside [{b.soc_min}, {b.soc_max}] at plant step {k}"
+    return None
+
+
+@pytest.fixture(scope="module")
+def short_session():
+    series = synth_pv("cloud_random", 300, 5, 1000.0, seed=6)
+    cfg = validate_scenario(ScenarioConfig(window_s=60.0))
+    corrupt = lambda i, data: data[:-1] + bytes([data[-1] ^ 1]) if i == 7 else data  # noqa: E731
+    return bus.run_lockstep_inproc(series, cfg, corrupt_s2c=corrupt), cfg
+
+
+@given(
+    edits=st.lists(
+        st.tuples(
+            st.sampled_from(["p_pv_w", "v_batt_v", "p_hat_w", "p_batt_w", "i_set_a", "fault", "soc"]),
+            st.integers(0, 59),
+            st.sampled_from([0.0, -0.0, 1e-9, -1.0, 0.95, math.nan, math.inf]),
+        ),
+        max_size=3,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_invariant_check_agrees_with_the_row_loop(short_session, edits):
+    session, cfg = short_session
+    log, trace = session.controller.log, session.plant.trace
+    saved = {name: getattr(t, name)[:] for t in (log, trace) for name in t.names}
+    try:
+        for name, i, value in edits:
+            table = trace if name == "soc" else log
+            column = getattr(table, name)
+            column[i] = (value != 0.0) if name == "fault" else (value if name == "soc" else column[i] + value)
+        expected = loop_invariant_check(session, cfg)
+        if expected is None:
+            check_run_invariants(session, cfg)
+        else:
+            with pytest.raises(InvariantViolation) as err:
+                check_run_invariants(session, cfg)
+            assert (err.value.step, str(err.value)) == expected
+    finally:
+        for t in (log, trace):
+            for name in t.names:
+                getattr(t, name)[:] = saved[name]
+
+
+def test_invariant_check_skips_lost_sample_rows(tmp_path):
+    # a lost sample's row (k=0, NaN payload, zero setpoint) has no arithmetic
+    series = synth_pv("cloud_random", 600, 5, 1000.0, seed=2)
+    cfg = validate_scenario(ScenarioConfig(window_s=60.0))
+    session = bus.run_lockstep_inproc(
+        series, cfg, corrupt_s2c=lambda i, data: data[:-1] + bytes([data[-1] ^ 1]) if i == 30 else data
+    )
+    assert session.controller.log.k[30] == 0
+    check_run_invariants(session, cfg)
+    assert len(smoothed_series_from(session, series)) == len(series) - 1
 
 
 def test_series_grid_must_match_scenario(tmp_path):
