@@ -8,6 +8,8 @@ delivered (grid) power degrades while the controller's own output stays
 bounded by the averaging window.
 """
 
+import csv
+
 import numpy as np
 
 from pvsmooth.config import ScenarioConfig, TransportConfig, validate_scenario
@@ -37,8 +39,10 @@ def main() -> None:
             )
         )
         art = run_scenario(cfg, series, f"/tmp/latency_sweep/{int(latency)}")
-        # grid power = what the feeder actually sees after the laggy battery
-        p_grid = art.session.plant.trace.numpy("p_grid_w")
+        # grid power = what the feeder actually sees after the laggy battery;
+        # float() reads the trace's repr-written values back bitwise
+        with open(art.out_dir / "plant_trace.csv", encoding="utf-8") as fh:
+            p_grid = np.array([float(row["p_grid_w"]) for row in csv.DictReader(fh)])
         grid = ramp_report(
             PowerSeries(p_grid, 5.0, 3000.0, _skip_validation=True), 60.0, 5.0,
             warmup_s=cfg.window_s,

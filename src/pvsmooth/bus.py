@@ -21,7 +21,9 @@ import math
 import socket
 import threading
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
+from contextlib import suppress
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -51,6 +53,9 @@ from .util import Columns
 S2C = 0  # plant sensor -> controller
 C2S = 1  # controller setpoint -> plant
 DIRECTION_NAMES = ("s2c", "c2s")
+
+# longest wait for the controller to connect, or for any bytes from a peer
+SOCKET_TIMEOUT_S = 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +172,20 @@ FRAME_LOG_COLUMNS = {
 
 class SessionLog:
     """Every frame on the bus in transmission order: metadata columns in
-    `frames`, the bytes as sent concatenated in `wire`."""
+    `frames`, the bytes as sent concatenated in `wire`.
 
-    def __init__(self):
-        self.frames = Columns(FRAME_LOG_COLUMNS)
+    With a sink, each full block of frames goes to sink(log) and is then
+    dropped with its wire bytes, so wire_end counts from the block's start.
+    """
+
+    def __init__(self, sink: Callable[[SessionLog], None] | None = None):
+        self.frames = Columns(FRAME_LOG_COLUMNS, None if sink is None else self._hand_off)
         self.wire = bytearray()
+        self._sink = sink
+
+    def _hand_off(self, frames: Columns) -> None:
+        self._sink(self)
+        self.wire.clear()
 
     def tagged_bytes(self) -> Iterator[tuple[str, bytes]]:
         """(tag, wire bytes) per frame, the tag naming direction, seq and times."""
@@ -189,15 +203,15 @@ class PlantBoundary:
 
     corrupt_s2c, when set, mutates outbound sensor bytes after encoding
     (fault injection for integrity tests); it receives the 0-based outbound
-    frame index and the encoded bytes.
+    frame index and the encoded bytes. sink is the frame log's (SessionLog).
     """
 
-    def __init__(self, cfg: ScenarioConfig, rated_power_w: float, corrupt_s2c=None):
+    def __init__(self, cfg: ScenarioConfig, rated_power_w: float, corrupt_s2c=None, sink=None):
         t = cfg.transport
         seed = t.seed if t.seed is not None else cfg.seed + 1
         self.delays = DelayModel(t.latency_ms, t.jitter_ms, seed)
         self.quant = resolve_quantization(t.quantization, cfg, rated_power_w)
-        self.log = SessionLog()
+        self.log = SessionLog(sink)
         self.corrupt_s2c = corrupt_s2c
         self._outbound_count = 0
         self._last_deliver = [0.0, 0.0]  # by direction code
@@ -217,6 +231,7 @@ class PlantBoundary:
         f.t_deliver_ms.append(t)
         f.draw_ms.append(self.delays.last_draw)
         f.wire_end.append(len(log.wire))
+        f.end_row()
         return t
 
     def outbound(self, frame: BusFrame, t_send_ms: float) -> tuple[bytes, float]:
@@ -243,6 +258,25 @@ class SessionResult:
     plant: PlantDriver
     controller: ControllerDriver
     log: SessionLog
+
+
+@dataclass(frozen=True)
+class Sinks:
+    """Where a session's tables hand their full blocks (see util.Columns);
+    a table whose sink is None keeps every row."""
+
+    plant: Callable[[Columns], None] | None = None
+    controller: Callable[[Columns], None] | None = None
+    frames: Callable[[SessionLog], None] | None = None
+
+
+NO_SINKS = Sinks()
+
+# The sinks of the sessions run_session starts in this context. run_scenario
+# sets them around its call, so run_session keeps the (series, cfg,
+# transport) signature that perfbench/test_checks.py replaces with a
+# corrupted sink-less session.
+SESSION_SINKS: ContextVar[Sinks] = ContextVar("SESSION_SINKS", default=NO_SINKS)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +311,8 @@ def drive(plant: PlantDriver, boundary: PlantBoundary, peer, free_running: bool)
                 return
             frame = plant.tick()
     except ProtocolFault:
-        peer.exchange(encode_frame(plant.gap_fault()))
+        with suppress(ProtocolFault):  # the peer may be gone already
+            peer.exchange(encode_frame(plant.gap_fault()))
         raise
     finally:
         peer.close()
@@ -301,9 +336,14 @@ class ControllerPeer:
 
 
 class SocketEndpoint:
-    """Blocking frame endpoint over a connected stream socket."""
+    """Blocking frame endpoint over a connected stream socket.
+
+    A read that waits SOCKET_TIMEOUT_S for bytes that never come raises
+    ProtocolFault.
+    """
 
     def __init__(self, conn: socket.socket):
+        conn.settimeout(SOCKET_TIMEOUT_S)
         self.conn = conn
 
     def send(self, frame: BusFrame) -> None:
@@ -312,21 +352,28 @@ class SocketEndpoint:
     def exchange(self, data: bytes) -> bytes | None:
         """Send a plant frame; return the controller's reply, if one comes.
 
-        The controller answers every frame but an intact END or FAULT.
+        The controller answers every frame but an intact END or FAULT. A
+        connection that closes before the reply is a protocol fault.
         """
-        self.conn.sendall(data)
-        if data[5] != MSG_SENSOR:
-            try:
-                if decode_frame(data).msg_type in (MSG_END, MSG_FAULT):
-                    return None
-            except FrameError:
-                pass
-        return self.recv_bytes()
+        try:
+            self.conn.sendall(data)
+            if data[5] != MSG_SENSOR:
+                try:
+                    if decode_frame(data).msg_type in (MSG_END, MSG_FAULT):
+                        return None
+                except FrameError:
+                    pass
+            return self.recv_bytes()
+        except (EOFError, ConnectionError) as exc:
+            raise ProtocolFault(f"controller connection closed: {exc}") from exc
 
     def _recv_exact(self, n: int) -> bytes:
         buf = b""
         while len(buf) < n:
-            chunk = self.conn.recv(n - len(buf))
+            try:
+                chunk = self.conn.recv(n - len(buf))
+            except TimeoutError:
+                raise ProtocolFault(f"peer sent nothing for {self.conn.gettimeout()} s") from None
             if not chunk:
                 if buf:
                     raise FrameError(f"connection closed mid-frame ({len(buf)} bytes held)")
@@ -351,55 +398,68 @@ class SocketEndpoint:
 
 
 def _run_inproc(
-    series: PowerSeries, cfg: ScenarioConfig, corrupt_s2c, free_running: bool
+    series: PowerSeries, cfg: ScenarioConfig, corrupt_s2c, sinks: Sinks, free_running: bool
 ) -> SessionResult:
-    plant = PlantDriver(series, cfg)
-    peer = ControllerPeer(ControllerDriver(cfg.n_window))
-    boundary = PlantBoundary(cfg, series.rated_power_w, corrupt_s2c=corrupt_s2c)
+    plant = PlantDriver(series, cfg, sinks.plant)
+    peer = ControllerPeer(ControllerDriver(cfg.n_window, sinks.controller))
+    boundary = PlantBoundary(cfg, series.rated_power_w, corrupt_s2c=corrupt_s2c, sink=sinks.frames)
     drive(plant, boundary, peer, free_running)
     return SessionResult(plant, peer.driver, boundary.log)
 
 
 def run_lockstep_inproc(
-    series: PowerSeries, cfg: ScenarioConfig, corrupt_s2c=None
+    series: PowerSeries, cfg: ScenarioConfig, corrupt_s2c=None, sinks: Sinks = NO_SINKS
 ) -> SessionResult:
     """Lockstep session in one thread, through the full codec path."""
-    return _run_inproc(series, cfg, corrupt_s2c, free_running=False)
+    return _run_inproc(series, cfg, corrupt_s2c, sinks, free_running=False)
 
 
 def run_free_running(
-    series: PowerSeries, cfg: ScenarioConfig, corrupt_s2c=None
+    series: PowerSeries, cfg: ScenarioConfig, corrupt_s2c=None, sinks: Sinks = NO_SINKS
 ) -> SessionResult:
     """Free-running session in one thread: each tick integrates under the last
     setpoint delivered by the tick's sample time (zero-order hold).
     """
-    return _run_inproc(series, cfg, corrupt_s2c, free_running=True)
+    return _run_inproc(series, cfg, corrupt_s2c, sinks, free_running=True)
 
 
 def run_lockstep_socket(
-    series: PowerSeries, cfg: ScenarioConfig, corrupt_s2c=None
+    series: PowerSeries, cfg: ScenarioConfig, corrupt_s2c=None, sinks: Sinks = NO_SINKS
 ) -> SessionResult:
-    """Lockstep session over a loopback TCP socket, controller in its own thread."""
-    plant = PlantDriver(series, cfg)
-    boundary = PlantBoundary(cfg, series.rated_power_w, corrupt_s2c=corrupt_s2c)
+    """Lockstep session over a loopback TCP socket, controller in its own thread.
+
+    Whatever the controller thread raises (say, an invariant breach found by
+    its log's sink) is raised here, in place of what the plant side saw.
+    """
+    plant = PlantDriver(series, cfg, sinks.plant)
+    boundary = PlantBoundary(cfg, series.rated_power_w, corrupt_s2c=corrupt_s2c, sink=sinks.frames)
 
     listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(SOCKET_TIMEOUT_S)
     port = listener.getsockname()[1]
-    ctrl_box: dict[str, ControllerDriver] = {}
+    outcome: dict[str, object] = {}
 
     def serve() -> None:
-        with socket.create_connection(("127.0.0.1", port)) as conn:
-            ctrl_box["driver"] = run_controller(SocketEndpoint(conn), cfg.n_window)
+        try:
+            with socket.create_connection(("127.0.0.1", port), timeout=SOCKET_TIMEOUT_S) as conn:
+                outcome["driver"] = run_controller(SocketEndpoint(conn), cfg.n_window, sinks.controller)
+        except Exception as exc:  # raised again on the plant side
+            outcome["error"] = exc
 
     thread = threading.Thread(target=serve, daemon=True)
     thread.start()
-    conn, _ = listener.accept()
-    listener.close()
     try:
+        with listener:
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                raise ProtocolFault(f"controller did not connect within {SOCKET_TIMEOUT_S} s") from None
         drive(plant, boundary, SocketEndpoint(conn), free_running=False)
     finally:
-        thread.join(timeout=10.0)
-    ctrl = ctrl_box.get("driver")
+        thread.join(timeout=SOCKET_TIMEOUT_S)
+        if "error" in outcome:
+            raise outcome["error"]
+    ctrl = outcome.get("driver")
     if ctrl is None:
         raise ProtocolFault("controller thread did not complete")
     return SessionResult(plant, ctrl, boundary.log)
@@ -408,14 +468,16 @@ def run_lockstep_socket(
 def run_session(
     series: PowerSeries, cfg: ScenarioConfig, transport: str = "inproc"
 ) -> SessionResult:
-    """Dispatch to the configured session mode and transport medium."""
+    """Dispatch to the configured session mode and transport medium, with
+    the sinks set in SESSION_SINKS."""
     mode = cfg.transport.mode
+    sinks = SESSION_SINKS.get()
     if mode == "free_running":
         if transport != "inproc":
             raise ValueError("free_running mode is supported on the in-process transport only")
-        return run_free_running(series, cfg)
+        return run_free_running(series, cfg, sinks=sinks)
     if transport == "inproc":
-        return run_lockstep_inproc(series, cfg)
+        return run_lockstep_inproc(series, cfg, sinks=sinks)
     if transport == "socket":
-        return run_lockstep_socket(series, cfg)
+        return run_lockstep_socket(series, cfg, sinks=sinks)
     raise ValueError(f"unknown transport {transport!r} (expected 'inproc' or 'socket')")

@@ -28,6 +28,7 @@ from .ramp import RampMetricError, ramp_report, write_rates_file, write_report_j
 from .run import InvariantViolation, resolve_source, run_scenario
 from .series import SeriesError
 from .synth import SynthError, synth_pv
+from .util import AtomicWriter
 
 EXIT_OK = 0
 EXIT_INVARIANT = 2
@@ -212,7 +213,8 @@ def cmd_protocol_check(n_frames: int, seed: int, dump_path: str | None) -> None:
     )
 
     if dump_path:
-        write_hexdump([(f.type_name, encode_frame(f)) for f in reference], dump_path)
+        with AtomicWriter(dump_path) as out:
+            write_hexdump([(f.type_name, encode_frame(f)) for f in reference], out)
         click.echo(f"wrote {dump_path}")
 
     failed = [name for name, passed in checks if not passed]

@@ -126,12 +126,13 @@ class ControllerDriver:
     feeds it one frame at a time. Every received frame gets exactly one response
     carrying the same sequence number. Malformed input produces a safe
     zero-current setpoint (the sample is lost, as a corrupted analog read
-    would be) and bumps the error counter.
+    would be) and bumps the error counter. `sink`, if given, receives the
+    log block by block (see Columns).
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, sink=None):
         self.controller = SmoothingController(n)
-        self.log = Columns(CONTROLLER_LOG_COLUMNS)  # one row per sample, lost ones too
+        self.log = Columns(CONTROLLER_LOG_COLUMNS, sink)  # one row per sample, lost ones too
         self.error_count = 0
         self.expected_seq = 1
         self.done = False
@@ -168,6 +169,7 @@ class ControllerDriver:
         log.i_set_a.append(i_set_a)
         log.warmup.append(warmup)
         log.fault.append(fault)
+        log.end_row()
 
     def on_bad_frame(self) -> BusFrame:
         """Undecodable input: respond with a flagged zero setpoint."""
@@ -179,13 +181,15 @@ class ControllerDriver:
         return setpoint_frame(seq, 0, 0.0)
 
 
-def run_controller(endpoint, n: int) -> ControllerDriver:
+def run_controller(endpoint, n: int, sink=None) -> ControllerDriver:
     """Serve a bus endpoint until the peer ends the session or disconnects.
 
     Blocking loop suitable for a thread or a dedicated process; in-process
     sessions drive a ControllerDriver directly instead (bus.ControllerPeer).
+    With a sink, the log's full blocks are handed to it from this loop; the
+    rows of the last, partial block stay in driver.log.
     """
-    driver = ControllerDriver(n)
+    driver = ControllerDriver(n, sink)
     while not driver.done:
         try:
             frame = endpoint.recv()

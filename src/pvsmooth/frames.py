@@ -30,7 +30,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
-from .util import atomic_write_text, chunked
+from .util import AtomicWriter, chunked
 
 MAGIC = b"HESB"
 VERSION = 0x01
@@ -183,9 +183,9 @@ def frame_length(header: bytes) -> int:
 # ---------------------------------------------------------------------------
 
 
-def write_hexdump(tagged_frames: Iterable[tuple[str, bytes]], path: str | Path) -> None:
-    """One `tag hex` line per frame; stable text form of a frame log."""
-    atomic_write_text(path, chunked(f"{tag} {data.hex()}\n" for tag, data in tagged_frames))
+def write_hexdump(tagged_frames: Iterable[tuple[str, bytes]], out: AtomicWriter) -> None:
+    """Append one `tag hex` line per frame; stable text form of a frame log."""
+    out.write(chunked(f"{tag} {data.hex()}\n" for tag, data in tagged_frames))
 
 
 def read_hexdump(path: str | Path) -> list[tuple[str, bytes]]:

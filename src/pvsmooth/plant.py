@@ -134,13 +134,14 @@ class PlantDriver:
     hold is the one place a setpoint enters the plant; tick integrates one
     sample under the held current and yields the next sensor frame (or the
     end-of-session marker). The session loop decides when a setpoint is held.
+    `sink`, if given, receives the trace block by block (see Columns).
     """
 
-    def __init__(self, series: PowerSeries, cfg: ScenarioConfig):
+    def __init__(self, series: PowerSeries, cfg: ScenarioConfig, sink=None):
         self.series = series
         self.cfg = cfg
         self.battery = initial_battery_state(cfg.battery)
-        self.trace = Columns(PLANT_TRACE_COLUMNS)  # one row per applied sample
+        self.trace = Columns(PLANT_TRACE_COLUMNS, sink)  # one row per applied sample
         self.k = 0  # samples applied so far
         self.held_seq = 0  # sequence number of the held setpoint
         self.held_a = 0.0  # held current request; 0 A until the first setpoint
@@ -177,6 +178,7 @@ class PlantDriver:
         t.realized_p_batt_w.append(realized)
         t.p_grid_w.append(p_pv - realized)
         self.k = k
+        t.end_row()
 
     def hold(self, frame: BusFrame) -> None:
         """Hold SETPOINT(seq=held_seq+1) for the coming intervals.

@@ -12,6 +12,7 @@ default) or by one sample (sliding) for sensitivity studies.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -19,7 +20,7 @@ from typing import Any
 import numpy as np
 
 from .series import PowerSeries
-from .util import atomic_write_text
+from .util import atomic_write_text, chunked
 
 
 class RampMetricError(ValueError):
@@ -258,9 +259,12 @@ def write_rates_file(
 ) -> None:
     """Two-column plot file: evaluation time (s) and ramp rate (%/min)."""
     stride = round(report.rr_interval_s / sample_period_s)
-    lines = ["t_s,rr_pct_per_min"]
-    for j, rr in enumerate(report.rr_pct_per_min):
-        i = (stride + j) if sliding else (j + 1) * stride
-        t = start_time_s + i * sample_period_s
-        lines.append(f"{float(t)!r},{float(rr)!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+
+    def lines() -> Iterator[str]:
+        yield "t_s,rr_pct_per_min\n"
+        for j, rr in enumerate(report.rr_pct_per_min):
+            i = (stride + j) if sliding else (j + 1) * stride
+            t = start_time_s + i * sample_period_s
+            yield f"{float(t)!r},{float(rr)!r}\n"
+
+    atomic_write_text(path, chunked(lines()))

@@ -6,20 +6,26 @@ and writes a deterministic artifact set:
 
     plant_trace.csv       per-step plant state (k, powers, currents, soc)
     controller_log.csv    per-step controller state (k, p_hat, p_batt, i_set)
-    metrics.json          ramp reports, SOC summary, config hash, versions
+    frames.hex            hex dump of every bus frame with timing
+    metrics.json          ramp summaries, SOC summary, config hash, versions
     raw_rates.csv         evaluation-time/rate pairs for plotting
     smoothed_rates.csv
     histogram.csv         rate distributions, raw and smoothed
-    frames.hex            hex dump of every bus frame with timing
 
-All files are written atomically and contain no wall-clock timestamps, so a
-repeated run with identical inputs is byte-identical.
+The first three are streamed: each block of the session's logs is checked
+and appended to its file while the session runs. Every file is written
+through a temporary file and renamed into place only after the session has
+passed its checks, so a failed run leaves none of them. The files contain
+no wall-clock timestamps, so a repeated run with identical inputs is
+byte-identical.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -27,14 +33,20 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .bus import SessionResult, run_session
+from .bus import SESSION_SINKS, SessionLog, SessionResult, Sinks, run_session
 from .config import ConfigError, ScenarioConfig, config_hash, validate_scenario
 from .frames import write_hexdump
 from .ingest import IngestSpec, ingest_csv
 from .ramp import RampReport, ramp_report, report_to_dict, write_rates_file
 from .series import PowerSeries, scale_series
 from .synth import synth_pv
-from .util import Columns, atomic_write_text
+from .util import AtomicWriter, Columns, atomic_write_text
+
+STREAMED_FILES = ("plant_trace.csv", "controller_log.csv", "frames.hex")
+ARTIFACT_FILES = STREAMED_FILES + ("metrics.json", "raw_rates.csv", "smoothed_rates.csv", "histogram.csv")
+# per-point data of a ramp report, left out of metrics.json: the rates and
+# histogram files hold it
+PER_POINT_KEYS = ("rr_pct_per_min", "histogram")
 
 
 class InvariantViolation(RuntimeError):
@@ -55,32 +67,26 @@ class SocSummary:
 
 @dataclass(frozen=True)
 class RunArtifacts:
-    """Everything a finished run produced."""
+    """Everything a finished run produced: the files named in `files`, in
+    out_dir, and what the run computed for metrics.json."""
 
     out_dir: Path
-    plant_trace_path: Path
-    controller_log_path: Path
-    metrics_path: Path
-    raw_rates_path: Path
-    smoothed_rates_path: Path
-    histogram_path: Path
-    frames_path: Path
+    files: tuple[str, ...]
     raw_report: RampReport
     raw_report_postwarmup: RampReport
     smoothed_report: RampReport
     smoothed_report_postwarmup: RampReport
     soc: SocSummary
     config_digest: str
-    session: SessionResult
     smoothed_series: PowerSeries
 
 
-def write_controller_log(log: Columns, path: Path) -> None:
-    atomic_write_text(path, log.csv_chunks())
+def write_controller_log(log: Columns, out: AtomicWriter) -> None:
+    out.write(log.csv_chunks())
 
 
-def write_plant_trace(trace: Columns, path: Path) -> None:
-    atomic_write_text(path, trace.csv_chunks())
+def write_plant_trace(trace: Columns, out: AtomicWriter) -> None:
+    out.write(trace.csv_chunks())
 
 
 def _write_histogram_csv(reports: dict[str, RampReport], path: Path) -> None:
@@ -92,14 +98,33 @@ def _write_histogram_csv(reports: dict[str, RampReport], path: Path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def check_run_invariants(session: SessionResult, cfg: ScenarioConfig) -> None:
-    """Conservation and SOC bounds over the whole run; raises on any breach.
+def check_run_invariants(
+    cfg: ScenarioConfig, *, log: Columns | None = None, trace: Columns | None = None
+) -> None:
+    """Conservation over controller-log rows, then SOC bounds over plant-trace
+    rows; raises on the first breach, naming its step.
 
+    A streamed run checks each block of either table as it is handed off.
     Conservation is checked bitwise by recomputing the defining subtraction
     p_batt = p_pv - p_hat from the logged values. SOC bounds are also
     enforced step-by-step inside the plant; this re-checks the trace.
     """
-    log = session.controller.log
+    if log is not None:
+        _check_controller_rows(log)
+    b = cfg.battery
+    if trace is not None and b.enforce_soc_limits:
+        soc = trace.numpy("soc")
+        bad = np.flatnonzero(~((b.soc_min <= soc) & (soc <= b.soc_max)))
+        if bad.size:
+            i = bad[0]
+            step = int(trace.k[i])
+            raise InvariantViolation(
+                f"soc {float(soc[i])} outside [{b.soc_min}, {b.soc_max}] at plant step {step}",
+                step=step,
+            )
+
+
+def _check_controller_rows(log: Columns) -> None:
     k = log.numpy("k")
     p_pv, p_hat, p_batt = log.numpy("p_pv_w"), log.numpy("p_hat_w"), log.numpy("p_batt_w")
     live = k != 0  # k=0 marks a lost sample (corrupt frame); no arithmetic to check
@@ -118,23 +143,15 @@ def check_run_invariants(session: SessionResult, cfg: ScenarioConfig) -> None:
                 step=step,
             )
         raise InvariantViolation(f"setpoint identity breach at controller step {step}", step=step)
-    b = cfg.battery
-    if b.enforce_soc_limits:
-        soc = session.plant.trace.numpy("soc")
-        bad = np.flatnonzero(~((b.soc_min <= soc) & (soc <= b.soc_max)))
-        if bad.size:
-            i = bad[0]
-            step = int(session.plant.trace.k[i])
-            raise InvariantViolation(
-                f"soc {float(soc[i])} outside [{b.soc_min}, {b.soc_max}] at plant step {step}",
-                step=step,
-            )
 
 
-def smoothed_series_from(session: SessionResult, series: PowerSeries) -> PowerSeries:
+def live_p_hat(log: Columns) -> np.ndarray:
+    """p_hat of the controller-log rows that carry a sample (k > 0)."""
+    return log.numpy("p_hat_w")[log.numpy("k") > 0]
+
+
+def smoothed_series_from(p_hat: np.ndarray, series: PowerSeries) -> PowerSeries:
     """Controller output p_hat as a trace on the same grid and rating."""
-    log = session.controller.log
-    p_hat = log.numpy("p_hat_w")[log.numpy("k") > 0]
     return PowerSeries(
         samples=p_hat,
         sample_period_s=series.sample_period_s,
@@ -142,6 +159,72 @@ def smoothed_series_from(session: SessionResult, series: PowerSeries) -> PowerSe
         start_time_s=series.start_time_s,
         _skip_validation=True,  # quantized inputs may nudge p_hat past rated
     )
+
+
+class RunLogs:
+    """A run's session logs on their way to disk, one block at a time.
+
+    Each block of the controller log and of the plant trace is checked with
+    check_run_invariants and appended to its open file; each block of the
+    frame log is hex-dumped. What the run needs after the session stays
+    here: the p_hat of live controller rows (the smoothed series) and the
+    SOC range and final value. In a socket session controller_block runs on
+    the controller's thread.
+    """
+
+    def __init__(
+        self,
+        cfg: ScenarioConfig,
+        n_samples: int,
+        plant_csv: AtomicWriter,
+        ctrl_csv: AtomicWriter,
+        frames_hex: AtomicWriter,
+    ):
+        self.cfg = cfg
+        self.plant_csv, self.ctrl_csv, self.frames_hex = plant_csv, ctrl_csv, frames_hex
+        self._p_hat = np.empty(n_samples)  # one live row per sample at most
+        self._n_live = 0
+        self.soc_min, self.soc_max, self.soc_final = math.inf, -math.inf, math.nan
+        self.sinks = Sinks(plant=self.plant_block, controller=self.controller_block, frames=self.frame_block)
+
+    def controller_block(self, log: Columns) -> None:
+        check_run_invariants(self.cfg, log=log)
+        p_hat = live_p_hat(log)
+        self._p_hat[self._n_live : self._n_live + p_hat.size] = p_hat
+        self._n_live += p_hat.size
+        write_controller_log(log, self.ctrl_csv)
+
+    def plant_block(self, trace: Columns) -> None:
+        check_run_invariants(self.cfg, trace=trace)
+        soc = trace.numpy("soc")
+        self.soc_min = min(self.soc_min, float(soc.min()))
+        self.soc_max = max(self.soc_max, float(soc.max()))
+        self.soc_final = float(soc[-1])
+        write_plant_trace(trace, self.plant_csv)
+
+    def frame_block(self, log: SessionLog) -> None:
+        write_hexdump(log.tagged_bytes(), self.frames_hex)
+
+    def finish(self, session: SessionResult) -> None:
+        """Take the rows the session's tables still hold: the last, partial
+        block, or every row of a table that had no sink."""
+        if len(session.controller.log):
+            self.controller_block(session.controller.log)
+        if len(session.plant.trace):
+            self.plant_block(session.plant.trace)
+        if len(session.log.frames):
+            self.frame_block(session.log)
+
+    def smoothed_series(self, series: PowerSeries) -> PowerSeries:
+        """The live p_hat as a trace on the input's grid. The series keeps a
+        copy of its own, so the buffer is let go."""
+        smoothed = smoothed_series_from(self._p_hat[: self._n_live], series)
+        self._p_hat = None
+        return smoothed
+
+
+def _ramp_summary(report: RampReport) -> dict[str, Any]:
+    return {key: v for key, v in report_to_dict(report).items() if key not in PER_POINT_KEYS}
 
 
 def resolve_source(source: dict[str, Any] | None, cfg: ScenarioConfig) -> PowerSeries:
@@ -173,7 +256,12 @@ def run_scenario(
     transport: str = "inproc",
     source: dict[str, Any] | None = None,
 ) -> RunArtifacts:
-    """Execute one experiment end to end and write its artifact set."""
+    """Execute one experiment end to end and write its artifact set.
+
+    The session's logs stream to disk as it runs (RunLogs); the files are
+    renamed into place only when the run has passed, so an invariant breach,
+    a protocol fault or a crash leaves no artifact and no temporary file.
+    """
     cfg = validate_scenario(cfg)
     if abs(series.sample_period_s - cfg.sample_period_s) > 1e-9 * cfg.sample_period_s:
         raise ConfigError(
@@ -185,89 +273,74 @@ def run_scenario(
     if len(series) < 1:
         raise ConfigError(["input series is empty"])
 
-    session = run_session(series, cfg, transport)
-    check_run_invariants(session, cfg)
-
-    smoothed = smoothed_series_from(session, series)
-    limit = cfg.ramp_limit_pct_per_min
-    raw_rep = ramp_report(series, cfg.rr_interval_s, limit)
-    raw_rep_post = ramp_report(series, cfg.rr_interval_s, limit, warmup_s=cfg.window_s)
-    smooth_rep = ramp_report(smoothed, cfg.rr_interval_s, limit)
-    smooth_rep_post = ramp_report(smoothed, cfg.rr_interval_s, limit, warmup_s=cfg.window_s)
-
-    socs = session.plant.trace.numpy("soc")
-    soc = SocSummary(
-        soc_min=float(socs.min()),
-        soc_max=float(socs.max()),
-        soc_final=float(socs[-1]),
-        clamp_events=session.plant.battery.clamp_events,
-    )
-    digest = config_hash(cfg, source)
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "plant": out / "plant_trace.csv",
-        "ctrl": out / "controller_log.csv",
-        "metrics": out / "metrics.json",
-        "raw_rates": out / "raw_rates.csv",
-        "smoothed_rates": out / "smoothed_rates.csv",
-        "hist": out / "histogram.csv",
-        "frames": out / "frames.hex",
-    }
+    with ExitStack() as stack:
+        files = [stack.enter_context(AtomicWriter(out / name)) for name in STREAMED_FILES]
+        logs = RunLogs(cfg, len(series), *files)
+        token = SESSION_SINKS.set(logs.sinks)
+        try:
+            session = run_session(series, cfg, transport)
+        finally:
+            SESSION_SINKS.reset(token)
+        logs.finish(session)
 
-    write_plant_trace(session.plant.trace, paths["plant"])
-    write_controller_log(session.controller.log, paths["ctrl"])
-    write_rates_file(raw_rep, paths["raw_rates"], sample_period_s=series.sample_period_s)
-    write_rates_file(smooth_rep, paths["smoothed_rates"], sample_period_s=series.sample_period_s)
-    _write_histogram_csv({"raw": raw_rep, "smoothed": smooth_rep}, paths["hist"])
-    write_hexdump(session.log.tagged_bytes(), paths["frames"])
+        smoothed = logs.smoothed_series(series)
+        limit = cfg.ramp_limit_pct_per_min
+        raw_rep = ramp_report(series, cfg.rr_interval_s, limit)
+        raw_rep_post = ramp_report(series, cfg.rr_interval_s, limit, warmup_s=cfg.window_s)
+        smooth_rep = ramp_report(smoothed, cfg.rr_interval_s, limit)
+        smooth_rep_post = ramp_report(smoothed, cfg.rr_interval_s, limit, warmup_s=cfg.window_s)
+        soc = SocSummary(
+            soc_min=logs.soc_min,
+            soc_max=logs.soc_max,
+            soc_final=logs.soc_final,
+            clamp_events=session.plant.battery.clamp_events,
+        )
+        digest = config_hash(cfg, source)
 
-    metrics = {
-        "config_hash": digest,
-        "seed": cfg.seed,
-        "versions": {
-            "pvsmooth": __version__,
-            "python": ".".join(str(v) for v in sys.version_info[:3]),
-            "numpy": np.__version__,
-        },
-        "transport": transport,
-        "mode": cfg.transport.mode,
-        "n_samples": len(series),
-        "rated_power_w": series.rated_power_w,
-        "sample_period_s": series.sample_period_s,
-        "window_samples": cfg.n_window,
-        "soc": {
-            "min": soc.soc_min,
-            "max": soc.soc_max,
-            "final": soc.soc_final,
-            "clamp_events": soc.clamp_events,
-        },
-        "controller": {"error_count": session.controller.error_count},
-        "ramp": {
-            "raw": report_to_dict(raw_rep),
-            "raw_excluding_warmup": report_to_dict(raw_rep_post),
-            "smoothed": report_to_dict(smooth_rep),
-            "smoothed_excluding_warmup": report_to_dict(smooth_rep_post),
-        },
-    }
-    atomic_write_text(paths["metrics"], json.dumps(metrics, indent=2, sort_keys=True) + "\n")
+        write_rates_file(raw_rep, out / "raw_rates.csv", sample_period_s=series.sample_period_s)
+        write_rates_file(smooth_rep, out / "smoothed_rates.csv", sample_period_s=series.sample_period_s)
+        _write_histogram_csv({"raw": raw_rep, "smoothed": smooth_rep}, out / "histogram.csv")
+
+        metrics = {
+            "config_hash": digest,
+            "seed": cfg.seed,
+            "versions": {
+                "pvsmooth": __version__,
+                "python": ".".join(str(v) for v in sys.version_info[:3]),
+                "numpy": np.__version__,
+            },
+            "transport": transport,
+            "mode": cfg.transport.mode,
+            "n_samples": len(series),
+            "rated_power_w": series.rated_power_w,
+            "sample_period_s": series.sample_period_s,
+            "window_samples": cfg.n_window,
+            "soc": {
+                "min": soc.soc_min,
+                "max": soc.soc_max,
+                "final": soc.soc_final,
+                "clamp_events": soc.clamp_events,
+            },
+            "controller": {"error_count": session.controller.error_count},
+            "ramp": {
+                "raw": _ramp_summary(raw_rep),
+                "raw_excluding_warmup": _ramp_summary(raw_rep_post),
+                "smoothed": _ramp_summary(smooth_rep),
+                "smoothed_excluding_warmup": _ramp_summary(smooth_rep_post),
+            },
+        }
+        atomic_write_text(out / "metrics.json", json.dumps(metrics, indent=2, sort_keys=True) + "\n")
 
     return RunArtifacts(
         out_dir=out,
-        plant_trace_path=paths["plant"],
-        controller_log_path=paths["ctrl"],
-        metrics_path=paths["metrics"],
-        raw_rates_path=paths["raw_rates"],
-        smoothed_rates_path=paths["smoothed_rates"],
-        histogram_path=paths["hist"],
-        frames_path=paths["frames"],
+        files=ARTIFACT_FILES,
         raw_report=raw_rep,
         raw_report_postwarmup=raw_rep_post,
         smoothed_report=smooth_rep,
         smoothed_report_postwarmup=smooth_rep_post,
         soc=soc,
         config_digest=digest,
-        session=session,
         smoothed_series=smoothed,
     )

@@ -5,34 +5,57 @@ from __future__ import annotations
 import os
 import threading
 from array import array
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-BLOCK_ROWS = 4096  # rows formatted per chunk by the streaming writers
+BLOCK_ROWS = 4096  # rows per block handed to a table's sink
+FORMAT_ROWS = 256  # rows converted to Python values, and lines joined, at a time
+
+
+class AtomicWriter:
+    """A text file written piece by piece and renamed into place at the end.
+
+    The pieces go to a temporary file beside the target, named after the
+    writing process and thread, so concurrent writers never share one; the
+    last rename wins. Used as a context manager: a block that ends cleanly
+    renames the file into place, one that raises removes the temporary file
+    and leaves any old file as it was.
+    """
+
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+        self.tmp = self.path.with_name(f"{self.path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+        self._fh = open(self.tmp, "w", encoding="utf-8")
+
+    def write(self, text: str | Iterable[str]) -> None:
+        """Append `text`, a string or an iterable of chunks written in order."""
+        self._fh.writelines([text] if isinstance(text, str) else text)
+
+    def __enter__(self) -> AtomicWriter:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            self._fh.close()
+            if exc_type is None:
+                os.replace(self.tmp, self.path)
+        finally:
+            self.tmp.unlink(missing_ok=True)  # already gone after the rename
 
 
 def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
     """Write-then-rename so readers never observe a partial file.
 
     `text` is the whole content or an iterable of chunks written in order.
-    The temporary file beside the target is named after the writing process
-    and thread, so concurrent writers never share one; the last rename wins.
     """
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.writelines([text] if isinstance(text, str) else text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with AtomicWriter(path) as out:
+        out.write(text)
 
 
-def chunked(lines: Iterable[str], size: int = BLOCK_ROWS) -> Iterator[str]:
+def chunked(lines: Iterable[str], size: int = FORMAT_ROWS) -> Iterator[str]:
     """Join consecutive lines into chunks of `size` lines."""
     it = iter(lines)
     while chunk := "".join(islice(it, size)):
@@ -46,16 +69,34 @@ class Columns:
     int64, 'b' int8 for flags); each column is an attribute of that name.
     Owners append to every column of a row themselves, in their own code,
     so the columns stay equally long and tracemalloc charges the memory to
-    the owner's module.
+    the owner's module, and then call end_row.
+
+    A table with a sink holds one block at a time: every BLOCK_ROWS rows it
+    calls sink(table) and drops the rows, and `start` counts the rows
+    dropped so far. A table without a sink keeps every row.
     """
 
-    def __init__(self, spec: dict[str, str]):
+    def __init__(self, spec: dict[str, str], sink: Callable[[Columns], None] | None = None):
         self.names = tuple(spec)
         for name, typecode in spec.items():
             setattr(self, name, array(typecode))
+        self.sink = sink
+        self.start = 0  # index in the whole table of the first row held
+        self._room = BLOCK_ROWS  # rows until the block is full
 
     def __len__(self) -> int:
         return len(getattr(self, self.names[0]))
+
+    def end_row(self) -> None:
+        """Close the row just appended; hand a full block to the sink."""
+        if self.sink is not None:
+            self._room -= 1
+            if not self._room:
+                self.sink(self)
+                self.start += len(self)
+                for name in self.names:
+                    del getattr(self, name)[:]
+                self._room = BLOCK_ROWS
 
     def numpy(self, name: str) -> np.ndarray:
         """A view of one column; the table must not grow while it is held."""
@@ -64,15 +105,17 @@ class Columns:
 
     def rows(self, names: Iterable[str] | None = None) -> Iterator[tuple]:
         """Rows of the named columns (default: all) as Python values,
-        converted BLOCK_ROWS at a time."""
+        converted FORMAT_ROWS at a time."""
         cols = [getattr(self, n) for n in (self.names if names is None else names)]
-        for i in range(0, len(self), BLOCK_ROWS):
-            yield from zip(*(c[i : i + BLOCK_ROWS].tolist() for c in cols))
+        for i in range(0, len(self), FORMAT_ROWS):
+            yield from zip(*(c[i : i + FORMAT_ROWS].tolist() for c in cols))
 
     def csv_chunks(self) -> Iterator[str]:
-        """The table as CSV text: a header, then one line per row. Floats are
-        written with repr, so each reads back bitwise with float(); flags
-        and integers as decimal integers."""
-        yield ",".join(self.names) + "\n"
+        """The rows held as CSV text, after the header when they start the
+        table, so a table's blocks in order make up its whole file. Floats
+        are written with repr, so each reads back bitwise with float();
+        flags and integers as decimal integers."""
+        if self.start == 0:
+            yield ",".join(self.names) + "\n"
         line = ",".join(["%r"] * len(self.names)) + "\n"
         yield from chunked(line % row for row in self.rows())

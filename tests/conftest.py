@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -87,6 +89,17 @@ def session_bytes(result) -> tuple:
         column_bytes(result.plant.trace),
         column_bytes(result.controller.log),
     )
+
+
+def read_csv_columns(path: str | Path) -> dict[str, np.ndarray]:
+    """The columns of a CSV artifact, every cell parsed with float(). The
+    run writes floats with repr, so the values read back bitwise (-0.0,
+    NaN and inf included)."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    names = lines[0].split(",")
+    cells = np.array([[float(c) for c in line.split(",")] for line in lines[1:]], dtype=np.float64)
+    cells = cells.reshape(len(lines) - 1, len(names))
+    return {name: cells[:, i] for i, name in enumerate(names)}
 
 
 def constant_series(value_w: float, n: int, rated_w: float = 3000.0, period_s: float = 5.0) -> PowerSeries:

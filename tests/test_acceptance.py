@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ideal_battery, naive_zero_padded_mean
+from conftest import ideal_battery, naive_zero_padded_mean, read_csv_columns
 from pvsmooth.bus import run_free_running, run_lockstep_inproc, run_lockstep_socket
 from pvsmooth.cli import main
 from pvsmooth.config import ScenarioConfig, TransportConfig, load_scenario, validate_scenario
@@ -49,29 +49,26 @@ def fixture_runs(tmp_path_factory):
     base = tmp_path_factory.mktemp("acceptance_runs")
     runs = {}
 
-    cfg, source = load_scenario(SCENARIOS / "qualitative_smoothing.json")
-    series = resolve_source(source, cfg)
-    runs["qualitative"] = run_scenario(cfg, series, base / "qualitative", source=source)
+    def run(name, cfg, series, **kwargs):
+        cfg = validate_scenario(cfg)
+        runs[name] = cfg, run_scenario(cfg, series, base / name, **kwargs)
 
-    runs["constant"] = run_scenario(
-        ScenarioConfig(), PowerSeries([1000.0] * 1440, 5.0, RATED_W), base / "constant"
-    )
+    cfg, source = load_scenario(SCENARIOS / "qualitative_smoothing.json")
+    run("qualitative", cfg, resolve_source(source, cfg), source=source)
+
+    run("constant", ScenarioConfig(), PowerSeries([1000.0] * 1440, 5.0, RATED_W))
 
     ideal_base = synth_pv("cloud_square", 7200, 5, RATED_W, depth=0.8, cloud_period_s=600.0)
     ideal_series = PowerSeries(np.floor(ideal_base.samples), 5.0, RATED_W)
-    runs["ideal"] = run_scenario(
-        ScenarioConfig(window_s=1280.0, battery=ideal_battery(64.0)),
-        ideal_series,
-        base / "ideal",
-    )
+    run("ideal", ScenarioConfig(window_s=1280.0, battery=ideal_battery(64.0)), ideal_series)
 
-    runs["free_running"] = run_scenario(
+    run(
+        "free_running",
         ScenarioConfig(
             seed=11,
             transport=TransportConfig(mode="free_running", latency_ms=100.0, jitter_ms=50.0),
         ),
         synth_pv("cloud_random", 3600, 5, RATED_W, seed=11),
-        base / "free_running",
     )
     return runs
 
@@ -123,14 +120,14 @@ def test_c2_smoothed_ramp_bound(random_sequences):
 
 def test_c3_conservation_bitwise(fixture_runs):
     steps = 0
-    for name, art in fixture_runs.items():
-        log = art.session.controller.log
-        for k, p_pv, p_hat, p_batt in log.rows(["k", "p_pv_w", "p_hat_w", "p_batt_w"]):
+    for name, (_cfg, art) in fixture_runs.items():
+        log = read_csv_columns(art.out_dir / "controller_log.csv")
+        for k, p_pv, p_hat, p_batt in zip(log["k"], log["p_pv_w"], log["p_hat_w"], log["p_batt_w"]):
             assert p_batt == p_pv - p_hat, (name, k)
             steps += 1
-    ideal = fixture_runs["ideal"]
-    p_hat = ideal.session.controller.log.numpy("p_hat_w")
-    p_grid = ideal.session.plant.trace.numpy("p_grid_w")
+    ideal = fixture_runs["ideal"][1].out_dir
+    p_hat = read_csv_columns(ideal / "controller_log.csv")["p_hat_w"]
+    p_grid = read_csv_columns(ideal / "plant_trace.csv")["p_grid_w"]
     assert np.array_equal(p_grid, p_hat)
     report(f"3 conservation bitwise over {steps} steps in {len(fixture_runs)} runs; "
            f"p_grid == p_hat bitwise on ideal plant: PASS")
@@ -169,11 +166,11 @@ def test_c5_soc_oracle(fixture_runs):
     import math
 
     worst = 0.0
-    for name, art in fixture_runs.items():
-        cfg = art.session.plant.cfg
+    for name, (cfg, art) in fixture_runs.items():
         b = cfg.battery
+        trace = read_csv_columns(art.out_dir / "plant_trace.csv")
         increments = []
-        for i_applied_a in art.session.plant.trace.i_applied_a:
+        for i_applied_a in trace["i_applied_a"]:
             eta = b.coulombic_efficiency if i_applied_a >= 0 else 1.0 / b.coulombic_efficiency
             increments.append(eta * i_applied_a * cfg.sample_period_s / (3600.0 * b.capacity_ah))
         replay = b.soc_init + math.fsum(increments)
@@ -181,7 +178,7 @@ def test_c5_soc_oracle(fixture_runs):
         worst = max(worst, err)
         assert err < 1e-9, name
         if b.enforce_soc_limits:
-            socs = art.session.plant.trace.numpy("soc")
+            socs = trace["soc"]
             assert socs.min() >= b.soc_min and socs.max() <= b.soc_max, name
     report(f"5 SOC oracle: worst replay error {worst:.2e} < 1e-9; bounds held: PASS")
 

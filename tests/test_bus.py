@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import column_bytes, ideal_battery, session_bytes
+from pvsmooth import bus
 from pvsmooth.bus import (
     C2S,
     S2C,
     PlantBoundary,
+    SocketEndpoint,
     drive,
     quantize,
     resolve_quantization,
@@ -160,12 +162,14 @@ def test_controller_in_separate_process_matches_inproc(tmp_path):
 
     from pvsmooth.bus import SocketEndpoint
     from pvsmooth.run import write_controller_log
+    from pvsmooth.util import AtomicWriter
 
     series = synth_pv("cloud_random", 600, 5, 3000.0, seed=17)
     cfg = validate_scenario(ScenarioConfig(window_s=60.0, seed=17))
     inproc = run_lockstep_inproc(series, cfg)
     log_inproc = tmp_path / "ctrl_inproc.csv"
-    write_controller_log(inproc.controller.log, log_inproc)
+    with AtomicWriter(log_inproc) as out:
+        write_controller_log(inproc.controller.log, out)
 
     listener = socket.create_server(("127.0.0.1", 0))
     port = listener.getsockname()[1]
@@ -175,9 +179,11 @@ def test_controller_in_separate_process_matches_inproc(tmp_path):
         "from pvsmooth.bus import SocketEndpoint\n"
         "from pvsmooth.controller import run_controller\n"
         "from pvsmooth.run import write_controller_log\n"
+        "from pvsmooth.util import AtomicWriter\n"
         f"conn = socket.create_connection(('127.0.0.1', {port}))\n"
         f"driver = run_controller(SocketEndpoint(conn), n={cfg.n_window})\n"
-        f"write_controller_log(driver.log, r'{log_remote}')\n"
+        f"with AtomicWriter(r'{log_remote}') as out:\n"
+        "    write_controller_log(driver.log, out)\n"
     )
     proc = subprocess.Popen([sys.executable, "-c", script])
     try:
@@ -332,6 +338,86 @@ def test_corrupted_header_on_socket_matches_inproc(byte, bit):
     assert inproc.controller.error_count == 1
     assert list(box["result"].log.tagged_bytes()) == list(inproc.log.tagged_bytes())
     assert session_bytes(box["result"]) == session_bytes(inproc)
+
+
+def stub_peer():
+    """(plant-side socket, stub controller socket): a connected loopback
+    pair whose controller end does only what the test makes it do."""
+    import socket
+
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        conn = socket.create_connection(listener.getsockname())
+        stub, _ = listener.accept()
+    return conn, stub
+
+
+def drive_against(conn):
+    series = PowerSeries([10.0, 20.0, 30.0], 5.0, 100.0)
+    cfg = three_sample_cfg()
+    plant = PlantDriver(series, cfg)
+    drive(plant, PlantBoundary(cfg, series.rated_power_w), SocketEndpoint(conn), free_running=False)
+
+
+def test_silent_controller_is_a_protocol_fault(monkeypatch):
+    # a peer that accepts and never answers ends the session; it does not hang
+    import time
+
+    monkeypatch.setattr(bus, "SOCKET_TIMEOUT_S", 0.2)
+    conn, stub = stub_peer()
+    with stub:
+        t0 = time.perf_counter()
+        with pytest.raises(ProtocolFault, match="peer sent nothing for 0.2 s"):
+            drive_against(conn)
+        assert time.perf_counter() - t0 < 5.0
+        # the plant still told the peer why it stopped: SENSOR (40 bytes), FAULT
+        stub.settimeout(5.0)
+        sent = b""
+        while len(sent) < 64:
+            sent += stub.recv(64 - len(sent))
+        assert decode_frame(sent[40:]).msg_type == MSG_FAULT
+
+
+def test_controller_closing_mid_session_is_a_protocol_fault(monkeypatch):
+    monkeypatch.setattr(bus, "SOCKET_TIMEOUT_S", 5.0)
+    conn, stub = stub_peer()
+    stub.close()
+    with pytest.raises(ProtocolFault, match="controller connection closed"):
+        drive_against(conn)
+
+
+def test_controller_that_never_connects_is_a_protocol_fault(monkeypatch):
+    import socket
+    import threading
+
+    monkeypatch.setattr(bus, "SOCKET_TIMEOUT_S", 0.2)
+    release = threading.Event()
+
+    def never_connect(*args, **kwargs):
+        release.wait(5.0)
+        raise OSError("gave up")
+
+    monkeypatch.setattr(socket, "create_connection", never_connect)
+    try:
+        with pytest.raises(ProtocolFault, match="did not connect within 0.2 s"):
+            run_lockstep_socket(PowerSeries([10.0, 20.0, 30.0], 5.0, 100.0), three_sample_cfg())
+    finally:
+        release.set()
+
+
+def test_controller_thread_error_is_raised_on_the_plant_side(monkeypatch):
+    # the controller thread's own exception reaches the caller, not the EOF
+    # the plant saw when that thread closed its socket
+    class Boom(RuntimeError):
+        pass
+
+    def run_controller(endpoint, n, sink=None):
+        endpoint.recv()
+        raise Boom("controller failed")
+
+    monkeypatch.setattr(bus, "run_controller", run_controller)
+    with pytest.raises(Boom, match="controller failed") as err:
+        run_lockstep_socket(PowerSeries([10.0, 20.0, 30.0], 5.0, 100.0), three_sample_cfg())
+    assert isinstance(err.value.__context__, ProtocolFault)
 
 
 def test_quantization_applies_on_the_wire():

@@ -29,6 +29,7 @@ from pvsmooth.frames import (
     setpoint_frame,
     write_hexdump,
 )
+from pvsmooth.util import AtomicWriter
 
 
 def test_crc32_known_vector():
@@ -213,7 +214,8 @@ def test_hexdump_round_trip(tmp_path):
         ("END", encode_frame(end_frame(2, 5000))),
     ]
     path = tmp_path / "frames.hex"
-    write_hexdump(frames, path)
+    with AtomicWriter(path) as out:
+        write_hexdump(frames, out)
     assert read_hexdump(path) == frames
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("SENSOR ")

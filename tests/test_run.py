@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ideal_battery
+from conftest import ideal_battery, read_csv_columns
 from pvsmooth import bus
 from pvsmooth.config import (
     ConfigError,
@@ -20,6 +20,7 @@ from pvsmooth.ramp import ramp_report
 from pvsmooth.run import (
     InvariantViolation,
     check_run_invariants,
+    live_p_hat,
     resolve_source,
     run_scenario,
     smoothed_series_from,
@@ -35,7 +36,7 @@ def test_constant_series_steady_state(tmp_path):
     assert art.raw_report.max_abs_rr == 0.0
     assert art.smoothed_report_postwarmup.max_abs_rr == 0.0
     # SOC charges during warm-up, then freezes once p_hat reaches the input
-    socs = art.session.plant.trace.soc
+    socs = read_csv_columns(art.out_dir / "plant_trace.csv")["soc"]
     assert socs[-1] == socs[360]
     assert art.soc.soc_final == socs[-1]
 
@@ -65,8 +66,8 @@ def test_scaling_policy_applied(tmp_path):
     series = synth_pv("clear", 3600, 5, 10000.0)
     cfg = ScenarioConfig(scale_to_rated_w=1000.0)
     art = run_scenario(cfg, series, tmp_path / "out")
-    assert art.session.plant.series.rated_power_w == 1000.0
-    assert art.session.plant.series.samples.max() <= 1000.0
+    assert json.loads((art.out_dir / "metrics.json").read_text())["rated_power_w"] == 1000.0
+    assert read_csv_columns(art.out_dir / "plant_trace.csv")["p_pv_w"].max() <= 1000.0
 
 
 def test_grid_power_identity_ideal_fixture(tmp_path):
@@ -76,12 +77,13 @@ def test_grid_power_identity_ideal_fixture(tmp_path):
     series = PowerSeries(np.floor(base.samples), 5.0, 3000.0)
     cfg = ScenarioConfig(window_s=1280.0, battery=ideal_battery(64.0))
     art = run_scenario(cfg, series, tmp_path / "out")
-    plant, ctrl = art.session.plant.trace, art.session.controller.log
-    p_hat = ctrl.numpy("p_hat_w")
-    p_batt = ctrl.numpy("p_batt_w")
-    assert np.array_equal(plant.numpy("i_request_a"), plant.numpy("i_applied_a"))
-    assert np.array_equal(plant.numpy("realized_p_batt_w"), p_batt)
-    assert np.array_equal(plant.numpy("p_grid_w"), p_hat)
+    plant = read_csv_columns(art.out_dir / "plant_trace.csv")
+    ctrl = read_csv_columns(art.out_dir / "controller_log.csv")
+    p_hat = ctrl["p_hat_w"]
+    p_batt = ctrl["p_batt_w"]
+    assert np.array_equal(plant["i_request_a"], plant["i_applied_a"])
+    assert np.array_equal(plant["realized_p_batt_w"], p_batt)
+    assert np.array_equal(plant["p_grid_w"], p_hat)
 
 
 def test_realized_tracks_requested_with_losses(tmp_path):
@@ -90,9 +92,10 @@ def test_realized_tracks_requested_with_losses(tmp_path):
     # voltage, so the gap is i_k * R * (i_k - i_km1)
     series = synth_pv("clear", 3600, 5, 2000.0)
     art = run_scenario(ScenarioConfig(), series, tmp_path / "out")
-    p_batt = art.session.controller.log.numpy("p_batt_w")
-    realized = art.session.plant.trace.numpy("realized_p_batt_w")
-    i = art.session.plant.trace.numpy("i_applied_a")
+    plant = read_csv_columns(art.out_dir / "plant_trace.csv")
+    p_batt = read_csv_columns(art.out_dir / "controller_log.csv")["p_batt_w"]
+    realized = plant["realized_p_batt_w"]
+    i = plant["i_applied_a"]
     i_prev = np.concatenate([[0.0], i[:-1]])
     bound = np.abs(i) * 0.05 * np.abs(i - i_prev) + 1e-9
     assert np.all(np.abs(realized - p_batt) <= bound)
@@ -103,21 +106,23 @@ def test_realized_tracks_requested_with_losses(tmp_path):
 def test_artifact_files_written_and_parse(tmp_path):
     series = synth_pv("cloud_random", 1800, 5, 3000.0, seed=2)
     art = run_scenario(ScenarioConfig(seed=2), series, tmp_path / "out")
-    for path in (
-        art.plant_trace_path,
-        art.controller_log_path,
-        art.metrics_path,
-        art.raw_rates_path,
-        art.smoothed_rates_path,
-        art.histogram_path,
-        art.frames_path,
+    assert sorted(p.name for p in art.out_dir.iterdir()) == sorted(art.files)
+    for name in (
+        "plant_trace.csv",
+        "controller_log.csv",
+        "metrics.json",
+        "raw_rates.csv",
+        "smoothed_rates.csv",
+        "histogram.csv",
+        "frames.hex",
     ):
+        path = art.out_dir / name
         assert path.exists() and path.stat().st_size > 0
-    doc = json.loads(art.metrics_path.read_text())
+    doc = json.loads((art.out_dir / "metrics.json").read_text())
     assert doc["config_hash"] == art.config_digest
     assert doc["ramp"]["smoothed"]["n_points"] == len(art.smoothed_report.rr_pct_per_min)
     assert doc["soc"]["final"] == art.soc.soc_final
-    header = art.plant_trace_path.read_text().splitlines()[0]
+    header = (art.out_dir / "plant_trace.csv").read_text().splitlines()[0]
     assert header == "k,p_pv_w,i_request_a,i_applied_a,v_terminal_v,soc,realized_p_batt_w,p_grid_w"
 
 
@@ -126,7 +131,7 @@ def test_controller_log_cross_check(tmp_path):
     series = synth_pv("cloud_random", 3600, 5, 3000.0, seed=8)
     cfg = ScenarioConfig(seed=8)
     art = run_scenario(cfg, series, tmp_path / "out")
-    lines = art.controller_log_path.read_text().splitlines()
+    lines = (art.out_dir / "controller_log.csv").read_text().splitlines()
     cols = lines[0].split(",")
     p_hat = np.array([float(line.split(",")[cols.index("p_hat_w")]) for line in lines[1:]])
     standalone = PowerSeries(p_hat, 5.0, 3000.0, _skip_validation=True)
@@ -165,45 +170,50 @@ def test_free_running_mode_via_config(tmp_path):
         transport=TransportConfig(mode="free_running", latency_ms=100.0, jitter_ms=50.0),
     )
     art = run_scenario(cfg, series, tmp_path / "out")
-    assert len(art.session.plant.trace) == 360
-    doc = json.loads(art.metrics_path.read_text())
+    assert len(read_csv_columns(art.out_dir / "plant_trace.csv")["k"]) == 360
+    doc = json.loads((art.out_dir / "metrics.json").read_text())
     assert doc["mode"] == "free_running"
 
 
-def test_soc_guard_trips_on_breach(tmp_path):
+def check_session(session, cfg):
+    """check_run_invariants over the whole of a sink-less session's tables."""
+    check_run_invariants(cfg, log=session.controller.log, trace=session.plant.trace)
+
+
+def test_soc_guard_trips_on_breach():
     # a doctored trace row must trip the re-check
     series = synth_pv("clear", 600, 5, 1000.0)
     cfg = validate_scenario(ScenarioConfig(window_s=60.0))
-    art = run_scenario(cfg, series, tmp_path / "out")
-    session = art.session
+    session = bus.run_lockstep_inproc(series, cfg)
+    check_session(session, cfg)
     session.plant.trace.soc[3] = 0.99
     with pytest.raises(InvariantViolation, match="soc") as err:
-        check_run_invariants(session, cfg)
+        check_session(session, cfg)
     assert err.value.step == 4
 
 
-def test_conservation_check_trips_on_doctored_log(tmp_path):
+def test_conservation_check_trips_on_doctored_log():
     series = synth_pv("clear", 600, 5, 1000.0)
     cfg = validate_scenario(ScenarioConfig(window_s=60.0))
-    art = run_scenario(cfg, series, tmp_path / "out")
-    session = art.session
+    session = bus.run_lockstep_inproc(series, cfg)
+    check_session(session, cfg)
     session.controller.log.p_batt_w[5] += 1e-9
     with pytest.raises(InvariantViolation, match="conservation breach at controller step 6"):
-        check_run_invariants(session, cfg)
+        check_session(session, cfg)
 
 
-def test_invariant_check_reports_the_first_offending_step(tmp_path):
+def test_invariant_check_reports_the_first_offending_step():
     series = synth_pv("clear", 600, 5, 1000.0)
     cfg = validate_scenario(ScenarioConfig(window_s=60.0))
-    session = run_scenario(cfg, series, tmp_path / "out").session
+    session = bus.run_lockstep_inproc(series, cfg)
     log = session.controller.log
     log.p_batt_w[40] += 1e-9
     log.i_set_a[20] += 1e-9
     with pytest.raises(InvariantViolation, match="setpoint identity breach at controller step 21"):
-        check_run_invariants(session, cfg)
+        check_session(session, cfg)
     log.p_batt_w[10] += 1.0
     with pytest.raises(InvariantViolation, match="conservation breach at controller step 11") as err:
-        check_run_invariants(session, cfg)
+        check_session(session, cfg)
     assert err.value.step == 11
 
 
@@ -255,10 +265,10 @@ def test_invariant_check_agrees_with_the_row_loop(short_session, edits):
             column[i] = (value != 0.0) if name == "fault" else (value if name == "soc" else column[i] + value)
         expected = loop_invariant_check(session, cfg)
         if expected is None:
-            check_run_invariants(session, cfg)
+            check_session(session, cfg)
         else:
             with pytest.raises(InvariantViolation) as err:
-                check_run_invariants(session, cfg)
+                check_session(session, cfg)
             assert (err.value.step, str(err.value)) == expected
     finally:
         for t in (log, trace):
@@ -274,8 +284,8 @@ def test_invariant_check_skips_lost_sample_rows(tmp_path):
         series, cfg, corrupt_s2c=lambda i, data: data[:-1] + bytes([data[-1] ^ 1]) if i == 30 else data
     )
     assert session.controller.log.k[30] == 0
-    check_run_invariants(session, cfg)
-    assert len(smoothed_series_from(session, series)) == len(series) - 1
+    check_session(session, cfg)
+    assert len(smoothed_series_from(live_p_hat(session.controller.log), series)) == len(series) - 1
 
 
 def test_series_grid_must_match_scenario(tmp_path):

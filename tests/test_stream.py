@@ -1,0 +1,172 @@
+"""A run streams its logs to disk block by block.
+
+The plant trace, the controller log and the frame log reach their files one
+block of BLOCK_ROWS rows at a time while the session runs. These tests pin
+that the streamed files equal the whole-table output of a session that kept
+every row, that a breach found after a block is on disk leaves nothing
+behind, and that run_scenario's memory no longer grows with the log.
+"""
+
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from pvsmooth import bus, controller
+from pvsmooth import run as pvrun
+from pvsmooth.cli import main
+from pvsmooth.config import ScenarioConfig, TransportConfig, validate_scenario
+from pvsmooth.run import (
+    STREAMED_FILES,
+    InvariantViolation,
+    run_scenario,
+    write_controller_log,
+    write_hexdump,
+    write_plant_trace,
+)
+from pvsmooth.synth import synth_pv
+from pvsmooth.util import BLOCK_ROWS, AtomicWriter
+
+B = BLOCK_ROWS
+
+ENGINES = {
+    "inproc": (bus.run_lockstep_inproc, "inproc", TransportConfig()),
+    "socket": (bus.run_lockstep_socket, "socket", TransportConfig()),
+    "free_running": (
+        bus.run_free_running,
+        "inproc",
+        TransportConfig(mode="free_running", latency_ms=4000.0, jitter_ms=1500.0),
+    ),
+}
+
+
+def flip_last_byte_of(index):
+    """corrupt_s2c hook: the sensor frame `index` fails its CRC (a lost sample)."""
+    return lambda i, data: data[:-1] + bytes([data[-1] ^ 1]) if i == index else data
+
+
+def corrupt_every_session(monkeypatch, corrupt_s2c):
+    """Make every PlantBoundary corrupt its outbound frames with corrupt_s2c,
+    so a run_scenario session loses a sample."""
+    real_init = bus.PlantBoundary.__init__
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **{**kwargs, "corrupt_s2c": corrupt_s2c})
+
+    monkeypatch.setattr(bus.PlantBoundary, "__init__", init)
+
+
+def whole_table_files(session, out_dir):
+    """The three streamed files, written in one piece each from a session
+    whose tables kept every row."""
+    out_dir.mkdir()
+    with AtomicWriter(out_dir / "plant_trace.csv") as out:
+        write_plant_trace(session.plant.trace, out)
+    with AtomicWriter(out_dir / "controller_log.csv") as out:
+        write_controller_log(session.controller.log, out)
+    with AtomicWriter(out_dir / "frames.hex") as out:
+        write_hexdump(session.log.tagged_bytes(), out)
+
+
+CASES = [(n, None) for n in (B - 1, B, B + 1, 3 * B + 7)] + [(3 * B + 7, B + 5)]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize(("n", "lost"), CASES, ids=lambda v: str(v))
+def test_streamed_files_equal_the_whole_table_output(engine, n, lost, tmp_path, monkeypatch):
+    run_engine, transport, transport_cfg = ENGINES[engine]
+    cfg = validate_scenario(ScenarioConfig(seed=n, transport=transport_cfg))
+    series = synth_pv("cloud_random", n * cfg.sample_period_s, cfg.sample_period_s, 3000.0, seed=n)
+    corrupt = None if lost is None else flip_last_byte_of(lost - 1)
+
+    whole = run_engine(series, cfg, corrupt_s2c=corrupt)
+    assert len(whole.plant.trace) == n  # a sink-less session keeps every row
+    if lost is not None:
+        assert whole.controller.log.k[lost - 1] == 0
+    whole_table_files(whole, tmp_path / "whole")
+
+    if corrupt is not None:
+        corrupt_every_session(monkeypatch, corrupt)
+    art = run_scenario(cfg, series, tmp_path / "streamed", transport=transport)
+    for name in STREAMED_FILES:
+        streamed = (tmp_path / "streamed" / name).read_bytes()
+        assert streamed == (tmp_path / "whole" / name).read_bytes(), name
+    metrics = json.loads((tmp_path / "streamed" / "metrics.json").read_text())
+    assert metrics["controller"]["error_count"] == (lost is not None)
+    assert len(art.smoothed_series) == n - (lost is not None)
+
+
+def breach_at_step(monkeypatch, step):
+    """Make the controller log a p_batt one ulp off at `step`."""
+    real_log_row = controller.ControllerDriver._log_row
+
+    def log_row(self, k, p_pv_w, v_batt_v, p_hat_w, p_batt_w, *rest):
+        if k == step:
+            p_batt_w = np.nextafter(p_batt_w, np.inf)
+        real_log_row(self, k, p_pv_w, v_batt_v, p_hat_w, p_batt_w, *rest)
+
+    monkeypatch.setattr(controller.ControllerDriver, "_log_row", log_row)
+
+
+@pytest.mark.parametrize("transport", ["inproc", "socket"])
+def test_breach_after_the_first_block_leaves_no_artifact(transport, tmp_path, monkeypatch):
+    step = B + 100
+    breach_at_step(monkeypatch, step)
+    on_disk = {}
+    real_check = pvrun.check_run_invariants
+
+    def check(cfg, **tables):
+        # when the breach is found, the first block is already in the temp files
+        log = tables.get("log")
+        if log is not None and step in log.k:
+            on_disk.update({p.name: p.stat().st_size for p in out.glob("*.tmp")})
+        return real_check(cfg, **tables)
+
+    monkeypatch.setattr(pvrun, "check_run_invariants", check)
+    cfg = validate_scenario(ScenarioConfig(seed=2))
+    series = synth_pv("cloud_random", (2 * B + 10) * 5.0, 5.0, 3000.0, seed=2)
+    out = tmp_path / "out"
+    with pytest.raises(InvariantViolation, match=f"conservation breach at controller step {step}") as err:
+        run_scenario(cfg, series, out, transport=transport)
+    assert err.value.step == step
+    assert sorted(name.split(".")[0] for name in on_disk) == ["controller_log", "frames", "plant_trace"]
+    assert all(size > 0 for size in on_disk.values())
+    assert list(out.iterdir()) == []
+
+
+def test_breach_after_the_first_block_exits_2_from_the_cli(tmp_path, monkeypatch, capsys):
+    breach_at_step(monkeypatch, B + 100)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({
+        "seed": 2,
+        "source": {"kind": "synth", "profile": "cloud_random", "duration_s": (2 * B + 10) * 5.0},
+    }))
+    out = tmp_path / "out"
+    for transport in ("inproc", "socket"):
+        code = main(["run", "--scenario", str(scenario), "--out", str(out), "--transport", transport])
+        assert code == 2, transport
+        assert "invariant breach" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+
+def peak_bytes_of_run(n, tmp_path):
+    cfg = validate_scenario(ScenarioConfig(seed=1))
+    series = synth_pv("cloud_random", n * 5.0, 5.0, 3000.0, seed=1)
+    tracemalloc.start(1)
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run_scenario(cfg, series, tmp_path / str(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - base
+
+
+def test_run_scenario_peak_grows_at_most_40_bytes_per_step(tmp_path):
+    # the blocks in flight are fixed in size; what grows with the run is the
+    # live p_hat (the smoothed series) and the ramp-rate arrays
+    small = peak_bytes_of_run(4 * B, tmp_path)
+    large = peak_bytes_of_run(8 * B, tmp_path)
+    per_step = (large - small) / (4 * B)
+    assert per_step <= 40, (small, large, per_step)

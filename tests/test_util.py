@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from pvsmooth.controller import CONTROLLER_LOG_COLUMNS
 from pvsmooth.run import write_controller_log
-from pvsmooth.util import Columns, atomic_write_text, chunked
+from pvsmooth.util import AtomicWriter, Columns, atomic_write_text, chunked
 
 # --- atomic writes ------------------------------------------------------------
 
@@ -85,7 +85,7 @@ def test_chunked_joins_lines_in_blocks():
 
 def test_columns_rows_and_views():
     t = Columns({"k": "q", "x": "d", "flag": "b"})
-    for i in range(5000):  # more than one conversion block
+    for i in range(5000):  # more than one conversion chunk
         t.k.append(i)
         t.x.append(i / 4)
         t.flag.append(i % 2 == 0)
@@ -116,7 +116,8 @@ def test_controller_log_floats_read_back_bitwise(tmp_path_factory, rows):
         for name, value in zip(log.names, row):
             getattr(log, name).append(value)
     path = tmp_path_factory.mktemp("log") / "controller_log.csv"
-    write_controller_log(log, path)
+    with AtomicWriter(path) as out:
+        write_controller_log(log, out)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == ",".join(CONTROLLER_LOG_COLUMNS)
     assert len(lines) == len(rows) + 1
