@@ -18,7 +18,7 @@ from .config import (
     save_scenario,
     validate_scenario,
 )
-from .controller import ControllerOutput, SmoothingController
+from .controller import SmoothingController
 from .ingest import IngestSpec, ingest_csv
 from .ramp import RampReport, compliance, histogram, ramp_rate_series, ramp_report
 from .run import RunArtifacts, run_scenario
@@ -28,7 +28,6 @@ from .synth import synth_pv
 __all__ = [
     "BatteryParams",
     "ConfigError",
-    "ControllerOutput",
     "IngestSpec",
     "PowerSeries",
     "QuantizationConfig",

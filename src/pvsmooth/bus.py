@@ -187,14 +187,17 @@ class SessionLog:
         self._sink(self)
         self.wire.clear()
 
-    def tagged_bytes(self) -> Iterator[tuple[str, bytes]]:
-        """(tag, wire bytes) per frame, the tag naming direction, seq and times."""
+    def tagged_hex(self) -> Iterator[tuple[str, str]]:
+        """(tag, wire bytes as hex) per frame, the tag naming direction, seq
+        and times. The wire is hex-encoded once and sliced per frame."""
+        hex_wire = self.wire.hex()
         start = 0
         for d, seq, t_send, t_deliver, end in self.frames.rows(
             ["direction", "seq", "t_send_ms", "t_deliver_ms", "wire_end"]
         ):
             tag = f"{DIRECTION_NAMES[d]} seq={seq} send={t_send!r} recv={t_deliver!r}"
-            yield tag, bytes(self.wire[start:end])
+            end *= 2
+            yield tag, hex_wire[start:end]
             start = end
 
 
@@ -212,6 +215,7 @@ class PlantBoundary:
         self.delays = DelayModel(t.latency_ms, t.jitter_ms, seed)
         self.quant = resolve_quantization(t.quantization, cfg, rated_power_w)
         self.log = SessionLog(sink)
+        self._append_row = self.log.frames.appenders()
         self.corrupt_s2c = corrupt_s2c
         self._outbound_count = 0
         self._last_deliver = [0.0, 0.0]  # by direction code
@@ -219,19 +223,21 @@ class PlantBoundary:
     def _log(self, direction: int, frame: BusFrame, data: bytes, t_send_ms: float) -> float:
         """Draw a frame's delay and log the frame; returns its delivery time."""
         t = t_send_ms + self.delays.next_delay_ms()
-        t = max(t, self._last_deliver[direction])  # FIFO per direction
+        last = self._last_deliver[direction]
+        if last > t:
+            t = last  # FIFO per direction
         self._last_deliver[direction] = t
         log = self.log
-        f = log.frames
         log.wire += data
-        f.direction.append(direction)
-        f.seq.append(frame.seq)
-        f.msg_type.append(frame.msg_type)
-        f.t_send_ms.append(t_send_ms)
-        f.t_deliver_ms.append(t)
-        f.draw_ms.append(self.delays.last_draw)
-        f.wire_end.append(len(log.wire))
-        f.end_row()
+        direction_, seq, msg_type, t_send, t_deliver, draw, wire_end = self._append_row
+        direction_(direction)
+        seq(frame.seq)
+        msg_type(frame.msg_type)
+        t_send(t_send_ms)
+        t_deliver(t)
+        draw(self.delays.last_draw)
+        wire_end(len(log.wire))
+        log.frames.end_row()
         return t
 
     def outbound(self, frame: BusFrame, t_send_ms: float) -> tuple[bytes, float]:

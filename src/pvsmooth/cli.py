@@ -214,7 +214,7 @@ def cmd_protocol_check(n_frames: int, seed: int, dump_path: str | None) -> None:
 
     if dump_path:
         with AtomicWriter(dump_path) as out:
-            write_hexdump([(f.type_name, encode_frame(f)) for f in reference], out)
+            write_hexdump([(f.type_name, encode_frame(f).hex()) for f in reference], out)
         click.echo(f"wrote {dump_path}")
 
     failed = [name for name, passed in checks if not passed]

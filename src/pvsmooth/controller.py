@@ -15,9 +15,8 @@ rate limiting and no SOC feedback; safety limits belong to the plant.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from array import array
+from math import fsum, isfinite, nan
 
 import numpy as np
 
@@ -33,76 +32,54 @@ from .frames import (
 from .util import Columns
 
 
-class ControllerOutput(NamedTuple):
-    """One control step's result."""
-
-    p_hat_w: float
-    p_batt_w: float
-    i_set_a: float
-    fault: bool = False
-
-
-@dataclass
-class ControllerState:
-    """Ring buffer plus bookkeeping; confined to one execution context."""
-
-    n: int
-    p_buf: np.ndarray = field(init=False)
-    k: int = field(init=False, default=1)  # 1-based index of the next sample
-    running_sum: float = field(init=False, default=0.0)
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"window length must be >= 1, got {self.n}")
-        self.p_buf = np.zeros(self.n, dtype=np.float64)
-
-
 class SmoothingController:
     """Stateful step-by-step smoothing controller.
 
-    The buffer mean is maintained as a running sum (O(1) per step) with a
-    full recomputation every N steps to bound floating-point drift.
+    p_buf is the ring buffer of the last n samples, k the 1-based index of
+    the next sample. The buffer mean is maintained as a running sum (O(1)
+    per step) with a full recomputation every n steps to bound
+    floating-point drift.
     """
 
     def __init__(self, n: int):
-        self.state = ControllerState(n=n)
+        if n < 1:
+            raise ValueError(f"window length must be >= 1, got {n}")
+        self.n = n
+        self.p_buf = array("d", bytes(8 * n))
+        self.k = 1
+        self.running_sum = 0.0
 
-    def _advance(self, p_pv_w: float) -> float:
-        """Insert one sample and return the new buffer mean."""
-        st = self.state
-        pos = (st.k - 1) % st.n
-        old = float(st.p_buf[pos])
-        st.p_buf[pos] = p_pv_w
-        st.running_sum = st.running_sum - old + p_pv_w
-        if st.k % st.n == 0:
-            st.running_sum = math.fsum(st.p_buf)
-        p_hat = st.running_sum / st.n
-        st.k += 1
-        return p_hat
-
-    def step(self, p_pv_w: float, v_batt_v: float) -> ControllerOutput:
+    def step(self, p_pv_w: float, v_batt_v: float) -> tuple[float, float, float, bool]:
         """Process one sensor reading and produce one setpoint.
 
-        A non-positive or non-finite battery voltage is a sensing fault: the
-        PV sample still enters the buffer, but the emitted setpoint is a safe
-        zero current and the step is flagged.
+        Returns (p_hat_w, p_batt_w, i_set_a, fault). A non-positive or
+        non-finite battery voltage is a sensing fault: the PV sample still
+        enters the buffer, but the emitted setpoint is a safe zero current
+        and the step is flagged.
         """
         p_pv_w = float(p_pv_w)
         v_batt_v = float(v_batt_v)
-        if not math.isfinite(p_pv_w):
+        if not isfinite(p_pv_w):
             raise ValueError(f"p_pv_w must be finite, got {p_pv_w}")
-        p_hat = self._advance(p_pv_w)
+        k, n, buf = self.k, self.n, self.p_buf
+        pos = (k - 1) % n
+        running_sum = self.running_sum - buf[pos] + p_pv_w
+        buf[pos] = p_pv_w
+        if k % n == 0:
+            running_sum = fsum(buf)
+        self.running_sum = running_sum
+        self.k = k + 1
+        p_hat = running_sum / n
         p_batt = p_pv_w - p_hat
-        if not (math.isfinite(v_batt_v) and v_batt_v > 0.0):
-            return ControllerOutput(p_hat, p_batt, 0.0, fault=True)
-        return ControllerOutput(p_hat, p_batt, p_batt / v_batt_v)
+        if not (isfinite(v_batt_v) and v_batt_v > 0.0):
+            return p_hat, p_batt, 0.0, True
+        return p_hat, p_batt, p_batt / v_batt_v, False
 
     def smooth_array(self, p_pv_w: np.ndarray) -> np.ndarray:
-        """Buffer means for a whole input array, via the same per-step arithmetic."""
+        """Buffer means for a whole input array, one step per sample."""
         out = np.empty(len(p_pv_w), dtype=np.float64)
-        advance = self._advance
         for i, p in enumerate(p_pv_w):
-            out[i] = advance(float(p))
+            out[i] = self.step(p, 1.0)[0]
         return out
 
 
@@ -117,6 +94,8 @@ CONTROLLER_LOG_COLUMNS = {
     "warmup": "b",
     "fault": "b",
 }
+# the row of a lost sample: k=0, no readings, the safe zero setpoint, flagged
+LOST_ROW = (0, nan, nan, nan, nan, 0.0, False, True)
 
 
 class ControllerDriver:
@@ -133,51 +112,47 @@ class ControllerDriver:
     def __init__(self, n: int, sink=None):
         self.controller = SmoothingController(n)
         self.log = Columns(CONTROLLER_LOG_COLUMNS, sink)  # one row per sample, lost ones too
+        self._append_row = self.log.appenders()
         self.error_count = 0
         self.expected_seq = 1
         self.done = False
 
     def on_frame(self, frame: BusFrame) -> BusFrame | None:
-        if frame.msg_type == MSG_END:
-            self.done = True
-            return None
-        if frame.msg_type == MSG_FAULT:
-            self.done = True
-            return None
-        if frame.msg_type != MSG_SENSOR:
+        msg_type, seq, sim_time_ms, values = frame
+        if msg_type != MSG_SENSOR:
+            if msg_type == MSG_END or msg_type == MSG_FAULT:
+                self.done = True
+                return None
             return self.on_bad_frame()
-        seq = frame.seq
         if seq != self.expected_seq:
             # Lockstep sequence gap: report it and stop cleanly.
             self.done = True
-            return fault_frame(seq, frame.sim_time_ms)
+            return fault_frame(seq, sim_time_ms)
         self.expected_seq = seq + 1
-        p_pv, v_batt = frame.values
-        out = self.controller.step(p_pv, v_batt)
-        k = self.controller.state.k - 1  # index of the step just taken
-        self._log_row(k, p_pv, v_batt, out.p_hat_w, out.p_batt_w, out.i_set_a,
-                      k <= self.controller.state.n, out.fault)
-        return setpoint_frame(seq, frame.sim_time_ms, out.i_set_a)
-
-    def _log_row(self, k, p_pv_w, v_batt_v, p_hat_w, p_batt_w, i_set_a, warmup, fault) -> None:
-        log = self.log
-        log.k.append(k)
-        log.p_pv_w.append(p_pv_w)
-        log.v_batt_v.append(v_batt_v)
-        log.p_hat_w.append(p_hat_w)
-        log.p_batt_w.append(p_batt_w)
-        log.i_set_a.append(i_set_a)
-        log.warmup.append(warmup)
-        log.fault.append(fault)
-        log.end_row()
+        p_pv, v_batt = values
+        c = self.controller
+        p_hat, p_batt, i_set, fault = c.step(p_pv, v_batt)
+        k = c.k - 1  # index of the step just taken
+        k_, p_pv_w, v_batt_v, p_hat_w, p_batt_w, i_set_a, warmup, fault_ = self._append_row
+        k_(k)
+        p_pv_w(p_pv)
+        v_batt_v(v_batt)
+        p_hat_w(p_hat)
+        p_batt_w(p_batt)
+        i_set_a(i_set)
+        warmup(k <= c.n)
+        fault_(fault)
+        self.log.end_row()
+        return setpoint_frame(seq, sim_time_ms, i_set)
 
     def on_bad_frame(self) -> BusFrame:
         """Undecodable input: respond with a flagged zero setpoint."""
         self.error_count += 1
         seq = self.expected_seq
         self.expected_seq = seq + 1
-        nan = math.nan
-        self._log_row(0, nan, nan, nan, nan, 0.0, False, True)
+        for append, value in zip(self._append_row, LOST_ROW):
+            append(value)
+        self.log.end_row()
         return setpoint_frame(seq, 0, 0.0)
 
 

@@ -27,8 +27,8 @@ from __future__ import annotations
 import struct
 import zlib
 from collections.abc import Iterable
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .util import AtomicWriter, chunked
 
@@ -48,6 +48,15 @@ PAYLOAD_COUNTS = {MSG_SENSOR: 2, MSG_SETPOINT: 1, MSG_END: 0, MSG_FAULT: 0}
 _PAYLOAD_LENS = frozenset(8 * n for n in PAYLOAD_COUNTS.values())
 
 _HEADER = struct.Struct("<4sBBIQH")
+
+# One whole-frame layout (header and payload) per message type. A frame's
+# last 4 bytes are its crc, so zlib.crc32 of an intact frame is the residue.
+_LAYOUTS = {t: struct.Struct(f"<4sBBIQH{n}d") for t, n in PAYLOAD_COUNTS.items()}
+_FRAME_LENS = {t: s.size + CRC_LEN for t, s in _LAYOUTS.items()}
+_UNPACKERS = {_FRAME_LENS[t]: s.unpack_from for t, s in _LAYOUTS.items()}
+_CRC_RESIDUE = 0x2144DF1C
+_pack_crc = struct.Struct("<I").pack
+_new_frame = tuple.__new__  # a BusFrame from one tuple, skipping NamedTuple's slower __new__
 
 
 class FrameError(ValueError):
@@ -78,8 +87,7 @@ class PayloadMismatch(FrameError):
     pass
 
 
-@dataclass(frozen=True)
-class BusFrame:
+class BusFrame(NamedTuple):
     """One decoded bus message."""
 
     msg_type: int
@@ -93,54 +101,70 @@ class BusFrame:
 
 
 def sensor_frame(seq: int, sim_time_ms: int, p_pv_w: float, v_batt_v: float) -> BusFrame:
-    return BusFrame(MSG_SENSOR, seq, sim_time_ms, (float(p_pv_w), float(v_batt_v)))
+    return _new_frame(BusFrame, (MSG_SENSOR, seq, sim_time_ms, (float(p_pv_w), float(v_batt_v))))
 
 
 def setpoint_frame(seq: int, sim_time_ms: int, i_set_a: float) -> BusFrame:
-    return BusFrame(MSG_SETPOINT, seq, sim_time_ms, (float(i_set_a),))
+    return _new_frame(BusFrame, (MSG_SETPOINT, seq, sim_time_ms, (float(i_set_a),)))
 
 
 def end_frame(seq: int, sim_time_ms: int) -> BusFrame:
-    return BusFrame(MSG_END, seq, sim_time_ms)
+    return _new_frame(BusFrame, (MSG_END, seq, sim_time_ms, ()))
 
 
 def fault_frame(seq: int, sim_time_ms: int) -> BusFrame:
-    return BusFrame(MSG_FAULT, seq, sim_time_ms)
+    return _new_frame(BusFrame, (MSG_FAULT, seq, sim_time_ms, ()))
 
 
 def encode_frame(frame: BusFrame) -> bytes:
     """Serialize to the wire layout. Deterministic: equal frames, equal bytes."""
-    expected = PAYLOAD_COUNTS.get(frame.msg_type)
-    if expected is None:
-        raise UnknownMessageType(f"cannot encode msg_type 0x{frame.msg_type:02x}")
-    if len(frame.values) != expected:
-        raise PayloadMismatch(
-            f"{frame.type_name} carries {expected} values, got {len(frame.values)}"
-        )
-    if not 0 <= frame.seq <= 0xFFFFFFFF:
-        raise FrameError(f"seq {frame.seq} outside u32 range")
-    if not 0 <= frame.sim_time_ms <= 0xFFFFFFFFFFFFFFFF:
-        raise FrameError(f"sim_time_ms {frame.sim_time_ms} outside u64 range")
-    payload = struct.pack(f"<{len(frame.values)}d", *frame.values)
-    head = _HEADER.pack(MAGIC, VERSION, frame.msg_type, frame.seq, frame.sim_time_ms, len(payload))
-    body = head + payload
-    return body + struct.pack("<I", zlib.crc32(body))
+    msg_type, seq, sim_time_ms, values = frame
+    layout = _LAYOUTS.get(msg_type)
+    if layout is None:
+        raise UnknownMessageType(f"cannot encode msg_type 0x{msg_type:02x}")
+    try:
+        body = layout.pack(MAGIC, VERSION, msg_type, seq, sim_time_ms, layout.size - HEADER_LEN, *values)
+    except struct.error:
+        # name the field at fault, checked in a fixed order
+        expected = PAYLOAD_COUNTS[msg_type]
+        if len(values) != expected:
+            raise PayloadMismatch(f"{frame.type_name} carries {expected} values, got {len(values)}") from None
+        if not 0 <= seq <= 0xFFFFFFFF:
+            raise FrameError(f"seq {seq} outside u32 range") from None
+        if not 0 <= sim_time_ms <= 0xFFFFFFFFFFFFFFFF:
+            raise FrameError(f"sim_time_ms {sim_time_ms} outside u64 range") from None
+        raise
+    return body + _pack_crc(zlib.crc32(body))
 
 
 def decode_frame(data: bytes) -> BusFrame:
-    """Parse one frame from an exact byte buffer; inverse of encode_frame."""
-    if len(data) < HEADER_LEN:
-        raise FrameTruncated(f"need {HEADER_LEN} header bytes, got {len(data)}")
+    """Parse one frame from an exact byte buffer; inverse of encode_frame.
+    An intact frame passes all checks in one go (its layout picked by its
+    length); anything else goes through them in the documented order."""
+    n = len(data)
+    unpack = _UNPACKERS.get(n)
+    if unpack is not None:
+        fields = unpack(data)
+        if (
+            fields[0] == MAGIC
+            and fields[1] == VERSION
+            and fields[5] == n - HEADER_LEN - CRC_LEN
+            and zlib.crc32(data) == _CRC_RESIDUE
+            and _FRAME_LENS.get(fields[2]) == n
+        ):
+            return _new_frame(BusFrame, (fields[2], fields[3], fields[4], fields[6:]))
+    if n < HEADER_LEN:
+        raise FrameTruncated(f"need {HEADER_LEN} header bytes, got {n}")
     magic, version, msg_type, seq, sim_time_ms, payload_len = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise BadMagic(f"bad magic {magic!r}")
     if version != VERSION:
         raise BadVersion(f"unsupported version 0x{version:02x}")
     total = HEADER_LEN + payload_len + CRC_LEN
-    if len(data) < total:
-        raise FrameTruncated(f"declared {total} bytes, got {len(data)}")
-    if len(data) > total:
-        raise FrameTruncated(f"declared {total} bytes, got {len(data)} (trailing bytes)")
+    if n < total:
+        raise FrameTruncated(f"declared {total} bytes, got {n}")
+    if n > total:
+        raise FrameTruncated(f"declared {total} bytes, got {n} (trailing bytes)")
     (crc_stored,) = struct.unpack_from("<I", data, total - CRC_LEN)
     crc_actual = zlib.crc32(data[: total - CRC_LEN])
     if crc_stored != crc_actual:
@@ -183,9 +207,10 @@ def frame_length(header: bytes) -> int:
 # ---------------------------------------------------------------------------
 
 
-def write_hexdump(tagged_frames: Iterable[tuple[str, bytes]], out: AtomicWriter) -> None:
-    """Append one `tag hex` line per frame; stable text form of a frame log."""
-    out.write(chunked(f"{tag} {data.hex()}\n" for tag, data in tagged_frames))
+def write_hexdump(tagged_hex: Iterable[tuple[str, str]], out: AtomicWriter) -> None:
+    """Append one `tag hex` line per (tag, frame bytes as hex) pair; stable
+    text form of a frame log."""
+    out.write(chunked(f"{tag} {hex_text}\n" for tag, hex_text in tagged_hex))
 
 
 def read_hexdump(path: str | Path) -> list[tuple[str, bytes]]:

@@ -13,8 +13,7 @@ discharging (charging current is positive throughout).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from math import isfinite
 
 from .config import SUPPLY_HARD_LIMIT_A, BatteryParams, ScenarioConfig
 from .frames import (
@@ -45,27 +44,10 @@ class ProtocolFault(RuntimeError):
         self.step = step
 
 
-@dataclass(frozen=True)
-class BatteryState:
-    """Battery snapshot after a step."""
-
-    soc: float
-    v_terminal_v: float
-    i_applied_a: float = 0.0
-    clamp_events: int = 0
-
-
 def open_circuit_voltage(params: BatteryParams, soc: float) -> float:
     if params.voltage_model == "linear_ocv":
         return params.v_min_v + (params.v_max_v - params.v_min_v) * soc
     return params.nominal_voltage_v
-
-
-def initial_battery_state(params: BatteryParams) -> BatteryState:
-    return BatteryState(
-        soc=params.soc_init,
-        v_terminal_v=open_circuit_voltage(params, params.soc_init),
-    )
 
 
 def supply_apply(i_request_a: float, supply_limit_a: float = SUPPLY_HARD_LIMIT_A) -> float:
@@ -74,45 +56,47 @@ def supply_apply(i_request_a: float, supply_limit_a: float = SUPPLY_HARD_LIMIT_A
     The supply is the series element between controller and battery; its
     +/-55 A hardware ceiling applies even if the configured limit is looser.
     """
-    limit = min(supply_limit_a, SUPPLY_HARD_LIMIT_A)
-    return max(-limit, min(limit, i_request_a))
+    # max(-limit, min(limit, i_request_a)) with limit = min(supply_limit_a,
+    # SUPPLY_HARD_LIMIT_A), written as comparisons: they pick the same
+    # operand as the builtins do, at a fraction of the cost
+    limit = SUPPLY_HARD_LIMIT_A if SUPPLY_HARD_LIMIT_A < supply_limit_a else supply_limit_a
+    i = i_request_a if i_request_a < limit else limit
+    return i if i > -limit else -limit
 
 
 def battery_step(
-    state: BatteryState, params: BatteryParams, i_request_a: float, dt_s: float
-) -> BatteryState:
-    """Advance the battery by one interval under a requested current.
+    soc: float, params: BatteryParams, i_request_a: float, dt_s: float
+) -> tuple[float, float, float, int]:
+    """Advance the battery from `soc` by one interval under a requested current.
 
-    Raises PlantFault on a non-finite request, leaving the state unchanged.
+    Returns (soc, terminal voltage, applied current, clamps), where clamps
+    counts the limits that acted: the SOC guard and the hard [0, 1] clamp.
+    Raises PlantFault on a non-finite request.
     """
-    if not math.isfinite(i_request_a):
+    if not isfinite(i_request_a):
         raise PlantFault(f"non-finite current request {i_request_a}")
     if not dt_s > 0:
         raise PlantFault(f"dt_s must be > 0, got {dt_s}")
 
-    clamp_events = state.clamp_events
-    i = max(-params.current_limit_a, min(params.current_limit_a, i_request_a))
-
-    def delta_soc(current: float) -> float:
-        eta = params.coulombic_efficiency if current >= 0 else 1.0 / params.coulombic_efficiency
-        return eta * current * dt_s / (3600.0 * params.capacity_ah)
-
-    soc_new = state.soc + delta_soc(i)
+    clamps = 0
+    limit = params.current_limit_a
+    i = i_request_a if i_request_a < limit else limit  # clamped as in supply_apply
+    i = i if i > -limit else -limit
+    eta = params.coulombic_efficiency if i >= 0 else 1.0 / params.coulombic_efficiency
+    soc_new = soc + eta * i * dt_s / (3600.0 * params.capacity_ah)
     if params.enforce_soc_limits and (
         (i > 0 and soc_new > params.soc_max) or (i < 0 and soc_new < params.soc_min)
     ):
         # Block the offending direction entirely; the other stays available.
         i = 0.0
-        soc_new = state.soc
-        clamp_events += 1
+        soc_new = soc
+        clamps = 1
     if soc_new < 0.0 or soc_new > 1.0:
         soc_new = max(0.0, min(1.0, soc_new))
-        clamp_events += 1
+        clamps += 1
 
     v_terminal = open_circuit_voltage(params, soc_new) + i * params.internal_resistance_ohm
-    return BatteryState(
-        soc=soc_new, v_terminal_v=v_terminal, i_applied_a=i, clamp_events=clamp_events
-    )
+    return soc_new, v_terminal, i, clamps
 
 
 # plant_trace.csv columns, in file order, with their array typecodes
@@ -134,51 +118,58 @@ class PlantDriver:
     hold is the one place a setpoint enters the plant; tick integrates one
     sample under the held current and yields the next sensor frame (or the
     end-of-session marker). The session loop decides when a setpoint is held.
-    `sink`, if given, receives the trace block by block (see Columns).
+    The battery state is plain numbers: soc, v_terminal_v and clamp_events,
+    the limit actions so far (see battery_step). `sink`, if given, receives
+    the trace block by block (see Columns).
     """
 
     def __init__(self, series: PowerSeries, cfg: ScenarioConfig, sink=None):
         self.series = series
         self.cfg = cfg
-        self.battery = initial_battery_state(cfg.battery)
+        self.n_samples = len(series)
+        self._samples = memoryview(series.samples)  # Python floats, no copy
+        b = cfg.battery
+        self.soc = b.soc_init
+        self.v_terminal_v = open_circuit_voltage(b, b.soc_init)
+        self.clamp_events = 0
         self.trace = Columns(PLANT_TRACE_COLUMNS, sink)  # one row per applied sample
+        self._append_row = self.trace.appenders()
         self.k = 0  # samples applied so far
         self.held_seq = 0  # sequence number of the held setpoint
         self.held_a = 0.0  # held current request; 0 A until the first setpoint
         self.done = False
 
-    @property
-    def n_samples(self) -> int:
-        return len(self.series)
-
     def sim_time_ms(self, sample_index: int) -> int:
-        return int(round(sample_index * self.cfg.sample_period_s * 1000.0))
+        return round(sample_index * self.cfg.sample_period_s * 1000.0)
 
     def first_sensor(self) -> BusFrame:
-        return sensor_frame(1, self.sim_time_ms(0), float(self.series.samples[0]), self.battery.v_terminal_v)
+        return sensor_frame(1, self.sim_time_ms(0), self._samples[0], self.v_terminal_v)
 
     def apply_interval(self, i_request_a: float) -> None:
         """Integrate one sample period under the given current request."""
         k = self.k + 1
         if k > self.n_samples:
             raise PlantFault("setpoint received past the end of the series", step=k)
-        p_pv = float(self.series.samples[k - 1])
-        i_supply = supply_apply(i_request_a, self.cfg.supply_limit_a)
-        b = self.battery = battery_step(
-            self.battery, self.cfg.battery, i_supply, self.cfg.sample_period_s
-        )
-        realized = b.i_applied_a * b.v_terminal_v
-        t = self.trace
-        t.k.append(k)
-        t.p_pv_w.append(p_pv)
-        t.i_request_a.append(i_request_a)
-        t.i_applied_a.append(b.i_applied_a)
-        t.v_terminal_v.append(b.v_terminal_v)
-        t.soc.append(b.soc)
-        t.realized_p_batt_w.append(realized)
-        t.p_grid_w.append(p_pv - realized)
+        p_pv = self._samples[k - 1]
+        cfg = self.cfg
+        i_supply = supply_apply(i_request_a, cfg.supply_limit_a)
+        soc, v, i, clamps = battery_step(self.soc, cfg.battery, i_supply, cfg.sample_period_s)
+        self.soc = soc
+        self.v_terminal_v = v
+        if clamps:
+            self.clamp_events += clamps
+        realized = i * v
+        k_, p_pv_w, i_request, i_applied, v_terminal, soc_, realized_w, p_grid_w = self._append_row
+        k_(k)
+        p_pv_w(p_pv)
+        i_request(i_request_a)
+        i_applied(i)
+        v_terminal(v)
+        soc_(soc)
+        realized_w(realized)
+        p_grid_w(p_pv - realized)
         self.k = k
-        t.end_row()
+        self.trace.end_row()
 
     def hold(self, frame: BusFrame) -> None:
         """Hold SETPOINT(seq=held_seq+1) for the coming intervals.
@@ -186,17 +177,18 @@ class PlantDriver:
         A non-finite current is rejected here, before any clamp: min/max
         clamps turn NaN into a limit value.
         """
+        msg_type, seq, _, values = frame
         expected = self.held_seq + 1
-        if frame.msg_type == MSG_FAULT:
-            raise ProtocolFault("controller reported a fault frame", step=expected)
-        if frame.msg_type != MSG_SETPOINT:
+        if msg_type != MSG_SETPOINT:
+            if msg_type == MSG_FAULT:
+                raise ProtocolFault("controller reported a fault frame", step=expected)
             raise ProtocolFault(f"expected SETPOINT, got {frame.type_name}", step=expected)
-        if frame.seq != expected:
+        if seq != expected:
             raise ProtocolFault(
-                f"setpoint sequence gap: expected {expected}, got {frame.seq}", step=expected
+                f"setpoint sequence gap: expected {expected}, got {seq}", step=expected
             )
-        i_set_a = frame.values[0]
-        if not math.isfinite(i_set_a):
+        i_set_a = values[0]
+        if not isfinite(i_set_a):
             raise ProtocolFault(f"non-finite setpoint current {i_set_a}", step=expected)
         self.held_seq = expected
         self.held_a = i_set_a
@@ -204,15 +196,11 @@ class PlantDriver:
     def tick(self) -> BusFrame:
         """Integrate one interval under the held setpoint; return SENSOR(k+1) or END."""
         self.apply_interval(self.held_a)
-        if self.k == self.n_samples:
+        k = self.k
+        if k == self.n_samples:
             self.done = True
-            return end_frame(self.k + 1, self.sim_time_ms(self.k))
-        return sensor_frame(
-            self.k + 1,
-            self.sim_time_ms(self.k),
-            float(self.series.samples[self.k]),
-            self.battery.v_terminal_v,
-        )
+            return end_frame(k + 1, self.sim_time_ms(k))
+        return sensor_frame(k + 1, self.sim_time_ms(k), self._samples[k], self.v_terminal_v)
 
     def on_setpoint(self, frame: BusFrame) -> BusFrame:
         """Lockstep step: hold SETPOINT(seq=k), then tick."""

@@ -203,7 +203,7 @@ class RunLogs:
         write_plant_trace(trace, self.plant_csv)
 
     def frame_block(self, log: SessionLog) -> None:
-        write_hexdump(log.tagged_bytes(), self.frames_hex)
+        write_hexdump(log.tagged_hex(), self.frames_hex)
 
     def finish(self, session: SessionResult) -> None:
         """Take the rows the session's tables still hold: the last, partial
@@ -295,7 +295,7 @@ def run_scenario(
             soc_min=logs.soc_min,
             soc_max=logs.soc_max,
             soc_final=logs.soc_final,
-            clamp_events=session.plant.battery.clamp_events,
+            clamp_events=session.plant.clamp_events,
         )
         digest = config_hash(cfg, source)
 

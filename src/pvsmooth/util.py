@@ -67,9 +67,9 @@ class Columns:
 
     `spec` maps column names to array typecodes (such as 'd' float64, 'q'
     int64, 'b' int8 for flags); each column is an attribute of that name.
-    Owners append to every column of a row themselves, in their own code,
-    so the columns stay equally long and tracemalloc charges the memory to
-    the owner's module, and then call end_row.
+    Owners append to every column of a row themselves, in their own code
+    (through `appenders`), so the columns stay equally long and tracemalloc
+    charges the memory to the owner's module, and then call end_row.
 
     A table with a sink holds one block at a time: every BLOCK_ROWS rows it
     calls sink(table) and drops the rows, and `start` counts the rows
@@ -86,6 +86,11 @@ class Columns:
 
     def __len__(self) -> int:
         return len(getattr(self, self.names[0]))
+
+    def appenders(self) -> tuple[Callable[[float], None], ...]:
+        """The columns' bound append methods, in column order; a block
+        hand-off empties the columns in place, so they stay valid."""
+        return tuple(getattr(self, name).append for name in self.names)
 
     def end_row(self) -> None:
         """Close the row just appended; hand a full block to the sink."""
@@ -117,5 +122,7 @@ class Columns:
         flags and integers as decimal integers."""
         if self.start == 0:
             yield ",".join(self.names) + "\n"
-        line = ",".join(["%r"] * len(self.names)) + "\n"
-        yield from chunked(line % row for row in self.rows())
+        cols = [getattr(self, name) for name in self.names]
+        for i in range(0, len(self), FORMAT_ROWS):  # repr column by column, then join rows
+            cells = [map(repr, col[i : i + FORMAT_ROWS].tolist()) for col in cols]
+            yield "\n".join(map(",".join, zip(*cells))) + "\n"

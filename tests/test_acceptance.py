@@ -234,7 +234,7 @@ def test_c7_protocol_conformance():
     cfg = validate_scenario(ScenarioConfig(seed=21))
     inproc = run_lockstep_inproc(series, cfg)
     sock = run_lockstep_socket(series, cfg)
-    assert list(inproc.log.tagged_bytes()) == list(sock.log.tagged_bytes())
+    assert list(inproc.log.tagged_hex()) == list(sock.log.tagged_hex())
 
     fr_cfg = validate_scenario(
         ScenarioConfig(
@@ -244,7 +244,7 @@ def test_c7_protocol_conformance():
     )
     fr1 = run_free_running(series, fr_cfg)
     fr2 = run_free_running(series, fr_cfg)
-    assert list(fr1.log.tagged_bytes()) == list(fr2.log.tagged_bytes())
+    assert list(fr1.log.tagged_hex()) == list(fr2.log.tagged_hex())
     assert fr1.log.frames.draw_ms == fr2.log.frames.draw_ms
 
     report(f"7 protocol conformance: {n} round trips, {len(reference) * 8} bit flips "

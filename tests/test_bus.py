@@ -212,7 +212,7 @@ def test_lockstep_latency_shifts_timestamps_only():
     a = run_lockstep_inproc(series, cfg0)
     b = run_lockstep_inproc(series, cfg1)
     # identical bytes in identical order, different recorded delivery times
-    assert [data for _, data in a.log.tagged_bytes()] == [data for _, data in b.log.tagged_bytes()]
+    assert [data for _, data in a.log.tagged_hex()] == [data for _, data in b.log.tagged_hex()]
     fa, fb = a.log.frames, b.log.frames
     assert fa.t_deliver_ms == fa.t_send_ms
     assert all(t_deliver >= t_send + 150.0 for t_send, t_deliver in zip(fb.t_send_ms, fb.t_deliver_ms))
@@ -226,13 +226,13 @@ def test_loop_equals_direct_function_composition():
 
     ctrl = SmoothingController(cfg.n_window)
     plant = PlantDriver(series, cfg)
-    v = plant.battery.v_terminal_v
+    v = plant.v_terminal_v
     for k in range(len(series)):
-        out = ctrl.step(float(series.samples[k]), v)
-        plant.apply_interval(out.i_set_a)
-        v = plant.battery.v_terminal_v
-        assert result.controller.log.p_hat_w[k] == out.p_hat_w
-        assert result.controller.log.i_set_a[k] == out.i_set_a
+        p_hat, _, i_set, _ = ctrl.step(float(series.samples[k]), v)
+        plant.apply_interval(i_set)
+        v = plant.v_terminal_v
+        assert result.controller.log.p_hat_w[k] == p_hat
+        assert result.controller.log.i_set_a[k] == i_set
     assert plant.trace.soc == result.plant.trace.soc
     assert plant.trace.p_grid_w == result.plant.trace.p_grid_w
 
@@ -336,7 +336,7 @@ def test_corrupted_header_on_socket_matches_inproc(byte, bit):
     assert not thread.is_alive(), "socket session hung on a corrupted header"
     inproc = run_lockstep_inproc(series, cfg, corrupt_s2c=corrupt)
     assert inproc.controller.error_count == 1
-    assert list(box["result"].log.tagged_bytes()) == list(inproc.log.tagged_bytes())
+    assert list(box["result"].log.tagged_hex()) == list(inproc.log.tagged_hex())
     assert session_bytes(box["result"]) == session_bytes(inproc)
 
 
@@ -462,7 +462,7 @@ def test_free_running_different_seed_differs():
     series = synth_pv("cloud_random", 900, 5, 3000.0, seed=5)
     a = run_free_running(series, freerun_cfg(seed=9))
     b = run_free_running(series, freerun_cfg(seed=10))
-    assert list(a.log.tagged_bytes()) != list(b.log.tagged_bytes())
+    assert list(a.log.tagged_hex()) != list(b.log.tagged_hex())
 
 
 def test_free_running_delivery_times_replay_from_draws():

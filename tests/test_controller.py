@@ -11,50 +11,50 @@ from pvsmooth.frames import MSG_FAULT, MSG_SETPOINT, end_frame, sensor_frame
 def test_first_sample_mean_over_zero_buffer():
     # N=4, one 8 W sample against three zero-filled slots
     c = SmoothingController(4)
-    out = c.step(8.0, 2.0)
-    assert out.p_hat_w == 2.0
-    assert out.p_batt_w == 6.0
-    assert out.i_set_a == 3.0
-    assert not out.fault
+    p_hat, p_batt, i_set, fault = c.step(8.0, 2.0)
+    assert p_hat == 2.0
+    assert p_batt == 6.0
+    assert i_set == 3.0
+    assert not fault
 
 
 def test_constant_input_steady_state():
     c = SmoothingController(4)
     for _ in range(4):
-        out = c.step(1000.0, 50.0)
-    assert out.p_hat_w == 1000.0
-    assert out.p_batt_w == 0.0
-    assert out.i_set_a == 0.0
-    out = c.step(1000.0, 50.0)
-    assert (out.p_hat_w, out.p_batt_w, out.i_set_a) == (1000.0, 0.0, 0.0)
+        p_hat, p_batt, i_set, _ = c.step(1000.0, 50.0)
+    assert p_hat == 1000.0
+    assert p_batt == 0.0
+    assert i_set == 0.0
+    p_hat, p_batt, i_set, _ = c.step(1000.0, 50.0)
+    assert (p_hat, p_batt, i_set) == (1000.0, 0.0, 0.0)
 
 
 def test_hand_summed_window():
     c = SmoothingController(4)
     for p in (0.0, 4.0, 8.0):
         c.step(p, 1.0)
-    out = c.step(4.0, 1.0)
-    assert out.p_hat_w == 4.0  # (0+4+8+4)/4
-    assert out.p_batt_w == 0.0
+    p_hat, p_batt, _, _ = c.step(4.0, 1.0)
+    assert p_hat == 4.0  # (0+4+8+4)/4
+    assert p_batt == 0.0
 
 
 def test_ring_buffer_wraps():
     c = SmoothingController(3)
     for p in (3.0, 6.0, 9.0, 12.0):
-        out = c.step(p, 1.0)
+        p_hat = c.step(p, 1.0)[0]
     # buffer now holds [12, 6, 9]
-    assert np.array_equal(np.sort(c.state.p_buf), [6.0, 9.0, 12.0])
-    assert out.p_hat_w == 9.0
+    assert np.array_equal(np.sort(c.p_buf), [6.0, 9.0, 12.0])
+    assert p_hat == 9.0
 
 
 def test_bad_voltage_is_flagged_zero_current():
     c = SmoothingController(4)
     for v in (0.0, -5.0, float("nan"), float("inf")):
-        out = c.step(8.0, v)
-        assert out.fault
-        assert out.i_set_a == 0.0
+        _, _, i_set, fault = c.step(8.0, v)
+        assert fault
+        assert i_set == 0.0
     # the PV samples still entered the buffer
-    assert c.state.k == 5
+    assert c.k == 5
 
 
 def test_non_finite_power_rejected():
@@ -70,10 +70,10 @@ def test_window_length_must_be_positive():
 
 def test_state_invariants():
     c = SmoothingController(5)
-    assert c.state.p_buf.tolist() == [0.0] * 5
-    assert c.state.k == 1
+    assert c.p_buf.tolist() == [0.0] * 5
+    assert c.k == 1
     c.step(7.0, 1.0)
-    assert c.state.p_buf[0] == 7.0 and c.state.k == 2
+    assert c.p_buf[0] == 7.0 and c.k == 2
 
 
 # --- properties -----------------------------------------------------------
@@ -106,9 +106,9 @@ def test_step_bound(values):
 def test_conservation_bitwise(values):
     c = SmoothingController(16)
     for p in values:
-        out = c.step(p, 48.0)
-        assert out.p_batt_w == p - out.p_hat_w
-        assert out.i_set_a == out.p_batt_w / 48.0
+        p_hat, p_batt, i_set, _ = c.step(p, 48.0)
+        assert p_batt == p - p_hat
+        assert i_set == p_batt / 48.0
 
 
 @given(values=st.lists(st.floats(0.0, 3000.0), min_size=1, max_size=30))
@@ -118,9 +118,9 @@ def test_warmup_equals_left_fold_mean_bitwise(values):
     c = SmoothingController(n)
     acc = 0.0
     for p in values:
-        out = c.step(p, 50.0)
+        p_hat = c.step(p, 50.0)[0]
         acc = acc + p
-        assert out.p_hat_w == acc / n
+        assert p_hat == acc / n
 
 
 def test_smooth_array_matches_step_bitwise():
@@ -128,7 +128,7 @@ def test_smooth_array_matches_step_bitwise():
     x = rng.uniform(0, 3000.0, 500)
     a = SmoothingController(60).smooth_array(x)
     c = SmoothingController(60)
-    b = np.array([c.step(float(p), 50.0).p_hat_w for p in x])
+    b = np.array([c.step(float(p), 50.0)[0] for p in x])
     assert np.array_equal(a, b)
 
 
@@ -163,7 +163,7 @@ def test_driver_bad_frame_emits_safe_zero():
     assert d.error_count == 1
     assert d.log.fault[-1]
     # the lost sample did not advance the averaging buffer
-    assert d.controller.state.k == 2
+    assert d.controller.k == 2
 
 
 def test_driver_detects_sequence_gap():

@@ -1,0 +1,246 @@
+"""The rewritten hot path against its reference (tests/reference.py), bitwise.
+
+Floats are compared by their IEEE-754 bytes, so -0.0 differs from 0.0 and a
+NaN matches only a NaN with the same payload. An input that the reference
+rejects must be rejected with the same exception class.
+"""
+
+from __future__ import annotations
+
+import struct
+import zlib
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import reference as ref
+from pvsmooth.config import SUPPLY_HARD_LIMIT_A, BatteryParams
+from pvsmooth.controller import SmoothingController
+from pvsmooth.frames import (
+    MSG_END,
+    MSG_FAULT,
+    MSG_SENSOR,
+    MSG_SETPOINT,
+    PAYLOAD_COUNTS,
+    BusFrame,
+    decode_frame,
+    encode_frame,
+)
+from pvsmooth.plant import battery_step, supply_apply
+
+SUBNORMALS = (5e-324, -5e-324, 2.2250738585072009e-308, -1e-310)
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def outcome(fn, *args):
+    """("ok", result) or ("raised", exception class)."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # the class is what is compared
+        return "raised", type(exc)
+
+
+# any 64-bit pattern, NaN payloads and signs included
+any_double = st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0])
+edge_double = st.sampled_from([0.0, -0.0, float("inf"), float("-inf"), float("nan"), *SUBNORMALS])
+doubles = st.one_of(edge_double, any_double, st.floats(width=64))
+seqs = st.one_of(st.sampled_from([0, 1, 2**32 - 1]), st.integers(0, 2**32 - 1))
+times = st.one_of(st.sampled_from([0, 1, 2**64 - 1]), st.integers(0, 2**64 - 1))
+msg_types = st.sampled_from([MSG_SENSOR, MSG_SETPOINT, MSG_END, MSG_FAULT])
+
+
+@st.composite
+def frames(draw):
+    kind = draw(msg_types)
+    values = tuple(draw(doubles) for _ in range(PAYLOAD_COUNTS[kind]))
+    return BusFrame(kind, draw(seqs), draw(times), values)
+
+
+def frame_fields(frame) -> tuple:
+    return frame.msg_type, frame.seq, frame.sim_time_ms, tuple(bits(v) for v in frame.values)
+
+
+def same_decode(data: bytes) -> None:
+    got, want = outcome(decode_frame, data), outcome(ref.decode_frame, data)
+    assert got[0] == want[0], (got, want)
+    if got[0] == "ok":
+        assert type(got[1]) is BusFrame
+        assert frame_fields(got[1]) == frame_fields(want[1])
+    else:
+        assert got[1] is want[1]
+
+
+# --- codec ------------------------------------------------------------------
+
+
+@given(frame=frames())
+@settings(max_examples=400)
+def test_codec_round_trip_matches_reference(frame):
+    data = encode_frame(frame)
+    assert data == ref.encode_frame(frame)
+    assert frame_fields(decode_frame(data)) == frame_fields(frame)
+    same_decode(data)
+
+
+@given(
+    kind=st.sampled_from([MSG_SENSOR, MSG_SETPOINT, MSG_END, MSG_FAULT, 0x00, 0x05, 0x99]),
+    n_values=st.integers(0, 3),
+    seq=st.one_of(seqs, st.sampled_from([-1, 2**32, 2**40])),
+    t=st.one_of(times, st.sampled_from([-1, 2**64, 2**70])),
+)
+@settings(max_examples=300)
+def test_encode_rejects_what_the_reference_rejects(kind, n_values, seq, t):
+    frame = BusFrame(kind, seq, t, (1.5,) * n_values)
+    got, want = outcome(encode_frame, frame), outcome(ref.encode_frame, frame)
+    assert got == want
+
+
+@given(data=st.binary(max_size=64))
+@settings(max_examples=500)
+def test_decode_of_arbitrary_bytes_matches_reference(data):
+    same_decode(data)
+
+
+@given(frame=frames(), bit=st.integers(0, 40 * 8 - 1))
+@settings(max_examples=400)
+def test_decode_of_a_bit_flip_matches_reference(frame, bit):
+    data = bytearray(encode_frame(frame))
+    assume(bit < len(data) * 8)
+    data[bit // 8] ^= 1 << (bit % 8)
+    same_decode(bytes(data))
+
+
+@given(frame=frames(), cut=st.integers(0, 40), tail=st.binary(max_size=8))
+@settings(max_examples=300)
+def test_decode_of_a_truncated_or_extended_frame_matches_reference(frame, cut, tail):
+    data = encode_frame(frame)
+    same_decode(data[:cut])
+    same_decode(data + tail)
+
+
+@given(frame=frames(), offset=st.integers(0, 19), byte=st.integers(0, 255))
+@settings(max_examples=400)
+def test_decode_of_a_resigned_header_matches_reference(frame, offset, byte):
+    # a changed header byte under a recomputed crc reaches the type and
+    # payload-shape checks that follow the crc check
+    body = bytearray(encode_frame(frame)[:-4])
+    body[offset] = byte
+    same_decode(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
+
+
+# --- battery ----------------------------------------------------------------
+
+
+@st.composite
+def battery_params(draw):
+    nominal = draw(st.floats(20.0, 60.0))
+    soc_min = draw(st.sampled_from([0.0, 0.1, 0.2]))
+    return BatteryParams(
+        capacity_wh=draw(st.sampled_from([2400.0, 1.0, 1e9])),
+        nominal_voltage_v=nominal,
+        v_min_v=nominal * 0.9,
+        v_max_v=nominal * 1.1,
+        internal_resistance_ohm=draw(st.sampled_from([0.0, 0.05, 0.3])),
+        current_limit_a=draw(st.sampled_from([55.0, 20.0, 100.0, 5e-324])),
+        soc_min=soc_min,
+        soc_max=draw(st.sampled_from([0.8, 0.9, 1.0])),
+        soc_init=0.5,
+        coulombic_efficiency=draw(st.sampled_from([1.0, 0.95, 0.8])),
+        voltage_model=draw(st.sampled_from(["constant", "linear_ocv"])),
+        enforce_soc_limits=draw(st.booleans()),
+    )
+
+
+@given(p=battery_params(), data=st.data())
+@settings(max_examples=500)
+def test_battery_step_matches_reference_bitwise(p, data):
+    limit = p.current_limit_a
+    current = data.draw(
+        st.one_of(
+            st.sampled_from([limit, -limit, 55.0, -55.0, 0.0, -0.0, *SUBNORMALS, float("nan"), float("inf")]),
+            st.floats(-2 * limit - 60.0, 2 * limit + 60.0),
+        )
+    )
+    soc = data.draw(
+        st.one_of(st.sampled_from([p.soc_min, p.soc_max, 0.0, 1.0, 0.5]), st.floats(0.0, 1.0))
+    )
+    dt = data.draw(st.sampled_from([5.0, 1.0, 3600.0, 1e6, 0.0, -5.0]))
+    state = ref.BatteryState(soc=soc, v_terminal_v=ref.open_circuit_voltage(p, soc))
+    got = outcome(battery_step, soc, p, current, dt)
+    want = outcome(ref.battery_step, state, p, current, dt)
+    assert got[0] == want[0]
+    if got[0] == "raised":
+        assert got[1] is want[1]
+        return
+    new_soc, v, i, clamps = got[1]
+    b = want[1]
+    assert (bits(new_soc), bits(v), bits(i), clamps) == (
+        bits(b.soc), bits(b.v_terminal_v), bits(b.i_applied_a), b.clamp_events,
+    )
+
+
+CLAMP_EDGES = (0.0, -0.0, 20.0, -20.0, 55.0, -55.0, 500.0, *SUBNORMALS, float("inf"), float("-inf"), float("nan"))
+
+
+def test_clamps_match_reference_on_every_pair_of_edges():
+    for current in CLAMP_EDGES:
+        for limit in CLAMP_EDGES:
+            assert bits(supply_apply(current, limit)) == bits(ref.supply_apply(current, limit))
+            p = BatteryParams(current_limit_a=limit, enforce_soc_limits=False)
+            got = outcome(battery_step, 0.5, p, current, 5.0)
+            want = outcome(ref.battery_step, ref.initial_battery_state(p), p, current, 5.0)
+            assert got[0] == want[0]
+            if got[0] == "ok":
+                assert bits(got[1][2]) == bits(want[1].i_applied_a), (current, limit)
+
+
+@given(
+    current=st.one_of(edge_double, st.floats(width=64), st.sampled_from([55.0, -55.0, 20.0, -20.0])),
+    limit=st.one_of(
+        st.sampled_from([SUPPLY_HARD_LIMIT_A, 20.0, 500.0, 0.0, -0.0, float("nan")]),
+        st.floats(0.0, 100.0),
+    ),
+)
+@settings(max_examples=500)
+def test_supply_apply_matches_reference_bitwise(current, limit):
+    assert bits(supply_apply(current, limit)) == bits(ref.supply_apply(current, limit))
+
+
+# --- controller ---------------------------------------------------------------
+
+
+@given(
+    n=st.integers(1, 8),
+    steps=st.lists(
+        st.tuples(
+            st.one_of(st.floats(0.0, 3000.0), st.sampled_from([0.0, -0.0, 5e-324, 1e300])),
+            st.one_of(st.floats(0.5, 100.0), edge_double, st.sampled_from([-5.0, 53.0])),
+        ),
+        min_size=1,
+        max_size=60,
+    ),
+)
+@settings(max_examples=300)
+def test_controller_matches_reference_across_resyncs(n, steps):
+    # up to 60 steps on windows of 1 to 8 samples: every run crosses the
+    # k % n == 0 recomputation of the running sum several times
+    new, old = SmoothingController(n), ref.SmoothingController(n)
+    for p_pv, v_batt in steps:
+        p_hat, p_batt, i_set, fault = new.step(p_pv, v_batt)
+        out = old.step(p_pv, v_batt)
+        assert (bits(p_hat), bits(p_batt), bits(i_set), fault) == (
+            bits(out.p_hat_w), bits(out.p_batt_w), bits(out.i_set_a), out.fault,
+        )
+        assert bits(new.running_sum) == bits(old.state.running_sum)
+        assert new.k == old.state.k
+    assert new.p_buf.tobytes() == old.state.p_buf.tobytes()
+
+
+def test_controller_rejects_non_finite_power_like_reference():
+    for p_pv in (float("nan"), float("inf"), float("-inf")):
+        new, old = SmoothingController(4), ref.SmoothingController(4)
+        assert outcome(new.step, p_pv, 50.0) == outcome(old.step, p_pv, 50.0) == ("raised", ValueError)
+        assert new.k == old.state.k == 1

@@ -215,7 +215,7 @@ def test_hexdump_round_trip(tmp_path):
     ]
     path = tmp_path / "frames.hex"
     with AtomicWriter(path) as out:
-        write_hexdump(frames, out)
+        write_hexdump([(tag, data.hex()) for tag, data in frames], out)
     assert read_hexdump(path) == frames
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("SENSOR ")

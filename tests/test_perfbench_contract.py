@@ -27,3 +27,46 @@ def test_every_wrapped_attribute_lives_on_its_owner():
     assert missing == []
     # the loop's self time is read off the engine spans
     assert set(tracing.ENGINES) <= {name for _, _, name in tracing.WRAPS}
+
+
+def test_every_per_step_wrap_records_one_span_per_call():
+    # A wrapped name that the hot path binds early (a default argument, a
+    # closure variable, a local taken once per session) records no spans,
+    # and the traced benchmark could no longer attribute the step's time.
+    tracing = load_tracing()
+    from pvsmooth import bus
+    from pvsmooth.config import ScenarioConfig, TransportConfig, validate_scenario
+    from pvsmooth.synth import synth_pv
+
+    wrapped = {name for _, _, name in tracing.WRAPS}
+    series = synth_pv("cloud_random", 60 * 5.0, 5.0, 3000.0, seed=3)
+    free = TransportConfig(mode="free_running", latency_ms=4000.0, jitter_ms=1500.0)
+    for engine, transport in (("run_lockstep_inproc", TransportConfig()), ("run_free_running", free)):
+        cfg = validate_scenario(ScenarioConfig(seed=3, transport=transport))
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            result = getattr(bus, engine)(series, cfg)
+        finally:
+            tracer.remove()
+        direction = result.log.frames.direction.tolist()
+        s2c, c2s, steps = direction.count(bus.S2C), direction.count(bus.C2S), len(series)
+        assert (s2c, c2s) == (steps + 1, steps)  # n sensor frames and END; n setpoints
+        expected = {
+            "frames.encode_frame": s2c + c2s,
+            "frames.decode_frame": s2c + c2s,
+            "bus.outbound": s2c,
+            "bus.inbound": c2s,
+            "bus.next_delay_ms": s2c + c2s,
+            "controller.on_frame": s2c,
+            "controller.step": steps,
+            "plant.apply_interval": steps,
+            "plant.battery_step": steps,
+            f"bus.{engine}": 1,
+        }
+        assert set(expected) <= wrapped
+        calls = {name: 0 for name in expected}
+        for _sid, _parent, name, _t0, _t1 in tracer.spans:
+            if name in calls:
+                calls[name] += 1
+        assert calls == expected, engine

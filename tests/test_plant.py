@@ -12,7 +12,6 @@ from pvsmooth.plant import (
     PlantFault,
     ProtocolFault,
     battery_step,
-    initial_battery_state,
     open_circuit_voltage,
     supply_apply,
 )
@@ -21,75 +20,71 @@ from pvsmooth.series import PowerSeries
 
 def test_zero_current_leaves_soc():
     p = BatteryParams()
-    st0 = initial_battery_state(p)
-    st1 = battery_step(st0, p, 0.0, 5.0)
-    assert st1.soc == st0.soc == 0.5
-    assert st1.v_terminal_v == open_circuit_voltage(p, 0.5) == 53.0
+    soc, v, _, _ = battery_step(p.soc_init, p, 0.0, 5.0)
+    assert soc == p.soc_init == 0.5
+    assert v == open_circuit_voltage(p, 0.5) == 53.0
 
 
 def test_one_hour_full_capacity_charge():
     # charging at exactly capacity_ah amps for 3600 s moves soc by +1.0
     p = BatteryParams(soc_min=0.0, soc_max=1.0, soc_init=0.0, current_limit_a=100.0)
-    st1 = battery_step(initial_battery_state(p), p, p.capacity_ah, 3600.0)
-    assert st1.soc == 1.0
-    assert st1.clamp_events == 0
+    soc, _, _, clamps = battery_step(p.soc_init, p, p.capacity_ah, 3600.0)
+    assert soc == 1.0
+    assert clamps == 0
 
 
 def test_overshoot_without_soc_guard_rails_at_physical_bounds():
     p = BatteryParams(soc_init=0.5, soc_min=0.0, soc_max=1.0, enforce_soc_limits=False,
                       current_limit_a=100.0)
-    st1 = battery_step(initial_battery_state(p), p, p.capacity_ah, 3600.0)
-    assert st1.soc == 1.0  # 1.5 clamped to the physical ceiling
-    assert st1.clamp_events == 1
+    soc, _, _, clamps = battery_step(p.soc_init, p, p.capacity_ah, 3600.0)
+    assert soc == 1.0  # 1.5 clamped to the physical ceiling
+    assert clamps == 1
 
 
 def test_charge_blocked_at_soc_max():
     p = BatteryParams(soc_init=0.9, soc_max=0.9)
-    st1 = battery_step(initial_battery_state(p), p, 10.0, 5.0)
-    assert st1.i_applied_a == 0.0
-    assert st1.soc == 0.9
-    assert st1.clamp_events == 1
+    soc, _, i_applied, clamps = battery_step(p.soc_init, p, 10.0, 5.0)
+    assert i_applied == 0.0
+    assert soc == 0.9
+    assert clamps == 1
 
 
 def test_discharge_blocked_at_soc_min_but_charge_allowed():
     p = BatteryParams(soc_init=0.1, soc_min=0.1)
-    blocked = battery_step(initial_battery_state(p), p, -10.0, 5.0)
-    assert blocked.i_applied_a == 0.0 and blocked.clamp_events == 1
-    allowed = battery_step(initial_battery_state(p), p, +10.0, 5.0)
-    assert allowed.i_applied_a == 10.0 and allowed.soc > 0.1
+    _, _, i_applied, clamps = battery_step(p.soc_init, p, -10.0, 5.0)
+    assert i_applied == 0.0 and clamps == 1
+    soc, _, i_applied, _ = battery_step(p.soc_init, p, +10.0, 5.0)
+    assert i_applied == 10.0 and soc > 0.1
 
 
 def test_current_limit_clamps_magnitude():
     p = BatteryParams(current_limit_a=20.0)
-    st1 = battery_step(initial_battery_state(p), p, 35.0, 5.0)
-    assert st1.i_applied_a == 20.0
-    st2 = battery_step(initial_battery_state(p), p, -35.0, 5.0)
-    assert st2.i_applied_a == -20.0
+    assert battery_step(p.soc_init, p, 35.0, 5.0)[2] == 20.0
+    assert battery_step(p.soc_init, p, -35.0, 5.0)[2] == -20.0
 
 
 def test_coulombic_efficiency_directional():
     p = BatteryParams(coulombic_efficiency=0.9, soc_min=0.0, soc_max=1.0)
     dt, i = 3600.0, 4.0
-    chg = battery_step(initial_battery_state(p), p, +i, dt)
-    dis = battery_step(initial_battery_state(p), p, -i, dt)
+    soc_chg = battery_step(p.soc_init, p, +i, dt)[0]
+    soc_dis = battery_step(p.soc_init, p, -i, dt)[0]
     base = i * dt / (3600.0 * p.capacity_ah)
-    assert chg.soc - 0.5 == pytest.approx(0.9 * base)
-    assert 0.5 - dis.soc == pytest.approx(base / 0.9)
+    assert soc_chg - 0.5 == pytest.approx(0.9 * base)
+    assert 0.5 - soc_dis == pytest.approx(base / 0.9)
 
 
 def test_linear_ocv_model():
     p = BatteryParams(voltage_model="linear_ocv", internal_resistance_ohm=0.1)
-    st1 = battery_step(initial_battery_state(p), p, 10.0, 5.0)
-    expect_voc = p.v_min_v + (p.v_max_v - p.v_min_v) * st1.soc
-    assert st1.v_terminal_v == expect_voc + 10.0 * 0.1
+    soc, v, _, _ = battery_step(p.soc_init, p, 10.0, 5.0)
+    expect_voc = p.v_min_v + (p.v_max_v - p.v_min_v) * soc
+    assert v == expect_voc + 10.0 * 0.1
 
 
 def test_non_finite_request_faults_without_state_change():
+    # the state is the caller's floats; battery_step raises before returning any
     p = BatteryParams()
-    st0 = initial_battery_state(p)
     with pytest.raises(PlantFault):
-        battery_step(st0, p, float("nan"), 5.0)
-    assert st0.soc == 0.5
+        battery_step(p.soc_init, p, float("nan"), 5.0)
 
 
 def test_supply_passes_within_limits():
@@ -115,11 +110,12 @@ def test_supply_hardware_ceiling():
 @settings(max_examples=60)
 def test_soc_replay_from_applied_currents(currents, eff):
     p = BatteryParams(coulombic_efficiency=eff)
-    state = initial_battery_state(p)
+    soc = p.soc_init
     applied = []
     for i in currents:
-        state = battery_step(state, p, i, 5.0)
-        applied.append(state.i_applied_a)
+        soc, _, i_applied, _ = battery_step(soc, p, i, 5.0)
+        applied.append(i_applied)
+    final = soc
     # independent naive re-accumulation of the applied currents
     soc = p.soc_init
     increments = []
@@ -127,8 +123,8 @@ def test_soc_replay_from_applied_currents(currents, eff):
         eta = eff if i >= 0 else 1.0 / eff
         increments.append(eta * i * 5.0 / (3600.0 * p.capacity_ah))
     soc = p.soc_init + math.fsum(increments)
-    assert abs(state.soc - soc) < 1e-9
-    assert p.soc_min <= state.soc <= p.soc_max
+    assert abs(final - soc) < 1e-9
+    assert p.soc_min <= final <= p.soc_max
 
 
 @given(
@@ -138,12 +134,12 @@ def test_soc_replay_from_applied_currents(currents, eff):
 @settings(max_examples=40)
 def test_terminal_voltage_stays_in_band(currents, model):
     p = BatteryParams(voltage_model=model)
-    state = initial_battery_state(p)
+    soc = p.soc_init
     lo = p.v_min_v - p.current_limit_a * p.internal_resistance_ohm
     hi = p.v_max_v + p.current_limit_a * p.internal_resistance_ohm
     for i in currents:
-        state = battery_step(state, p, i, 5.0)
-        assert lo <= state.v_terminal_v <= hi
+        soc, v, _, _ = battery_step(soc, p, i, 5.0)
+        assert lo <= v <= hi
 
 
 # --- frame-level driver ---------------------------------------------------

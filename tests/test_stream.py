@@ -66,7 +66,7 @@ def whole_table_files(session, out_dir):
     with AtomicWriter(out_dir / "controller_log.csv") as out:
         write_controller_log(session.controller.log, out)
     with AtomicWriter(out_dir / "frames.hex") as out:
-        write_hexdump(session.log.tagged_bytes(), out)
+        write_hexdump(session.log.tagged_hex(), out)
 
 
 CASES = [(n, None) for n in (B - 1, B, B + 1, 3 * B + 7)] + [(3 * B + 7, B + 5)]
@@ -98,15 +98,18 @@ def test_streamed_files_equal_the_whole_table_output(engine, n, lost, tmp_path, 
 
 
 def breach_at_step(monkeypatch, step):
-    """Make the controller log a p_batt one ulp off at `step`."""
-    real_log_row = controller.ControllerDriver._log_row
+    """Make the controller log a p_batt one ulp off at `step`: the log takes
+    the p_batt that SmoothingController.step returns, and the setpoint its
+    i_set, which stays as it was."""
+    real_step = controller.SmoothingController.step
 
-    def log_row(self, k, p_pv_w, v_batt_v, p_hat_w, p_batt_w, *rest):
-        if k == step:
-            p_batt_w = np.nextafter(p_batt_w, np.inf)
-        real_log_row(self, k, p_pv_w, v_batt_v, p_hat_w, p_batt_w, *rest)
+    def step_one_ulp_off(self, p_pv_w, v_batt_v):
+        p_hat, p_batt, i_set, fault = real_step(self, p_pv_w, v_batt_v)
+        if self.k - 1 == step:
+            p_batt = float(np.nextafter(p_batt, np.inf))
+        return p_hat, p_batt, i_set, fault
 
-    monkeypatch.setattr(controller.ControllerDriver, "_log_row", log_row)
+    monkeypatch.setattr(controller.SmoothingController, "step", step_one_ulp_off)
 
 
 @pytest.mark.parametrize("transport", ["inproc", "socket"])
