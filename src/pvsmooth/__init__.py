@@ -20,7 +20,7 @@ from .config import (
 )
 from .controller import SmoothingController
 from .ingest import IngestSpec, ingest_csv
-from .ramp import RampReport, compliance, histogram, ramp_rate_series, ramp_report
+from .ramp import RampReport, histogram, ramp_rate_series, ramp_report
 from .run import RunArtifacts, run_scenario
 from .series import PowerSeries, SeriesError, scale_series
 from .synth import synth_pv
@@ -37,7 +37,6 @@ __all__ = [
     "SeriesError",
     "SmoothingController",
     "TransportConfig",
-    "compliance",
     "histogram",
     "ingest_csv",
     "load_scenario",

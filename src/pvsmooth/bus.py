@@ -45,7 +45,7 @@ from .frames import (
     sensor_frame,
     setpoint_frame,
 )
-from .plant import PlantDriver, ProtocolFault
+from .plant import PROTOCOL, PlantDriver, RunFault
 from .series import PowerSeries
 from .util import Columns
 
@@ -146,8 +146,6 @@ class DelayModel:
 
     def __init__(self, latency_ms: float, jitter_ms: float, seed: int):
         self.latency_ms = latency_ms
-        self.jitter_ms = jitter_ms
-        self.seed = seed
         rng = np.random.default_rng(seed)
         self._draws = _jitter_draws(rng, jitter_ms) if jitter_ms > 0.0 else repeat(0.0)
         self.last_draw = 0.0
@@ -295,8 +293,8 @@ def drive(plant: PlantDriver, boundary: PlantBoundary, peer, free_running: bool)
 
     Before each tick, every queued frame due by the horizon is delivered:
     sensor frames to the peer, its replies to plant.hold. The horizon is the
-    tick's sample time when free-running and infinite in lockstep. A protocol
-    fault is reported to the peer with a FAULT frame before it propagates.
+    tick's sample time when free-running and infinite in lockstep. A PROTOCOL
+    RunFault is reported to the peer with a FAULT frame before it propagates.
     """
     s2c: deque[tuple[bytes, float]] = deque()
     c2s: deque[tuple[BusFrame, float]] = deque()
@@ -316,9 +314,10 @@ def drive(plant: PlantDriver, boundary: PlantBoundary, peer, free_running: bool)
             if not more:
                 return
             frame = plant.tick()
-    except ProtocolFault:
-        with suppress(ProtocolFault):  # the peer may be gone already
-            peer.exchange(encode_frame(plant.gap_fault()))
+    except RunFault as fault:
+        if fault.kind == PROTOCOL:
+            with suppress(RunFault):  # the peer may be gone already
+                peer.exchange(encode_frame(plant.gap_fault()))
         raise
     finally:
         peer.close()
@@ -344,8 +343,8 @@ class ControllerPeer:
 class SocketEndpoint:
     """Blocking frame endpoint over a connected stream socket.
 
-    A read that waits SOCKET_TIMEOUT_S for bytes that never come raises
-    ProtocolFault.
+    A read that waits SOCKET_TIMEOUT_S for bytes that never come raises a
+    PROTOCOL RunFault.
     """
 
     def __init__(self, conn: socket.socket):
@@ -371,7 +370,7 @@ class SocketEndpoint:
                     pass
             return self.recv_bytes()
         except (EOFError, ConnectionError) as exc:
-            raise ProtocolFault(f"controller connection closed: {exc}") from exc
+            raise RunFault(PROTOCOL, f"controller connection closed: {exc}") from exc
 
     def _recv_exact(self, n: int) -> bytes:
         buf = b""
@@ -379,7 +378,7 @@ class SocketEndpoint:
             try:
                 chunk = self.conn.recv(n - len(buf))
             except TimeoutError:
-                raise ProtocolFault(f"peer sent nothing for {self.conn.gettimeout()} s") from None
+                raise RunFault(PROTOCOL, f"peer sent nothing for {self.conn.gettimeout()} s") from None
             if not chunk:
                 if buf:
                     raise FrameError(f"connection closed mid-frame ({len(buf)} bytes held)")
@@ -459,7 +458,7 @@ def run_lockstep_socket(
             try:
                 conn, _ = listener.accept()
             except TimeoutError:
-                raise ProtocolFault(f"controller did not connect within {SOCKET_TIMEOUT_S} s") from None
+                raise RunFault(PROTOCOL, f"controller did not connect within {SOCKET_TIMEOUT_S} s") from None
         drive(plant, boundary, SocketEndpoint(conn), free_running=False)
     finally:
         thread.join(timeout=SOCKET_TIMEOUT_S)
@@ -467,7 +466,7 @@ def run_lockstep_socket(
             raise outcome["error"]
     ctrl = outcome.get("driver")
     if ctrl is None:
-        raise ProtocolFault("controller thread did not complete")
+        raise RunFault(PROTOCOL, "controller thread did not complete")
     return SessionResult(plant, ctrl, boundary.log)
 
 

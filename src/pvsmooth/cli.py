@@ -2,16 +2,19 @@
 
 Subcommands: run, ingest, synth, metrics, protocol-check.
 Exit codes: 0 success, 2 invariant breach, 3 input error, 4 protocol fault.
+A RunFault's kind picks 2 or 4 (EXIT_CODES); an undecodable frame is a
+protocol fault.
 """
 
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 
 import click
 import numpy as np
 
-from .config import ConfigError, load_scenario, validate_scenario, with_master_seed
+from .config import SYNTH_PROFILES, ConfigError, load_scenario, validate_scenario
 from .frames import (
     FrameError,
     decode_frame,
@@ -23,9 +26,9 @@ from .frames import (
     write_hexdump,
 )
 from .ingest import IngestError, IngestSpec, ingest_csv, write_series_csv
-from .plant import PlantFault, ProtocolFault
+from .plant import INVARIANT, PROTOCOL, RunFault
 from .ramp import RampMetricError, ramp_report, write_rates_file, write_report_json
-from .run import InvariantViolation, resolve_source, run_scenario
+from .run import resolve_source, run_scenario
 from .series import SeriesError
 from .synth import SynthError, synth_pv
 from .util import AtomicWriter
@@ -34,6 +37,7 @@ EXIT_OK = 0
 EXIT_INVARIANT = 2
 EXIT_INPUT = 3
 EXIT_PROTOCOL = 4
+EXIT_CODES = {INVARIANT: EXIT_INVARIANT, PROTOCOL: EXIT_PROTOCOL}
 
 
 @click.group()
@@ -51,7 +55,7 @@ def cmd_run(scenario_path: str, out_dir: str, input_csv: str | None, transport: 
     """Run a full smoothing experiment and write its artifact set."""
     cfg, source = load_scenario(scenario_path)
     if seed is not None:
-        cfg = validate_scenario(with_master_seed(cfg, seed))
+        cfg = validate_scenario(replace(cfg, seed=seed))
     if input_csv is not None:
         source = {"kind": "csv", "path": input_csv, "sample_period_s": cfg.sample_period_s}
     series = resolve_source(source, cfg)
@@ -102,7 +106,7 @@ def cmd_ingest(input_path, out_path, time_column, power_column, timestamp_format
 
 
 @cli.command("synth")
-@click.option("--profile", type=click.Choice(["clear", "cloud_square", "cloud_random"]), required=True)
+@click.option("--profile", type=click.Choice(SYNTH_PROFILES), required=True)
 @click.option("--duration", "duration_s", type=float, default=7200.0, show_default=True)
 @click.option("--period", "sample_period_s", type=float, default=5.0, show_default=True)
 @click.option("--rated", "rated_w", type=float, default=3000.0, show_default=True)
@@ -221,7 +225,7 @@ def cmd_protocol_check(n_frames: int, seed: int, dump_path: str | None) -> None:
     for name, passed in checks:
         click.echo(f"{'PASS' if passed else 'FAIL'}  {name}")
     if failed:
-        raise ProtocolFault(f"{len(failed)} protocol check(s) failed")
+        raise RunFault(PROTOCOL, f"{len(failed)} protocol check(s) failed")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -238,11 +242,11 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         click.echo(f"input error: {exc}", err=True)
         return EXIT_INPUT
-    except (InvariantViolation, PlantFault) as exc:
-        click.echo(f"invariant breach: {exc}", err=True)
-        return EXIT_INVARIANT
-    except (ProtocolFault, FrameError) as exc:
-        click.echo(f"protocol fault: {exc}", err=True)
+    except RunFault as exc:
+        click.echo(f"{exc.kind}: {exc}", err=True)
+        return EXIT_CODES[exc.kind]
+    except FrameError as exc:
+        click.echo(f"{PROTOCOL}: {exc}", err=True)
         return EXIT_PROTOCOL
     except click.exceptions.Exit as exc:  # --help and friends
         return int(exc.exit_code)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -101,11 +101,6 @@ class ScenarioConfig:
     def n_window(self) -> int:
         """Averaging window length in samples."""
         return round(self.window_s / self.sample_period_s)
-
-    @property
-    def rr_stride(self) -> int:
-        """Ramp evaluation interval in samples."""
-        return round(self.rr_interval_s / self.sample_period_s)
 
 
 def _is_multiple(value: float, base: float) -> bool:
@@ -274,8 +269,3 @@ def config_hash(cfg: ScenarioConfig, source: dict[str, Any] | None = None) -> st
         doc["source"] = source
     canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-
-def with_master_seed(cfg: ScenarioConfig, seed: int) -> ScenarioConfig:
-    """Override the scenario seed (single CLI --seed switch)."""
-    return replace(cfg, seed=int(seed))

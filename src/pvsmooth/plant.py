@@ -28,19 +28,18 @@ from .series import PowerSeries
 from .util import Columns
 
 
-class PlantFault(RuntimeError):
-    """Unrecoverable plant-side error; carries the offending step index."""
+# RunFault kinds, named as the command line reports them
+INVARIANT = "invariant breach"  # a safety limit or run invariant broke
+PROTOCOL = "protocol fault"  # the bus broke: sequence gap, fault frame, dead peer
 
-    def __init__(self, message: str, step: int = -1):
+
+class RunFault(RuntimeError):
+    """A fault that ends the run: `kind` is INVARIANT or PROTOCOL, `step`
+    the offending step index (-1 if none)."""
+
+    def __init__(self, kind: str, message: str, step: int = -1):
         super().__init__(message)
-        self.step = step
-
-
-class ProtocolFault(RuntimeError):
-    """Bus protocol violation observed by the plant (sequence gap, fault frame)."""
-
-    def __init__(self, message: str, step: int = -1):
-        super().__init__(message)
+        self.kind = kind
         self.step = step
 
 
@@ -71,12 +70,12 @@ def battery_step(
 
     Returns (soc, terminal voltage, applied current, clamps), where clamps
     counts the limits that acted: the SOC guard and the hard [0, 1] clamp.
-    Raises PlantFault on a non-finite request.
+    Raises an INVARIANT RunFault on a non-finite request.
     """
     if not isfinite(i_request_a):
-        raise PlantFault(f"non-finite current request {i_request_a}")
+        raise RunFault(INVARIANT, f"non-finite current request {i_request_a}")
     if not dt_s > 0:
-        raise PlantFault(f"dt_s must be > 0, got {dt_s}")
+        raise RunFault(INVARIANT, f"dt_s must be > 0, got {dt_s}")
 
     clamps = 0
     limit = params.current_limit_a
@@ -124,7 +123,6 @@ class PlantDriver:
     """
 
     def __init__(self, series: PowerSeries, cfg: ScenarioConfig, sink=None):
-        self.series = series
         self.cfg = cfg
         self.n_samples = len(series)
         self._samples = memoryview(series.samples)  # Python floats, no copy
@@ -149,7 +147,7 @@ class PlantDriver:
         """Integrate one sample period under the given current request."""
         k = self.k + 1
         if k > self.n_samples:
-            raise PlantFault("setpoint received past the end of the series", step=k)
+            raise RunFault(INVARIANT, "setpoint received past the end of the series", step=k)
         p_pv = self._samples[k - 1]
         cfg = self.cfg
         i_supply = supply_apply(i_request_a, cfg.supply_limit_a)
@@ -181,15 +179,15 @@ class PlantDriver:
         expected = self.held_seq + 1
         if msg_type != MSG_SETPOINT:
             if msg_type == MSG_FAULT:
-                raise ProtocolFault("controller reported a fault frame", step=expected)
-            raise ProtocolFault(f"expected SETPOINT, got {frame.type_name}", step=expected)
+                raise RunFault(PROTOCOL, "controller reported a fault frame", step=expected)
+            raise RunFault(PROTOCOL, f"expected SETPOINT, got {frame.type_name}", step=expected)
         if seq != expected:
-            raise ProtocolFault(
-                f"setpoint sequence gap: expected {expected}, got {seq}", step=expected
+            raise RunFault(
+                PROTOCOL, f"setpoint sequence gap: expected {expected}, got {seq}", step=expected
             )
         i_set_a = values[0]
         if not isfinite(i_set_a):
-            raise ProtocolFault(f"non-finite setpoint current {i_set_a}", step=expected)
+            raise RunFault(PROTOCOL, f"non-finite setpoint current {i_set_a}", step=expected)
         self.held_seq = expected
         self.held_a = i_set_a
 
@@ -201,11 +199,6 @@ class PlantDriver:
             self.done = True
             return end_frame(k + 1, self.sim_time_ms(k))
         return sensor_frame(k + 1, self.sim_time_ms(k), self._samples[k], self.v_terminal_v)
-
-    def on_setpoint(self, frame: BusFrame) -> BusFrame:
-        """Lockstep step: hold SETPOINT(seq=k), then tick."""
-        self.hold(frame)
-        return self.tick()
 
     def gap_fault(self) -> BusFrame:
         self.done = True

@@ -27,38 +27,15 @@ class RampMetricError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Histogram:
     """Counts over symmetric bins centered on zero."""
 
     bin_edges: np.ndarray  # length n_bins + 1, %/min
     counts: np.ndarray  # length n_bins, ints
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Histogram):
-            return NotImplemented
-        return np.array_equal(self.bin_edges, other.bin_edges) and np.array_equal(
-            self.counts, other.counts
-        )
 
-    __hash__ = None  # type: ignore[assignment]
-
-
-@dataclass(frozen=True)
-class Compliance:
-    """Verdict of a limit check over a set of ramp rates."""
-
-    limit_pct_per_min: float
-    n_evaluated: int
-    violation_count: int
-    violation_fraction: float
-
-    @property
-    def passed(self) -> bool:
-        return self.violation_count == 0
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RampReport:
     """Per-point ramp rates plus summary statistics.
 
@@ -80,22 +57,6 @@ class RampReport:
     @property
     def passed(self) -> bool:
         return self.violation_count == 0
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RampReport):
-            return NotImplemented
-        return (
-            np.array_equal(self.rr_pct_per_min, other.rr_pct_per_min)
-            and self.rr_interval_s == other.rr_interval_s
-            and self.limit_pct_per_min == other.limit_pct_per_min
-            and self.warmup_skipped == other.warmup_skipped
-            and self.max_abs_rr == other.max_abs_rr
-            and self.violation_count == other.violation_count
-            and self.violation_fraction == other.violation_fraction
-            and self.histogram == other.histogram
-        )
-
-    __hash__ = None  # type: ignore[assignment]
 
 
 def _stride_for(series: PowerSeries, rr_interval_s: float) -> int:
@@ -134,21 +95,6 @@ def ramp_rate_series(
     return 100.0 * (head - tail) / (dt_min * series.rated_power_w)
 
 
-def compliance(rates: np.ndarray, limit_pct_per_min: float, *, skip: int = 0) -> Compliance:
-    """Count |RR| > limit over the rates, optionally excluding a leading warm-up span."""
-    if limit_pct_per_min < 0:
-        raise RampMetricError(f"limit must be >= 0, got {limit_pct_per_min}")
-    scored = np.asarray(rates, dtype=np.float64)[skip:]
-    violations = int(np.count_nonzero(np.abs(scored) > limit_pct_per_min))
-    n = int(scored.size)
-    return Compliance(
-        limit_pct_per_min=float(limit_pct_per_min),
-        n_evaluated=n,
-        violation_count=violations,
-        violation_fraction=violations / n if n else 0.0,
-    )
-
-
 def histogram(rates: np.ndarray, bin_width: float) -> Histogram:
     """Bin rates into uniform bins symmetric about zero (zero is a bin center).
 
@@ -178,20 +124,19 @@ def warmup_skip_count(
     """Evaluation points whose earlier endpoint falls inside the warm-up span.
 
     A point at sample index i compares P[i] with P[i - stride]; it is
-    excluded when i - stride lands before the first post-warm-up sample.
+    excluded when i - stride lands before the first post-warm-up sample,
+    n_warm. Point j has i - stride = j when sliding and j * stride when not,
+    so the first n_warm, or ceil(n_warm / stride), points are excluded.
     """
     if warmup_s <= 0:
         return 0
     stride = round(rr_interval_s / sample_period_s)
+    if stride < 1:
+        raise RampMetricError(
+            f"rr_interval_s {rr_interval_s} is under one sample period {sample_period_s}"
+        )
     n_warm = int(np.ceil(warmup_s / sample_period_s - 1e-9))
-    skipped = 0
-    for j in range(n_rates):
-        i = (stride + j) if sliding else (j + 1) * stride
-        if i - stride < n_warm:
-            skipped += 1
-        else:
-            break
-    return skipped
+    return min(n_rates, n_warm if sliding else -(-n_warm // stride))
 
 
 def ramp_report(
@@ -208,16 +153,18 @@ def ramp_report(
     skip = warmup_skip_count(
         rates.size, warmup_s, series.sample_period_s, rr_interval_s, sliding=sliding
     )
-    verdict = compliance(rates, limit_pct_per_min, skip=skip)
+    if limit_pct_per_min < 0:
+        raise RampMetricError(f"limit must be >= 0, got {limit_pct_per_min}")
     scored = rates[skip:]
+    violations = int(np.count_nonzero(np.abs(scored) > limit_pct_per_min))
     return RampReport(
         rr_pct_per_min=rates,
         rr_interval_s=float(rr_interval_s),
         limit_pct_per_min=float(limit_pct_per_min),
         warmup_skipped=skip,
         max_abs_rr=float(np.abs(scored).max()) if scored.size else 0.0,
-        violation_count=verdict.violation_count,
-        violation_fraction=verdict.violation_fraction,
+        violation_count=violations,
+        violation_fraction=violations / scored.size if scored.size else 0.0,
         histogram=histogram(rates, bin_width),
     )
 

@@ -37,6 +37,7 @@ from .bus import SESSION_SINKS, SessionLog, SessionResult, Sinks, run_session
 from .config import ConfigError, ScenarioConfig, config_hash, validate_scenario
 from .frames import write_hexdump
 from .ingest import IngestSpec, ingest_csv
+from .plant import INVARIANT, RunFault
 from .ramp import RampReport, ramp_report, report_to_dict, write_rates_file
 from .series import PowerSeries, scale_series
 from .synth import synth_pv
@@ -47,14 +48,6 @@ ARTIFACT_FILES = STREAMED_FILES + ("metrics.json", "raw_rates.csv", "smoothed_ra
 # per-point data of a ramp report, left out of metrics.json: the rates and
 # histogram files hold it
 PER_POINT_KEYS = ("rr_pct_per_min", "histogram")
-
-
-class InvariantViolation(RuntimeError):
-    """A core run invariant failed; carries the offending step index."""
-
-    def __init__(self, message: str, step: int = -1):
-        super().__init__(message)
-        self.step = step
 
 
 @dataclass(frozen=True)
@@ -118,7 +111,8 @@ def check_run_invariants(
         if bad.size:
             i = bad[0]
             step = int(trace.k[i])
-            raise InvariantViolation(
+            raise RunFault(
+                INVARIANT,
                 f"soc {float(soc[i])} outside [{b.soc_min}, {b.soc_max}] at plant step {step}",
                 step=step,
             )
@@ -137,12 +131,13 @@ def _check_controller_rows(log: Columns) -> None:
         i = bad[0]
         step = int(k[i])
         if breach[i]:
-            raise InvariantViolation(
+            raise RunFault(
+                INVARIANT,
                 f"conservation breach at controller step {step}: p_batt {float(p_batt[i])!r} "
                 f"!= p_pv - p_hat {(float(p_pv[i]) - float(p_hat[i]))!r}",
                 step=step,
             )
-        raise InvariantViolation(f"setpoint identity breach at controller step {step}", step=step)
+        raise RunFault(INVARIANT, f"setpoint identity breach at controller step {step}", step=step)
 
 
 def live_p_hat(log: Columns) -> np.ndarray:

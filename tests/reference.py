@@ -1,10 +1,12 @@
 """Reference implementations of the per-step hot path, kept as they were
 before the hot path was rewritten for speed (frozen dataclass frames, header
-and payload packed apart, a BatteryState per step, a numpy ring buffer).
+and payload packed apart, a BatteryState per step, a numpy ring buffer), and
+the per-point warm-up count that ramp.warmup_skip_count replaced with a
+closed form.
 
 tests/test_differential.py checks the package against these bitwise. They
 share the package's error classes and parameter types, so an error is the
-same error only if it is the same class.
+same error only if it is the same class (and, for a RunFault, the same kind).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from pvsmooth.frames import (
     PayloadMismatch,
     UnknownMessageType,
 )
-from pvsmooth.plant import PlantFault
+from pvsmooth.plant import INVARIANT, RunFault
 
 _HEADER = struct.Struct("<4sBBIQH")
 
@@ -138,12 +140,12 @@ def battery_step(
 ) -> BatteryState:
     """Advance the battery by one interval under a requested current.
 
-    Raises PlantFault on a non-finite request, leaving the state unchanged.
+    Raises an INVARIANT RunFault on a non-finite request, leaving the state unchanged.
     """
     if not math.isfinite(i_request_a):
-        raise PlantFault(f"non-finite current request {i_request_a}")
+        raise RunFault(INVARIANT, f"non-finite current request {i_request_a}")
     if not dt_s > 0:
-        raise PlantFault(f"dt_s must be > 0, got {dt_s}")
+        raise RunFault(INVARIANT, f"dt_s must be > 0, got {dt_s}")
 
     clamp_events = state.clamp_events
     i = max(-params.current_limit_a, min(params.current_limit_a, i_request_a))
@@ -241,3 +243,25 @@ class SmoothingController:
         for i, p in enumerate(p_pv_w):
             out[i] = advance(float(p))
         return out
+
+
+def warmup_skip_count(
+    n_rates: int, warmup_s: float, sample_period_s: float, rr_interval_s: float, *, sliding: bool = False
+) -> int:
+    """Evaluation points whose earlier endpoint falls inside the warm-up span.
+
+    A point at sample index i compares P[i] with P[i - stride]; it is
+    excluded when i - stride lands before the first post-warm-up sample.
+    """
+    if warmup_s <= 0:
+        return 0
+    stride = round(rr_interval_s / sample_period_s)
+    n_warm = int(np.ceil(warmup_s / sample_period_s - 1e-9))
+    skipped = 0
+    for j in range(n_rates):
+        i = (stride + j) if sliding else (j + 1) * stride
+        if i - stride < n_warm:
+            skipped += 1
+        else:
+            break
+    return skipped

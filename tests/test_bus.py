@@ -37,7 +37,7 @@ from pvsmooth.frames import (
     encode_frame,
     setpoint_frame,
 )
-from pvsmooth.plant import PlantDriver, ProtocolFault
+from pvsmooth.plant import PROTOCOL, PlantDriver, RunFault
 from pvsmooth.series import PowerSeries
 from pvsmooth.synth import synth_pv
 
@@ -270,8 +270,9 @@ def test_drive_faults_on_nan_setpoint(quantization):
     )
     plant = PlantDriver(series, cfg)
     peer = NanPeer()
-    with pytest.raises(ProtocolFault, match="non-finite"):
+    with pytest.raises(RunFault, match="non-finite") as err:
         drive(plant, PlantBoundary(cfg, series.rated_power_w), peer, free_running=False)
+    assert err.value.kind == PROTOCOL
     # nothing was integrated, and the peer was told before the session ended
     assert len(plant.trace) == 0
     assert [f.msg_type for f in peer.received] == [MSG_SENSOR, MSG_FAULT]
@@ -366,8 +367,9 @@ def test_silent_controller_is_a_protocol_fault(monkeypatch):
     conn, stub = stub_peer()
     with stub:
         t0 = time.perf_counter()
-        with pytest.raises(ProtocolFault, match="peer sent nothing for 0.2 s"):
+        with pytest.raises(RunFault, match="peer sent nothing for 0.2 s") as err:
             drive_against(conn)
+        assert err.value.kind == PROTOCOL
         assert time.perf_counter() - t0 < 5.0
         # the plant still told the peer why it stopped: SENSOR (40 bytes), FAULT
         stub.settimeout(5.0)
@@ -381,8 +383,9 @@ def test_controller_closing_mid_session_is_a_protocol_fault(monkeypatch):
     monkeypatch.setattr(bus, "SOCKET_TIMEOUT_S", 5.0)
     conn, stub = stub_peer()
     stub.close()
-    with pytest.raises(ProtocolFault, match="controller connection closed"):
+    with pytest.raises(RunFault, match="controller connection closed") as err:
         drive_against(conn)
+    assert err.value.kind == PROTOCOL
 
 
 def test_controller_that_never_connects_is_a_protocol_fault(monkeypatch):
@@ -398,8 +401,9 @@ def test_controller_that_never_connects_is_a_protocol_fault(monkeypatch):
 
     monkeypatch.setattr(socket, "create_connection", never_connect)
     try:
-        with pytest.raises(ProtocolFault, match="did not connect within 0.2 s"):
+        with pytest.raises(RunFault, match="did not connect within 0.2 s") as err:
             run_lockstep_socket(PowerSeries([10.0, 20.0, 30.0], 5.0, 100.0), three_sample_cfg())
+        assert err.value.kind == PROTOCOL
     finally:
         release.set()
 
@@ -417,7 +421,8 @@ def test_controller_thread_error_is_raised_on_the_plant_side(monkeypatch):
     monkeypatch.setattr(bus, "run_controller", run_controller)
     with pytest.raises(Boom, match="controller failed") as err:
         run_lockstep_socket(PowerSeries([10.0, 20.0, 30.0], 5.0, 100.0), three_sample_cfg())
-    assert isinstance(err.value.__context__, ProtocolFault)
+    assert isinstance(err.value.__context__, RunFault)
+    assert err.value.__context__.kind == PROTOCOL
 
 
 def test_quantization_applies_on_the_wire():

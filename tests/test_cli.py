@@ -1,7 +1,12 @@
 import json
+import re
 from pathlib import Path
 
+import pytest
+
 from pvsmooth.cli import main
+from pvsmooth.frames import FrameError
+from pvsmooth.plant import INVARIANT, PROTOCOL, RunFault
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -115,34 +120,29 @@ def test_exit_code_usage_error(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
-def test_exit_code_invariant_breach(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    ("fault", "code", "label"),
+    [
+        (RunFault(INVARIANT, "conservation breach at controller step 7", step=7), 2, "invariant breach"),
+        (RunFault(PROTOCOL, "setpoint sequence gap: expected 3, got 9", step=3), 4, "protocol fault"),
+        (FrameError("frame crc mismatch"), 4, "protocol fault"),
+    ],
+    ids=["invariant", "protocol", "frame_error"],
+)
+def test_exit_code_of_a_failed_run(tmp_path, monkeypatch, capsys, fault, code, label):
     import pvsmooth.cli as cli_mod
-    from pvsmooth.run import InvariantViolation
 
     def boom(*args, **kwargs):
-        raise InvariantViolation("conservation breach at controller step 7", step=7)
+        raise fault
 
     monkeypatch.setattr(cli_mod, "run_scenario", boom)
-    code = main(["run", "--scenario", str(SCENARIOS / "default.json"),
-                 "--out", str(tmp_path / "out")])
-    assert code == 2
-    assert "invariant breach" in capsys.readouterr().err
-
-
-def test_exit_code_protocol_fault(tmp_path, monkeypatch, capsys):
-    import pvsmooth.cli as cli_mod
-    from pvsmooth.plant import ProtocolFault
-
-    def boom(*args, **kwargs):
-        raise ProtocolFault("setpoint sequence gap: expected 3, got 9", step=3)
-
-    monkeypatch.setattr(cli_mod, "run_scenario", boom)
-    code = main(["run", "--scenario", str(SCENARIOS / "default.json"),
-                 "--out", str(tmp_path / "out")])
-    assert code == 4
-    assert "protocol fault" in capsys.readouterr().err
+    assert main(["run", "--scenario", str(SCENARIOS / "default.json"),
+                 "--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err == f"{label}: {fault}\n"
 
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
-    assert "Subcommands" in capsys.readouterr().out or True
+    out = capsys.readouterr().out
+    for name in ("run", "ingest", "synth", "metrics", "protocol-check"):
+        assert re.search(rf"^  {re.escape(name)}\s", out, re.MULTILINE), name

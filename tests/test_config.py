@@ -19,7 +19,6 @@ from pvsmooth.config import (
 
 def test_defaults_are_valid(default_cfg):
     assert default_cfg.n_window == 360
-    assert default_cfg.rr_stride == 12
     assert default_cfg.battery.capacity_ah == pytest.approx(2400.0 / 53.0)
 
 

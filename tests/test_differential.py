@@ -2,7 +2,8 @@
 
 Floats are compared by their IEEE-754 bytes, so -0.0 differs from 0.0 and a
 NaN matches only a NaN with the same payload. An input that the reference
-rejects must be rejected with the same exception class.
+rejects must be rejected with the same exception class and, for a RunFault,
+the same kind.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from pvsmooth.frames import (
     encode_frame,
 )
 from pvsmooth.plant import battery_step, supply_apply
+from pvsmooth.ramp import warmup_skip_count
 
 SUBNORMALS = (5e-324, -5e-324, 2.2250738585072009e-308, -1e-310)
 
@@ -36,11 +38,11 @@ def bits(x: float) -> bytes:
 
 
 def outcome(fn, *args):
-    """("ok", result) or ("raised", exception class)."""
+    """("ok", result) or ("raised", exception class, RunFault kind or None)."""
     try:
         return "ok", fn(*args)
-    except Exception as exc:  # the class is what is compared
-        return "raised", type(exc)
+    except Exception as exc:  # the class and kind are what is compared
+        return "raised", type(exc), getattr(exc, "kind", None)
 
 
 # any 64-bit pattern, NaN payloads and signs included
@@ -70,7 +72,7 @@ def same_decode(data: bytes) -> None:
         assert type(got[1]) is BusFrame
         assert frame_fields(got[1]) == frame_fields(want[1])
     else:
-        assert got[1] is want[1]
+        assert got == want
 
 
 # --- codec ------------------------------------------------------------------
@@ -173,7 +175,7 @@ def test_battery_step_matches_reference_bitwise(p, data):
     want = outcome(ref.battery_step, state, p, current, dt)
     assert got[0] == want[0]
     if got[0] == "raised":
-        assert got[1] is want[1]
+        assert got == want
         return
     new_soc, v, i, clamps = got[1]
     b = want[1]
@@ -242,5 +244,39 @@ def test_controller_matches_reference_across_resyncs(n, steps):
 def test_controller_rejects_non_finite_power_like_reference():
     for p_pv in (float("nan"), float("inf"), float("-inf")):
         new, old = SmoothingController(4), ref.SmoothingController(4)
-        assert outcome(new.step, p_pv, 50.0) == outcome(old.step, p_pv, 50.0) == ("raised", ValueError)
+        assert outcome(new.step, p_pv, 50.0) == outcome(old.step, p_pv, 50.0) == ("raised", ValueError, None)
         assert new.k == old.state.k == 1
+
+
+periods = st.one_of(st.sampled_from([5.0, 1.0, 0.1, 60.0, 3.7]), st.floats(1e-3, 1e3))
+
+
+@st.composite
+def warmups(draw, period):
+    """Warm-up spans: none, negative, below 1e-9 s, exact multiples of the
+    period and points between them."""
+    m = draw(st.integers(0, 400))
+    return draw(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, -period, 5e-324, 1e-10, 9.99e-10]),
+            st.floats(0.0, 1e-9),
+            st.just(m * period),
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(lambda f: (m + f) * period),
+            st.floats(0.0, 1e7),
+        )
+    )
+
+
+@given(
+    n_rates=st.integers(0, 500),
+    period=periods,
+    stride=st.one_of(st.integers(1, 30), st.integers(1, 10**7)),
+    sliding=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=300)
+def test_warmup_skip_count_matches_the_point_loop(n_rates, period, stride, sliding, data):
+    warmup_s = data.draw(warmups(period))
+    interval = stride * period
+    args = (n_rates, warmup_s, period, interval)
+    assert warmup_skip_count(*args, sliding=sliding) == ref.warmup_skip_count(*args, sliding=sliding)

@@ -1,7 +1,9 @@
-"""The benchmark's tracer wraps pvsmooth attributes by name (perfbench/tracing.py).
+"""What the benchmark's own code takes from pvsmooth by name.
 
-A rename in the package would otherwise surface only when a traced benchmark
-run installs its wraps.
+The tracer wraps pvsmooth attributes by name (perfbench/tracing.py), and
+perfbench/test_checks.py replaces run.run_session with a stub. A change in
+the package that breaks either would otherwise surface only when the
+benchmark or its tests run.
 """
 
 import importlib.util
@@ -70,3 +72,25 @@ def test_every_per_step_wrap_records_one_span_per_call():
             if name in calls:
                 calls[name] += 1
         assert calls == expected, engine
+
+
+def test_run_scenario_takes_a_three_argument_session_stub(tmp_path, monkeypatch):
+    # perfbench/test_checks.py swaps run.run_session for a lambda of (series,
+    # cfg, transport) that starts a sink-less session; the run must still
+    # write every artifact, with the bytes of a run that streamed its blocks
+    from pvsmooth import bus
+    from pvsmooth import run as pvrun
+    from pvsmooth.config import ScenarioConfig
+    from pvsmooth.synth import synth_pv
+    from pvsmooth.util import BLOCK_ROWS
+
+    cfg = ScenarioConfig(seed=3)
+    series = synth_pv("cloud_random", (BLOCK_ROWS + 10) * 5.0, 5.0, 3000.0, seed=3)
+    streamed = pvrun.run_scenario(cfg, series, tmp_path / "streamed")
+    monkeypatch.setattr(
+        pvrun, "run_session", lambda series, cfg, transport: bus.run_lockstep_inproc(series, cfg)
+    )
+    stubbed = pvrun.run_scenario(cfg, series, tmp_path / "stubbed")
+    assert sorted(p.name for p in stubbed.out_dir.iterdir()) == sorted(pvrun.ARTIFACT_FILES)
+    for name in pvrun.ARTIFACT_FILES:
+        assert (stubbed.out_dir / name).read_bytes() == (streamed.out_dir / name).read_bytes(), name

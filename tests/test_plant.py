@@ -8,9 +8,10 @@ from conftest import ideal_battery
 from pvsmooth.config import BatteryParams, ScenarioConfig, validate_scenario
 from pvsmooth.frames import MSG_END, MSG_SENSOR, fault_frame, setpoint_frame
 from pvsmooth.plant import (
+    INVARIANT,
+    PROTOCOL,
     PlantDriver,
-    PlantFault,
-    ProtocolFault,
+    RunFault,
     battery_step,
     open_circuit_voltage,
     supply_apply,
@@ -83,8 +84,9 @@ def test_linear_ocv_model():
 def test_non_finite_request_faults_without_state_change():
     # the state is the caller's floats; battery_step raises before returning any
     p = BatteryParams()
-    with pytest.raises(PlantFault):
+    with pytest.raises(RunFault) as err:
         battery_step(p.soc_init, p, float("nan"), 5.0)
+    assert err.value.kind == INVARIANT
 
 
 def test_supply_passes_within_limits():
@@ -162,11 +164,14 @@ def test_first_sensor_carries_initial_state():
 def test_lockstep_sequence_and_end():
     d, _ = make_driver([100.0, 200.0, 300.0])
     d.first_sensor()
-    f2 = d.on_setpoint(setpoint_frame(1, 0, 0.0))
+    d.hold(setpoint_frame(1, 0, 0.0))
+    f2 = d.tick()
     assert f2.msg_type == MSG_SENSOR and f2.seq == 2 and f2.values[0] == 200.0
-    f3 = d.on_setpoint(setpoint_frame(2, 5000, 0.0))
+    d.hold(setpoint_frame(2, 5000, 0.0))
+    f3 = d.tick()
     assert f3.seq == 3 and f3.values[0] == 300.0
-    f4 = d.on_setpoint(setpoint_frame(3, 10000, 0.0))
+    d.hold(setpoint_frame(3, 10000, 0.0))
+    f4 = d.tick()
     assert f4.msg_type == MSG_END
     assert d.done and len(d.trace) == 3
 
@@ -175,7 +180,8 @@ def test_zero_setpoints_hold_soc_and_power():
     d, _ = make_driver([100.0, 200.0, 300.0])
     d.first_sensor()
     for k in range(1, 4):
-        d.on_setpoint(setpoint_frame(k, 0, 0.0))
+        d.hold(setpoint_frame(k, 0, 0.0))
+        d.tick()
     assert d.trace.soc.tolist() == [0.5] * 3
     assert d.trace.realized_p_batt_w.tolist() == [0.0] * 3
     assert d.trace.p_grid_w.tolist() == [100.0, 200.0, 300.0]
@@ -184,15 +190,17 @@ def test_zero_setpoints_hold_soc_and_power():
 def test_sequence_gap_raises_protocol_fault():
     d, _ = make_driver([100.0, 200.0])
     d.first_sensor()
-    with pytest.raises(ProtocolFault):
-        d.on_setpoint(setpoint_frame(5, 0, 0.0))
+    with pytest.raises(RunFault) as err:
+        d.hold(setpoint_frame(5, 0, 0.0))
+    assert err.value.kind == PROTOCOL
 
 
 def test_fault_frame_raises():
     d, _ = make_driver([100.0, 200.0])
     d.first_sensor()
-    with pytest.raises(ProtocolFault):
-        d.on_setpoint(fault_frame(1, 0))
+    with pytest.raises(RunFault) as err:
+        d.hold(fault_frame(1, 0))
+    assert err.value.kind == PROTOCOL
 
 
 @pytest.mark.parametrize("current", [math.nan, math.inf, -math.inf])
@@ -201,8 +209,9 @@ def test_non_finite_setpoint_is_a_protocol_fault(current):
     # must reject it before any clamp, and integrate nothing
     d, _ = make_driver([100.0, 200.0])
     d.first_sensor()
-    with pytest.raises(ProtocolFault, match="non-finite"):
-        d.on_setpoint(setpoint_frame(1, 0, current))
+    with pytest.raises(RunFault, match="non-finite") as err:
+        d.hold(setpoint_frame(1, 0, current))
+    assert err.value.kind == PROTOCOL
     assert len(d.trace) == 0
     assert d.held_seq == 0
 
@@ -210,15 +219,18 @@ def test_non_finite_setpoint_is_a_protocol_fault(current):
 def test_setpoint_past_series_end_faults():
     d, _ = make_driver([100.0])
     d.first_sensor()
-    d.on_setpoint(setpoint_frame(1, 0, 0.0))
-    with pytest.raises(PlantFault):
+    d.hold(setpoint_frame(1, 0, 0.0))
+    d.tick()
+    with pytest.raises(RunFault) as err:
         d.apply_interval(0.0)
+    assert err.value.kind == INVARIANT
 
 
 def test_requested_vs_realized_divergence_logged():
     d, _ = make_driver([100.0, 200.0])
     d.first_sensor()
-    d.on_setpoint(setpoint_frame(1, 0, 80.0))  # over the 55 A supply ceiling
+    d.hold(setpoint_frame(1, 0, 80.0))  # over the 55 A supply ceiling
+    d.tick()
     t = d.trace
     assert t.i_request_a[0] == 80.0
     assert t.i_applied_a[0] == 55.0
@@ -242,7 +254,8 @@ def test_closed_loop_constant_pv_settles():
         p_pv, v = frame.values
         p_hat = 1200.0 * min(k, n) / n
         i_set = (p_pv - p_hat) / v
-        frame = plant.on_setpoint(setpoint_frame(k, frame.sim_time_ms, i_set))
+        plant.hold(setpoint_frame(k, frame.sim_time_ms, i_set))
+        frame = plant.tick()
     # independent coulomb accumulation of the analytic warm-up currents
     cap_ah = 1e9 / 64.0
     soc = 0.5

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from conftest import brute_force_bins, direct_ramp_rates
 from pvsmooth.ramp import (
     RampMetricError,
-    compliance,
     histogram,
     ramp_rate_series,
     ramp_report,
@@ -65,31 +64,46 @@ def test_sign_preserved():
 
 
 # --- compliance -----------------------------------------------------------
+# One-minute samples at 1 kW rated, scored over 60 s: each 10 W step is
+# 1 %/min.
+
+
+def minute_trace(samples):
+    return PowerSeries(samples, 60.0, 1000.0)
 
 
 def test_compliance_all_under_limit():
-    v = compliance(np.array([-3.3, 1.0, 3.3]), 5.0)
-    assert v.passed and v.violation_count == 0
+    rep = ramp_report(minute_trace([500.0, 467.0, 477.0, 510.0]), 60.0, 5.0)
+    assert rep.rr_pct_per_min.tolist() == pytest.approx([-3.3, 1.0, 3.3])
+    assert rep.passed and rep.violation_count == 0
 
 
 def test_compliance_single_spike_fails():
     # a 56 %/min event against the 5 %/min limit
-    v = compliance(np.array([1.0, 56.0, -2.0]), 5.0)
-    assert not v.passed
-    assert v.violation_count == 1
-    assert v.violation_fraction == pytest.approx(1 / 3)
+    rep = ramp_report(minute_trace([100.0, 110.0, 670.0, 650.0]), 60.0, 5.0)
+    assert rep.rr_pct_per_min.tolist() == pytest.approx([1.0, 56.0, -2.0])
+    assert not rep.passed
+    assert rep.violation_count == 1
+    assert rep.violation_fraction == pytest.approx(1 / 3)
 
 
 def test_compliance_zero_limit_constant_series():
     s = PowerSeries([700.0] * 30, 5.0, 1000.0)
-    rr = ramp_rate_series(s, 60.0)
-    assert compliance(rr, 0.0).passed
+    assert ramp_report(s, 60.0, 0.0).passed
 
 
 def test_compliance_warmup_skip():
-    v = compliance(np.array([99.0, 99.0, 1.0, 2.0]), 5.0, skip=2)
-    assert v.passed
-    assert v.n_evaluated == 2
+    trace = minute_trace([0.0, 990.0, 0.0, 10.0, 30.0])  # 99, -99, 1, 2 %/min
+    assert ramp_report(trace, 60.0, 5.0).violation_count == 2
+    rep = ramp_report(trace, 60.0, 5.0, warmup_s=120.0)
+    assert rep.passed
+    assert rep.warmup_skipped == 2
+    assert rep.rr_pct_per_min.size - rep.warmup_skipped == 2
+
+
+def test_compliance_negative_limit_rejected():
+    with pytest.raises(RampMetricError, match="limit must be >= 0"):
+        ramp_report(minute_trace([500.0, 510.0]), 60.0, -1.0)
 
 
 # --- histogram ------------------------------------------------------------
@@ -151,6 +165,13 @@ def test_warmup_skip_count_standard_config():
     assert warmup_skip_count(119, 1800.0, 5.0, 60.0) == 30
     assert warmup_skip_count(10, 1800.0, 5.0, 60.0) == 10
     assert warmup_skip_count(119, 0.0, 5.0, 60.0) == 0
+
+
+def test_warmup_skip_count_rejects_an_interval_under_one_sample():
+    # 2 s over a 5 s grid rounds to a stride of 0 samples
+    for sliding in (False, True):
+        with pytest.raises(RampMetricError, match="under one sample period"):
+            warmup_skip_count(10, 60.0, 5.0, 2.0, sliding=sliding)
 
 
 def test_warmup_skip_count_sliding():

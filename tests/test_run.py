@@ -16,9 +16,9 @@ from pvsmooth.config import (
     validate_scenario,
 )
 from pvsmooth.ingest import IngestSpec, ingest_csv
+from pvsmooth.plant import INVARIANT, RunFault
 from pvsmooth.ramp import ramp_report
 from pvsmooth.run import (
-    InvariantViolation,
     check_run_invariants,
     live_p_hat,
     resolve_source,
@@ -187,9 +187,9 @@ def test_soc_guard_trips_on_breach():
     session = bus.run_lockstep_inproc(series, cfg)
     check_session(session, cfg)
     session.plant.trace.soc[3] = 0.99
-    with pytest.raises(InvariantViolation, match="soc") as err:
+    with pytest.raises(RunFault, match="soc") as err:
         check_session(session, cfg)
-    assert err.value.step == 4
+    assert (err.value.kind, err.value.step) == (INVARIANT, 4)
 
 
 def test_conservation_check_trips_on_doctored_log():
@@ -198,8 +198,9 @@ def test_conservation_check_trips_on_doctored_log():
     session = bus.run_lockstep_inproc(series, cfg)
     check_session(session, cfg)
     session.controller.log.p_batt_w[5] += 1e-9
-    with pytest.raises(InvariantViolation, match="conservation breach at controller step 6"):
+    with pytest.raises(RunFault, match="conservation breach at controller step 6") as err:
         check_session(session, cfg)
+    assert err.value.kind == INVARIANT
 
 
 def test_invariant_check_reports_the_first_offending_step():
@@ -209,12 +210,13 @@ def test_invariant_check_reports_the_first_offending_step():
     log = session.controller.log
     log.p_batt_w[40] += 1e-9
     log.i_set_a[20] += 1e-9
-    with pytest.raises(InvariantViolation, match="setpoint identity breach at controller step 21"):
+    with pytest.raises(RunFault, match="setpoint identity breach at controller step 21") as err:
         check_session(session, cfg)
+    assert err.value.kind == INVARIANT
     log.p_batt_w[10] += 1.0
-    with pytest.raises(InvariantViolation, match="conservation breach at controller step 11") as err:
+    with pytest.raises(RunFault, match="conservation breach at controller step 11") as err:
         check_session(session, cfg)
-    assert err.value.step == 11
+    assert (err.value.kind, err.value.step) == (INVARIANT, 11)
 
 
 def loop_invariant_check(session, cfg):
@@ -267,8 +269,9 @@ def test_invariant_check_agrees_with_the_row_loop(short_session, edits):
         if expected is None:
             check_session(session, cfg)
         else:
-            with pytest.raises(InvariantViolation) as err:
+            with pytest.raises(RunFault) as err:
                 check_session(session, cfg)
+            assert err.value.kind == INVARIANT
             assert (err.value.step, str(err.value)) == expected
     finally:
         for t in (log, trace):

@@ -17,9 +17,9 @@ from pvsmooth import bus, controller
 from pvsmooth import run as pvrun
 from pvsmooth.cli import main
 from pvsmooth.config import ScenarioConfig, TransportConfig, validate_scenario
+from pvsmooth.plant import INVARIANT, RunFault
 from pvsmooth.run import (
     STREAMED_FILES,
-    InvariantViolation,
     run_scenario,
     write_controller_log,
     write_hexdump,
@@ -130,9 +130,9 @@ def test_breach_after_the_first_block_leaves_no_artifact(transport, tmp_path, mo
     cfg = validate_scenario(ScenarioConfig(seed=2))
     series = synth_pv("cloud_random", (2 * B + 10) * 5.0, 5.0, 3000.0, seed=2)
     out = tmp_path / "out"
-    with pytest.raises(InvariantViolation, match=f"conservation breach at controller step {step}") as err:
+    with pytest.raises(RunFault, match=f"conservation breach at controller step {step}") as err:
         run_scenario(cfg, series, out, transport=transport)
-    assert err.value.step == step
+    assert (err.value.kind, err.value.step) == (INVARIANT, step)
     assert sorted(name.split(".")[0] for name in on_disk) == ["controller_log", "frames", "plant_trace"]
     assert all(size > 0 for size in on_disk.values())
     assert list(out.iterdir()) == []
@@ -169,7 +169,7 @@ def peak_bytes_of_run(n, tmp_path):
 def test_run_scenario_peak_grows_at_most_40_bytes_per_step(tmp_path):
     # the blocks in flight are fixed in size; what grows with the run is the
     # live p_hat (the smoothed series) and the ramp-rate arrays
-    small = peak_bytes_of_run(4 * B, tmp_path)
-    large = peak_bytes_of_run(8 * B, tmp_path)
-    per_step = (large - small) / (4 * B)
+    small = peak_bytes_of_run(2 * B, tmp_path)
+    large = peak_bytes_of_run(4 * B, tmp_path)
+    per_step = (large - small) / (2 * B)
     assert per_step <= 40, (small, large, per_step)
