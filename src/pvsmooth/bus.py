@@ -24,13 +24,13 @@ from collections import deque
 from collections.abc import Callable, Iterator
 from contextlib import suppress
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 
 import numpy as np
 
 from .config import QuantizationConfig, ScenarioConfig
-from .controller import ControllerDriver, run_controller
+from .controller import ControllerDriver
 from .frames import (
     HEADER_LEN,
     MSG_END,
@@ -84,37 +84,18 @@ def quantize(value: float, bits: int, full_scale: tuple[float, float]) -> float:
     return lo + code * step
 
 
-@dataclass(frozen=True)
-class ResolvedQuantization:
-    """Quantization with all full-scale ranges pinned to concrete values."""
-
-    bits: int
-    power_range_w: tuple[float, float]
-    voltage_range_v: tuple[float, float]
-    current_range_a: tuple[float, float]
-
-    def sensor(self, p_pv_w: float, v_batt_v: float) -> tuple[float, float]:
-        return (
-            quantize(p_pv_w, self.bits, self.power_range_w),
-            quantize(v_batt_v, self.bits, self.voltage_range_v),
-        )
-
-    def setpoint(self, i_set_a: float) -> float:
-        return quantize(i_set_a, self.bits, self.current_range_a)
-
-
 def resolve_quantization(
     q: QuantizationConfig | None, cfg: ScenarioConfig, rated_power_w: float
-) -> ResolvedQuantization | None:
+) -> QuantizationConfig | None:
     """Fill default full-scale ranges from the scenario at hand."""
     if q is None:
         return None
-    return ResolvedQuantization(
-        bits=q.bits,
+    limit = cfg.battery.current_limit_a
+    return replace(
+        q,
         power_range_w=q.power_range_w or (0.0, 2.0 * rated_power_w),
         voltage_range_v=q.voltage_range_v or (0.0, 1.5 * cfg.battery.v_max_v),
-        current_range_a=q.current_range_a
-        or (-2.0 * cfg.battery.current_limit_a, 2.0 * cfg.battery.current_limit_a),
+        current_range_a=q.current_range_a or (-2.0 * limit, 2.0 * limit),
     )
 
 
@@ -240,8 +221,10 @@ class PlantBoundary:
 
     def outbound(self, frame: BusFrame, t_send_ms: float) -> tuple[bytes, float]:
         """Quantize+encode a plant frame; returns (wire bytes, delivery time)."""
-        if self.quant is not None and frame.msg_type == MSG_SENSOR:
-            frame = sensor_frame(frame.seq, frame.sim_time_ms, *self.quant.sensor(*frame.values))
+        q = self.quant
+        if q is not None and frame.msg_type == MSG_SENSOR:
+            values = map(quantize, frame.values, (q.bits, q.bits), (q.power_range_w, q.voltage_range_v))
+            frame = sensor_frame(frame.seq, frame.sim_time_ms, *values)
         data = encode_frame(frame)
         if self.corrupt_s2c is not None:
             data = self.corrupt_s2c(self._outbound_count, data)
@@ -252,8 +235,9 @@ class PlantBoundary:
         """Decode+log a controller frame; quantizes setpoint current (DAC)."""
         frame = decode_frame(data)
         t_deliver = self._log(C2S, frame, data, t_send_ms)
-        if self.quant is not None and frame.msg_type == MSG_SETPOINT:
-            frame = setpoint_frame(frame.seq, frame.sim_time_ms, self.quant.setpoint(frame.values[0]))
+        q = self.quant
+        if q is not None and frame.msg_type == MSG_SETPOINT:
+            frame = setpoint_frame(frame.seq, frame.sim_time_ms, quantize(frame.values[0], q.bits, q.current_range_a))
         return frame, t_deliver
 
 
@@ -324,10 +308,12 @@ def drive(plant: PlantDriver, boundary: PlantBoundary, peer, free_running: bool)
 
 
 class ControllerPeer:
-    """In-process peer: a ControllerDriver behind the full codec path."""
+    """The controller behind the full codec path: plant frame bytes in, reply
+    bytes out. drive calls it in-process; SocketEndpoint.serve feeds it from a
+    socket."""
 
-    def __init__(self, driver: ControllerDriver):
-        self.driver = driver
+    def __init__(self, n: int, sink=None):
+        self.driver = ControllerDriver(n, sink)
 
     def exchange(self, data: bytes) -> bytes | None:
         try:
@@ -341,7 +327,8 @@ class ControllerPeer:
 
 
 class SocketEndpoint:
-    """Blocking frame endpoint over a connected stream socket.
+    """Blocking frame endpoint over a connected stream socket: the plant's
+    peer (exchange) or the controller's end of the wire (serve).
 
     A read that waits SOCKET_TIMEOUT_S for bytes that never come raises a
     PROTOCOL RunFault.
@@ -350,9 +337,6 @@ class SocketEndpoint:
     def __init__(self, conn: socket.socket):
         conn.settimeout(SOCKET_TIMEOUT_S)
         self.conn = conn
-
-    def send(self, frame: BusFrame) -> None:
-        self.conn.sendall(encode_frame(frame))
 
     def exchange(self, data: bytes) -> bytes | None:
         """Send a plant frame; return the controller's reply, if one comes.
@@ -373,6 +357,8 @@ class SocketEndpoint:
             raise RunFault(PROTOCOL, f"controller connection closed: {exc}") from exc
 
     def _recv_exact(self, n: int) -> bytes:
+        """n bytes, or fewer if the peer closes mid-read (decode_frame
+        rejects them); EOFError if it closes before sending any."""
         buf = b""
         while len(buf) < n:
             try:
@@ -381,18 +367,29 @@ class SocketEndpoint:
                 raise RunFault(PROTOCOL, f"peer sent nothing for {self.conn.gettimeout()} s") from None
             if not chunk:
                 if buf:
-                    raise FrameError(f"connection closed mid-frame ({len(buf)} bytes held)")
+                    break
                 raise EOFError("connection closed")
             buf += chunk
         return buf
 
     def recv_bytes(self) -> bytes:
         header = self._recv_exact(HEADER_LEN)
-        rest = self._recv_exact(frame_length(header) - HEADER_LEN)
-        return header + rest
+        if len(header) < HEADER_LEN:
+            return header
+        return header + self._recv_exact(frame_length(header) - HEADER_LEN)
 
-    def recv(self) -> BusFrame:
-        return decode_frame(self.recv_bytes())
+    def serve(self, peer: ControllerPeer) -> None:
+        """The controller's end: answer each frame through the peer until the
+        session ends (END, FAULT or a sequence gap) or the plant disconnects.
+        With a sink, the log's last, partial block stays in peer.driver.log."""
+        while not peer.driver.done:
+            try:
+                data = self.recv_bytes()
+            except EOFError:
+                return
+            reply = peer.exchange(data)
+            if reply is not None:
+                self.conn.sendall(reply)
 
     def close(self) -> None:
         try:
@@ -406,7 +403,7 @@ def _run_inproc(
     series: PowerSeries, cfg: ScenarioConfig, corrupt_s2c, sinks: Sinks, free_running: bool
 ) -> SessionResult:
     plant = PlantDriver(series, cfg, sinks.plant)
-    peer = ControllerPeer(ControllerDriver(cfg.n_window, sinks.controller))
+    peer = ControllerPeer(cfg.n_window, sinks.controller)
     boundary = PlantBoundary(cfg, series.rated_power_w, corrupt_s2c=corrupt_s2c, sink=sinks.frames)
     drive(plant, boundary, peer, free_running)
     return SessionResult(plant, peer.driver, boundary.log)
@@ -447,7 +444,9 @@ def run_lockstep_socket(
     def serve() -> None:
         try:
             with socket.create_connection(("127.0.0.1", port), timeout=SOCKET_TIMEOUT_S) as conn:
-                outcome["driver"] = run_controller(SocketEndpoint(conn), cfg.n_window, sinks.controller)
+                peer = ControllerPeer(cfg.n_window, sinks.controller)
+                SocketEndpoint(conn).serve(peer)
+                outcome["driver"] = peer.driver
         except Exception as exc:  # raised again on the plant side
             outcome["error"] = exc
 

@@ -25,7 +25,7 @@ from .frames import (
     setpoint_frame,
     write_hexdump,
 )
-from .ingest import IngestError, IngestSpec, ingest_csv, write_series_csv
+from .ingest import RESAMPLE_MODES, TIMESTAMP_FORMATS, IngestError, IngestSpec, ingest_csv, write_series_csv
 from .plant import INVARIANT, PROTOCOL, RunFault
 from .ramp import RampMetricError, ramp_report, write_rates_file, write_report_json
 from .run import resolve_source, run_scenario
@@ -76,8 +76,8 @@ def cmd_run(scenario_path: str, out_dir: str, input_csv: str | None, transport: 
 @click.option("--out", "out_path", required=True, type=click.Path(), help="Normalized two-column CSV to write.")
 @click.option("--time-column", default="t_s", show_default=True)
 @click.option("--power-column", default="power_w", show_default=True)
-@click.option("--timestamp-format", type=click.Choice(["epoch_s", "iso8601"]), default="epoch_s", show_default=True)
-@click.option("--resample", type=click.Choice(["none", "zero_order_hold"]), default="none", show_default=True)
+@click.option("--timestamp-format", type=click.Choice(TIMESTAMP_FORMATS), default="epoch_s", show_default=True)
+@click.option("--resample", type=click.Choice(RESAMPLE_MODES), default="none", show_default=True)
 @click.option("--period", "sample_period_s", type=float, default=None, help="Target grid period for resampling [s].")
 @click.option("--clamp-negative", is_flag=True, default=False)
 @click.option("--rated", "rated_power_w", type=float, default=None, help="Nameplate rating; default is the series max.")

@@ -10,12 +10,14 @@ averaging window and a +/-5 %/min ramp limit.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import inspect
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, get_args, get_origin, get_type_hints
 
 # The DC supply's hardware current ceiling; the scenario can tighten it but
 # never exceed it.
@@ -190,55 +192,47 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 
-def _range_from(obj: Any, path: str) -> tuple[float, float] | None:
-    if obj is None:
-        return None
-    if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
-        raise ConfigError([f"{path}: expected [lo, hi]"])
-    return (float(obj[0]), float(obj[1]))
+# the JSON values a parameter of each plain annotated type takes
+_JSON_TYPES = {float: (int, float), int: int, str: str, bool: bool}
 
 
-def scenario_from_dict(doc: dict[str, Any]) -> ScenarioConfig:
-    """Build a ScenarioConfig from a parsed scenario document (not yet validated)."""
-    doc = dict(doc)
-    doc.pop("source", None)  # input description, handled by the runner
-    batt = dict(doc.pop("battery", {}))
-    trans = dict(doc.pop("transport", {}))
-    quant = trans.pop("quantization", None)
-
-    known = set(ScenarioConfig.__dataclass_fields__)
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError([f"{k}: unknown scenario field" for k in sorted(unknown)])
-    for sub, fields_of, label in (
-        (batt, BatteryParams, "battery"),
-        (trans, TransportConfig, "transport"),
-        (quant or {}, QuantizationConfig, "transport.quantization"),
-    ):
-        bad = set(sub) - set(fields_of.__dataclass_fields__)
-        if bad:
-            raise ConfigError([f"{label}.{k}: unknown field" for k in sorted(bad)])
-
-    if quant is not None:
-        quant = QuantizationConfig(
-            bits=int(quant.get("bits", 12)),
-            power_range_w=_range_from(quant.get("power_range_w"), "transport.quantization.power_range_w"),
-            voltage_range_v=_range_from(quant.get("voltage_range_v"), "transport.quantization.voltage_range_v"),
-            current_range_a=_range_from(quant.get("current_range_a"), "transport.quantization.current_range_a"),
-        )
-    transport = TransportConfig(**{**trans, "quantization": quant})
-    battery = BatteryParams(**batt)
-    return ScenarioConfig(**doc, battery=battery, transport=transport)
+@functools.cache
+def _schema(owner: Any) -> dict[str, tuple[Any, bool]]:
+    """A dataclass's or function's parameters: name -> (type, required)."""
+    hints = get_type_hints(owner)
+    return {name: (hints[name], p.default is p.empty) for name, p in inspect.signature(owner).parameters.items()}
 
 
-def scenario_to_dict(cfg: ScenarioConfig) -> dict[str, Any]:
-    doc = asdict(cfg)
-    q = doc["transport"]["quantization"]
-    if q is not None:
-        for key in ("power_range_w", "voltage_range_v", "current_range_a"):
-            if q[key] is not None:
-                q[key] = list(q[key])
-    return doc
+def _checked(hint: Any, value: Any, path: str) -> Any:
+    """A parameter's value from its JSON value: objects become dataclasses,
+    ranges float tuples; ints in float fields stay ints."""
+    args = get_args(hint)
+    if type(None) in args:  # X | None
+        if value is None:
+            return None
+        hint, args = args[0], get_args(args[0])
+    if is_dataclass(hint) and isinstance(value, dict):
+        return hint(**checked_kwargs(hint, value, path + "."))
+    if get_origin(hint) is tuple and isinstance(value, list) and len(value) == len(args):
+        return tuple(float(_checked(a, v, f"{path}[{i}]")) for i, (a, v) in enumerate(zip(args, value)))
+    # a bool is an int in Python but not a number in JSON
+    if isinstance(value, _JSON_TYPES.get(hint, ())) and (hint is bool or not isinstance(value, bool)):
+        return value
+    expected = "an object" if is_dataclass(hint) else "[lo, hi]" if args else hint.__name__
+    raise ConfigError([f"{path}: expected {expected}, got {json.dumps(value)}"])
+
+
+def checked_kwargs(owner: Any, doc: dict[str, Any], prefix: str = "") -> dict[str, Any]:
+    """Keyword arguments for a dataclass or function from a JSON object: each
+    key must name a parameter, each value have the JSON type of its
+    annotation, and each required parameter be there. A ConfigError names
+    each offending key by its dotted path."""
+    schema = _schema(owner)
+    errors = [f"{prefix}{key}: unknown field" for key in doc if key not in schema]
+    errors += [f"{prefix}{key}: required" for key, (_, required) in schema.items() if required and key not in doc]
+    if errors:
+        raise ConfigError(errors)
+    return {key: _checked(schema[key][0], value, prefix + key) for key, value in doc.items()}
 
 
 def load_scenario(path: str | Path) -> tuple[ScenarioConfig, dict[str, Any] | None]:
@@ -250,13 +244,13 @@ def load_scenario(path: str | Path) -> tuple[ScenarioConfig, dict[str, Any] | No
             raise ConfigError([f"{path}: not valid JSON ({exc})"]) from exc
     if not isinstance(doc, dict):
         raise ConfigError([f"{path}: top level must be an object"])
-    source = doc.get("source")
-    cfg = scenario_from_dict(doc)
-    return validate_scenario(cfg), source
+    # the source section describes the input; the runner reads it
+    cfg = ScenarioConfig(**checked_kwargs(ScenarioConfig, {k: v for k, v in doc.items() if k != "source"}))
+    return validate_scenario(cfg), doc.get("source")
 
 
 def save_scenario(cfg: ScenarioConfig, path: str | Path, source: dict[str, Any] | None = None) -> None:
-    doc = scenario_to_dict(cfg)
+    doc = asdict(cfg)
     if source is not None:
         doc["source"] = source
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -264,7 +258,7 @@ def save_scenario(cfg: ScenarioConfig, path: str | Path, source: dict[str, Any] 
 
 def config_hash(cfg: ScenarioConfig, source: dict[str, Any] | None = None) -> str:
     """Stable digest of the scenario actually run, for artifact metadata."""
-    doc = scenario_to_dict(cfg)
+    doc = asdict(cfg)
     if source is not None:
         doc["source"] = source
     canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))

@@ -25,7 +25,6 @@ from .frames import (
     MSG_FAULT,
     MSG_SENSOR,
     BusFrame,
-    FrameError,
     fault_frame,
     setpoint_frame,
 )
@@ -101,8 +100,8 @@ LOST_ROW = (0, nan, nan, nan, nan, 0.0, False, True)
 class ControllerDriver:
     """Frame-level wrapper: sensor frames in, setpoint frames out.
 
-    Transport-agnostic; the in-process bus peer or a blocking endpoint loop
-    feeds it one frame at a time. Every received frame gets exactly one response
+    Transport-agnostic; bus.ControllerPeer feeds it one frame at a time, in
+    process or from a socket. Every received frame gets exactly one response
     carrying the same sequence number. Malformed input produces a safe
     zero-current setpoint (the sample is lost, as a corrupted analog read
     would be) and bumps the error counter. `sink`, if given, receives the
@@ -154,26 +153,3 @@ class ControllerDriver:
             append(value)
         self.log.end_row()
         return setpoint_frame(seq, 0, 0.0)
-
-
-def run_controller(endpoint, n: int, sink=None) -> ControllerDriver:
-    """Serve a bus endpoint until the peer ends the session or disconnects.
-
-    Blocking loop suitable for a thread or a dedicated process; in-process
-    sessions drive a ControllerDriver directly instead (bus.ControllerPeer).
-    With a sink, the log's full blocks are handed to it from this loop; the
-    rows of the last, partial block stay in driver.log.
-    """
-    driver = ControllerDriver(n, sink)
-    while not driver.done:
-        try:
-            frame = endpoint.recv()
-        except FrameError:
-            endpoint.send(driver.on_bad_frame())
-            continue
-        except EOFError:
-            break  # transport closed; log stays as flushed so far
-        reply = driver.on_frame(frame)
-        if reply is not None:
-            endpoint.send(reply)
-    return driver

@@ -135,7 +135,6 @@ class PlantDriver:
         self.k = 0  # samples applied so far
         self.held_seq = 0  # sequence number of the held setpoint
         self.held_a = 0.0  # held current request; 0 A until the first setpoint
-        self.done = False
 
     def sim_time_ms(self, sample_index: int) -> int:
         return round(sample_index * self.cfg.sample_period_s * 1000.0)
@@ -196,10 +195,8 @@ class PlantDriver:
         self.apply_interval(self.held_a)
         k = self.k
         if k == self.n_samples:
-            self.done = True
             return end_frame(k + 1, self.sim_time_ms(k))
         return sensor_frame(k + 1, self.sim_time_ms(k), self._samples[k], self.v_terminal_v)
 
     def gap_fault(self) -> BusFrame:
-        self.done = True
         return fault_frame(self.k + 1, self.sim_time_ms(self.k))

@@ -32,9 +32,9 @@ from typing import Any
 
 import numpy as np
 
-from . import __version__
+from . import __version__, synth
 from .bus import SESSION_SINKS, SessionLog, SessionResult, Sinks, run_session
-from .config import ConfigError, ScenarioConfig, config_hash, validate_scenario
+from .config import ConfigError, ScenarioConfig, checked_kwargs, config_hash, validate_scenario
 from .frames import write_hexdump
 from .ingest import IngestSpec, ingest_csv
 from .plant import INVARIANT, RunFault
@@ -223,23 +223,26 @@ def _ramp_summary(report: RampReport) -> dict[str, Any]:
 
 
 def resolve_source(source: dict[str, Any] | None, cfg: ScenarioConfig) -> PowerSeries:
-    """Materialize the scenario's input trace from its `source` section."""
+    """Materialize the scenario's input trace from its `source` section,
+    whose keys and values are checked against synth_pv's or IngestSpec's."""
     if source is None:
         raise ConfigError(["source: scenario file has no source section and no input was given"])
+    if not isinstance(source, dict):
+        raise ConfigError([f"source: expected an object, got {json.dumps(source)}"])
     kind = source.get("kind")
+    args = {k: v for k, v in source.items() if k != "kind"}
     if kind == "synth":
-        args = {k: v for k, v in source.items() if k != "kind"}
-        profile = args.pop("profile", "clear")
-        duration_s = float(args.pop("duration_s", 7200.0))
-        sample_period_s = float(args.pop("sample_period_s", cfg.sample_period_s))
-        rated_w = float(args.pop("rated_w", 3000.0))
-        if "seed" not in args and profile == "cloud_random":
+        defaults = {"profile": "clear", "duration_s": 7200.0, "sample_period_s": cfg.sample_period_s, "rated_w": 3000.0}
+        # synth_pv's signature from its module: a tracer may wrap run.synth_pv
+        args = checked_kwargs(synth.synth_pv, {**defaults, **args}, "source.")
+        for key in ("duration_s", "sample_period_s", "rated_w"):
+            args[key] = float(args[key])  # an int would reach metrics.json as an int
+        if "seed" not in args and args["profile"] == "cloud_random":
             args["seed"] = cfg.seed
-        return synth_pv(profile, duration_s, sample_period_s, rated_w, **args)
+        return synth_pv(**args)
     if kind == "csv":
-        args = {k: v for k, v in source.items() if k != "kind"}
         args.setdefault("sample_period_s", cfg.sample_period_s)
-        return ingest_csv(IngestSpec(**args)).series
+        return ingest_csv(IngestSpec(**checked_kwargs(IngestSpec, args, "source."))).series
     raise ConfigError([f"source.kind: {kind!r} not one of ('synth', 'csv')"])
 
 

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from pvsmooth.frames import (
     MSG_FAULT,
     MSG_SENSOR,
     MSG_SETPOINT,
+    FrameError,
     decode_frame,
     encode_frame,
     setpoint_frame,
@@ -172,18 +174,19 @@ def test_controller_in_separate_process_matches_inproc(tmp_path):
         write_controller_log(inproc.controller.log, out)
 
     listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(30)
     port = listener.getsockname()[1]
     log_remote = tmp_path / "ctrl_remote.csv"
     script = (
-        "import socket, sys\n"
-        "from pvsmooth.bus import SocketEndpoint\n"
-        "from pvsmooth.controller import run_controller\n"
+        "import socket\n"
+        "from pvsmooth.bus import ControllerPeer, SocketEndpoint\n"
         "from pvsmooth.run import write_controller_log\n"
         "from pvsmooth.util import AtomicWriter\n"
         f"conn = socket.create_connection(('127.0.0.1', {port}))\n"
-        f"driver = run_controller(SocketEndpoint(conn), n={cfg.n_window})\n"
+        f"peer = ControllerPeer({cfg.n_window})\n"
+        "SocketEndpoint(conn).serve(peer)\n"
         f"with AtomicWriter(r'{log_remote}') as out:\n"
-        "    write_controller_log(driver.log, out)\n"
+        "    write_controller_log(peer.driver.log, out)\n"
     )
     proc = subprocess.Popen([sys.executable, "-c", script])
     try:
@@ -298,7 +301,7 @@ def test_corrupted_frame_mid_run_recovers(engine):
     assert log.k.tolist() == [1, 0, 2, 3]  # the lost sample's row has k=0
     assert log.i_set_a[1] == 0.0
     # loop survived to completion
-    assert result.plant.done
+    assert result.plant.k == result.plant.n_samples
     assert len(result.plant.trace) == 4
 
 
@@ -414,15 +417,35 @@ def test_controller_thread_error_is_raised_on_the_plant_side(monkeypatch):
     class Boom(RuntimeError):
         pass
 
-    def run_controller(endpoint, n, sink=None):
-        endpoint.recv()
+    def serve(endpoint, peer):
+        endpoint.recv_bytes()
         raise Boom("controller failed")
 
-    monkeypatch.setattr(bus, "run_controller", run_controller)
+    monkeypatch.setattr(bus.SocketEndpoint, "serve", serve)
     with pytest.raises(Boom, match="controller failed") as err:
         run_lockstep_socket(PowerSeries([10.0, 20.0, 30.0], 5.0, 100.0), three_sample_cfg())
     assert isinstance(err.value.__context__, RunFault)
     assert err.value.__context__.kind == PROTOCOL
+
+
+@pytest.mark.parametrize(
+    "cut, error", [(10, "need 20 header bytes, got 10"), (30, "declared 32 bytes, got 30")]
+)
+def test_controller_closing_mid_reply_is_a_frame_error(monkeypatch, tmp_path, capsys, cut, error):
+    # the plant reads a reply cut short by a closing controller as the frame
+    # it is, which decode_frame rejects; the command line exits 4 for it
+    from pvsmooth.cli import main
+
+    def serve(endpoint, peer):
+        endpoint.conn.sendall(peer.exchange(endpoint.recv_bytes())[:cut])
+
+    monkeypatch.setattr(bus.SocketEndpoint, "serve", serve)
+    with pytest.raises(FrameError, match=error):
+        run_lockstep_socket(PowerSeries([10.0, 20.0, 30.0], 5.0, 100.0), three_sample_cfg())
+    scenario = Path(__file__).resolve().parents[1] / "scenarios" / "default.json"
+    assert main(["run", "--scenario", str(scenario), "--transport", "socket", "--out", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err == f"protocol fault: {error}\n"
+    assert not (tmp_path / "out" / "metrics.json").exists()
 
 
 def test_quantization_applies_on_the_wire():

@@ -108,6 +108,43 @@ def test_exit_code_input_error(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("section", "key", "value", "named"),
+    [
+        ("transport", "latency_ms", "5", 'transport.latency_ms: expected float, got "5"'),
+        (None, "sample_period_s", "5", 'sample_period_s: expected float, got "5"'),
+        ("battery", "capacity_wh", None, "battery.capacity_wh: expected float, got null"),
+        ("quantization", "power_range_w", ["a", 5], 'transport.quantization.power_range_w[0]: expected float, got "a"'),
+        (None, "source", "synth", 'source: expected an object, got "synth"'),
+        ("source", "cloud_period", 600.0, "source.cloud_period: unknown field"),
+        ("csv", "columns", ["t", "p"], "source.columns: unknown field"),
+        ("source", "duration_s", "ten", 'source.duration_s: expected float, got "ten"'),
+    ],
+    ids=["latency_str", "period_str", "capacity_null", "range_str", "source_str", "synth_key", "csv_key",
+         "duration_str"],
+)
+def test_exit_code_of_a_wrong_typed_value(tmp_path, capsys, section, key, value, named):
+    doc = json.loads((SCENARIOS / "default.json").read_text())
+    if section == "quantization":
+        doc["transport"]["quantization"] = {"bits": 12}
+        doc["transport"]["quantization"][key] = value
+    elif section == "csv":
+        pv = tmp_path / "pv.csv"
+        pv.write_text("t_s,power_w\n0,1.0\n5,2.0\n")
+        doc["source"] = {"kind": "csv", "path": str(pv), key: value}
+    elif section is not None:
+        doc[section][key] = value
+    else:
+        doc[key] = value
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    code = main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: invalid scenario: ") and err.count("\n") == 1, err
+    assert named in err
+
+
 def test_exit_code_missing_columns(tmp_path, capsys):
     raw = tmp_path / "raw.csv"
     raw.write_text("a,b\n1,2\n")

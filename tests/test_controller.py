@@ -1,11 +1,23 @@
+import socket
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_zero_padded_mean
+from pvsmooth.bus import ControllerPeer, SocketEndpoint
 from pvsmooth.controller import ControllerDriver, SmoothingController
-from pvsmooth.frames import MSG_FAULT, MSG_SETPOINT, end_frame, sensor_frame
+from pvsmooth.frames import (
+    MSG_FAULT,
+    MSG_SETPOINT,
+    decode_frame,
+    encode_frame,
+    end_frame,
+    fault_frame,
+    frame_length,
+    sensor_frame,
+)
 
 
 def test_first_sample_mean_over_zero_buffer():
@@ -187,50 +199,72 @@ def test_zero_frames_is_clean():
     assert len(d.log) == 0 and d.error_count == 0
 
 
-class ScriptedEndpoint:
-    """Plays back a list of frames; 'corrupt' entries raise like a bad wire."""
+def serve_script(*chunks: bytes):
+    """Serve a controller over a socket pair whose plant end sends the chunks
+    and then closes for writing; returns (driver, reply frames)."""
+    plant_end, controller_end = socket.socketpair()
+    with plant_end, controller_end:
+        for chunk in chunks:
+            plant_end.sendall(chunk)
+        plant_end.shutdown(socket.SHUT_WR)
+        peer = ControllerPeer(4)
+        SocketEndpoint(controller_end).serve(peer)
+        controller_end.shutdown(socket.SHUT_WR)
+        replies = b""
+        while chunk := plant_end.recv(4096):
+            replies += chunk
+    frames = []
+    while replies:  # whole frames only: decode_frame rejects a cut one
+        n = frame_length(replies)
+        frames.append(decode_frame(replies[:n]))
+        replies = replies[n:]
+    return peer.driver, frames
 
-    def __init__(self, script):
-        self.script = list(script)
-        self.sent = []
 
-    def recv(self):
-        if not self.script:
-            raise EOFError
-        item = self.script.pop(0)
-        if item == "corrupt":
-            from pvsmooth.frames import BadCrc
-
-            raise BadCrc("crc mismatch")
-        return item
-
-    def send(self, frame):
-        self.sent.append(frame)
-
-
-def test_run_controller_loop_corruption_end_and_eof():
-    from pvsmooth.controller import run_controller
-
-    ep = ScriptedEndpoint(
-        [
-            sensor_frame(1, 0, 100.0, 50.0),
-            "corrupt",
-            sensor_frame(3, 10000, 300.0, 50.0),
-            end_frame(4, 15000),
-        ]
+def test_serve_loop_corruption_end_and_eof():
+    corrupt = bytearray(encode_frame(sensor_frame(2, 5000, 200.0, 50.0)))
+    corrupt[-1] ^= 0x01  # crc mismatch, length intact
+    driver, sent = serve_script(
+        encode_frame(sensor_frame(1, 0, 100.0, 50.0)),
+        bytes(corrupt),
+        encode_frame(sensor_frame(3, 10000, 300.0, 50.0)),
+        encode_frame(end_frame(4, 15000)),
     )
-    driver = run_controller(ep, n=4)
     assert driver.done
-    assert [f.seq for f in ep.sent] == [1, 2, 3]
-    assert ep.sent[1].values == (0.0,)  # safe zero for the corrupt frame
+    assert [f.seq for f in sent] == [1, 2, 3]
+    assert sent[1].values == (0.0,)  # safe zero for the corrupt frame
     assert driver.error_count == 1
     assert len(driver.log) == 3 and driver.log.fault.tolist() == [0, 1, 0]
 
 
-def test_run_controller_transport_close_is_clean():
-    from pvsmooth.controller import run_controller
-
-    ep = ScriptedEndpoint([sensor_frame(1, 0, 100.0, 50.0)])  # EOF after one frame
-    driver = run_controller(ep, n=4)
+def test_serve_loop_transport_close_is_clean():
+    driver, sent = serve_script(encode_frame(sensor_frame(1, 0, 100.0, 50.0)))  # EOF after one frame
     assert not driver.done  # closed, not ended; log flushed as-is
-    assert len(driver.log) == 1 and len(ep.sent) == 1
+    assert len(driver.log) == 1 and len(sent) == 1
+
+
+@pytest.mark.parametrize("cut, replies", [(10, 1), (20, 0), (30, 1)])
+def test_serve_loop_frame_cut_short_by_close(cut, replies):
+    # bytes cut short inside the header or the body are a lost sample with a
+    # safe zero reply; a close right after the header ends the session quietly
+    driver, sent = serve_script(encode_frame(sensor_frame(1, 0, 100.0, 50.0))[:cut])
+    assert [(f.msg_type, f.seq, f.values) for f in sent] == [(MSG_SETPOINT, 1, (0.0,))] * replies
+    assert driver.error_count == replies
+    assert driver.log.fault.tolist() == [1] * replies
+    assert not driver.done
+
+
+@pytest.mark.parametrize("last", ["end", "fault", "gap"])
+def test_serve_loop_stops_at_the_end_of_the_session(last):
+    # after END, FAULT or a sequence gap the loop reads nothing more, so a
+    # frame the plant sends after it goes unanswered
+    first = encode_frame(sensor_frame(1, 0, 100.0, 50.0))
+    ending = {
+        "end": encode_frame(end_frame(2, 5000)),
+        "fault": encode_frame(fault_frame(2, 5000)),
+        "gap": encode_frame(sensor_frame(3, 10000, 300.0, 50.0)),
+    }[last]
+    driver, sent = serve_script(first, ending, encode_frame(sensor_frame(2, 5000, 200.0, 50.0)))
+    assert driver.done
+    assert [(f.msg_type, f.seq) for f in sent] == [(MSG_SETPOINT, 1)] + [(MSG_FAULT, 3)] * (last == "gap")
+    assert len(driver.log) == 1

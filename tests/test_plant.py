@@ -173,7 +173,7 @@ def test_lockstep_sequence_and_end():
     d.hold(setpoint_frame(3, 10000, 0.0))
     f4 = d.tick()
     assert f4.msg_type == MSG_END
-    assert d.done and len(d.trace) == 3
+    assert d.k == d.n_samples == len(d.trace) == 3
 
 
 def test_zero_setpoints_hold_soc_and_power():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -314,6 +315,26 @@ def test_resolve_source_synth_and_csv(tmp_path):
         resolve_source(None, cfg)
     with pytest.raises(ConfigError, match="kind"):
         resolve_source({"kind": "carrier_pigeon"}, cfg)
+
+
+def test_resolve_source_checks_every_key_and_keeps_float_metadata(tmp_path):
+    # integers in a synth source give the trace of their float values, float
+    # metadata included (metrics.json writes it); a missing csv path, an
+    # unknown key or a wrong-typed value is a ConfigError naming the key
+    cfg = validate_scenario(ScenarioConfig(sample_period_s=5, window_s=60, rr_interval_s=60, seed=3))
+    ints = resolve_source({"kind": "synth", "profile": "cloud_random", "duration_s": 600, "rated_w": 500}, cfg)
+    floats = resolve_source({"kind": "synth", "profile": "cloud_random", "duration_s": 600.0, "rated_w": 500.0}, cfg)
+    assert ints == floats
+    assert (type(ints.rated_power_w), type(ints.sample_period_s)) == (float, float)
+    for source, named in [
+        ({"kind": "csv"}, "source.path: required"),
+        ({"kind": "csv", "path": str(tmp_path / "pv.csv"), "clamp_negative": "yes"}, "source.clamp_negative: expected bool"),
+        ({"kind": "synth", "seed": 1.5}, "source.seed: expected int"),
+        ({"kind": "synth", "return": 1}, "source.return: unknown field"),
+        (["synth"], "source: expected an object"),
+    ]:
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            resolve_source(source, cfg)
 
 
 def test_field_inverter_export_ingest_path(tmp_path):
