@@ -13,13 +13,15 @@ under the same interpreter and with the same --seed and --seconds.
 The result is written to BENCH_<pr>.json at the repository root: per
 workload and end-to-end metric, each side's runs, median and quartiles, how
 many pairs the change won (ties count for neither side), and the traced
-per-layer metrics of each side.
+per-layer metrics of each side. `host` records the CPUs the runs could use,
+since a run's log writer process overlaps the session only on a second CPU.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -97,7 +99,8 @@ def main(argv: list[str] | None = None) -> int:
     report = {
         "pairs": args.pairs, "seconds": args.seconds, "seed": args.seed,
         "host": {"python": platform.python_version(), "machine": platform.machine(),
-                 "system": platform.system(), "release": platform.release()},
+                 "system": platform.system(), "release": platform.release(),
+                 "usable_cpus": len(os.sched_getaffinity(0))},
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:

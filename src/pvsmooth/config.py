@@ -237,11 +237,13 @@ def checked_kwargs(owner: Any, doc: dict[str, Any], prefix: str = "") -> dict[st
 
 def load_scenario(path: str | Path) -> tuple[ScenarioConfig, dict[str, Any] | None]:
     """Read and validate a scenario file; returns (config, source section)."""
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError([f"{path}: not valid JSON ({exc})"]) from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError([f"{path}: not valid JSON ({exc})"]) from exc
+    except (IsADirectoryError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"{path}: cannot be read as UTF-8 text ({exc})"]) from exc
     if not isinstance(doc, dict):
         raise ConfigError([f"{path}: top level must be an object"])
     # the source section describes the input; the runner reads it

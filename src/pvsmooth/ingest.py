@@ -77,45 +77,50 @@ def ingest_csv(spec: IngestSpec) -> IngestResult:
     path = Path(spec.path)
     if not path.exists():
         raise IngestError([f"{path}: file not found"])
+    if path.is_dir():
+        raise IngestError([f"{path}: is a directory, not a CSV file"])
 
     times: list[float] = []
     powers: list[float] = []
     errors: list[str] = []
     clamped = 0
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh, delimiter=spec.delimiter)
-        if reader.fieldnames is None:
-            raise IngestError([f"{path}: empty file"])
-        missing = {spec.time_column, spec.power_column} - set(reader.fieldnames)
-        if missing:
-            raise IngestError(
-                [f"{path}: missing column {c!r} (found {reader.fieldnames})" for c in sorted(missing)]
-            )
-        for row in reader:
-            line = reader.line_num
-            try:
-                t = _parse_time(row[spec.time_column], spec.timestamp_format)
-            except (TypeError, ValueError):
-                errors.append(f"line {line}: unparseable time {row[spec.time_column]!r}")
-                continue
-            try:
-                p = float(row[spec.power_column])
-            except (TypeError, ValueError):
-                errors.append(f"line {line}: unparseable power {row[spec.power_column]!r}")
-                continue
-            if not np.isfinite(p):
-                errors.append(f"line {line}: non-finite power {p}")
-                continue
-            if p < 0.0:
-                if spec.clamp_negative:
-                    p = 0.0
-                    clamped += 1
-                else:
-                    errors.append(f"line {line}: negative power {p} (enable clamp_negative to zero it)")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh, delimiter=spec.delimiter)
+            if reader.fieldnames is None:
+                raise IngestError([f"{path}: empty file"])
+            missing = {spec.time_column, spec.power_column} - set(reader.fieldnames)
+            if missing:
+                raise IngestError(
+                    [f"{path}: missing column {c!r} (found {reader.fieldnames})" for c in sorted(missing)]
+                )
+            for row in reader:
+                line = reader.line_num
+                try:
+                    t = _parse_time(row[spec.time_column], spec.timestamp_format)
+                except (TypeError, ValueError):
+                    errors.append(f"line {line}: unparseable time {row[spec.time_column]!r}")
                     continue
-            times.append(t)
-            powers.append(p)
+                try:
+                    p = float(row[spec.power_column])
+                except (TypeError, ValueError):
+                    errors.append(f"line {line}: unparseable power {row[spec.power_column]!r}")
+                    continue
+                if not np.isfinite(p):
+                    errors.append(f"line {line}: non-finite power {p}")
+                    continue
+                if p < 0.0:
+                    if spec.clamp_negative:
+                        p = 0.0
+                        clamped += 1
+                    else:
+                        errors.append(f"line {line}: negative power {p} (enable clamp_negative to zero it)")
+                        continue
+                times.append(t)
+                powers.append(p)
+    except UnicodeDecodeError as exc:
+        raise IngestError([f"{path}: not UTF-8 text ({exc})"]) from exc
 
     if errors:
         raise IngestError(errors)

@@ -13,37 +13,47 @@ and writes a deterministic artifact set:
     histogram.csv         rate distributions, raw and smoothed
 
 The first three are streamed: each block of the session's logs is checked
-and appended to its file while the session runs. Every file is written
-through a temporary file and renamed into place only after the session has
-passed its checks, so a failed run leaves none of them. The files contain
-no wall-clock timestamps, so a repeated run with identical inputs is
-byte-identical.
+while the session runs and handed to a writer process (LogWriter), which
+appends it to its file, so formatting overlaps the session. Every file is
+written through a temporary file and renamed into place only after the
+session has passed its checks, so a failed run leaves none of them. The
+files contain no wall-clock timestamps, so a repeated run with identical
+inputs is byte-identical.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
+import os
+import select
+import signal
+import struct
 import sys
-from contextlib import ExitStack
+import threading
+from collections.abc import Sequence
+from contextlib import ExitStack, suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from . import __version__, synth
-from .bus import SESSION_SINKS, SessionLog, SessionResult, Sinks, run_session
+from . import __version__, bus, synth
+from .bus import FRAME_LOG_COLUMNS, SESSION_SINKS, SessionLog, SessionResult, Sinks, run_session
 from .config import ConfigError, ScenarioConfig, checked_kwargs, config_hash, validate_scenario
+from .controller import CONTROLLER_LOG_COLUMNS
 from .frames import write_hexdump
 from .ingest import IngestSpec, ingest_csv
-from .plant import INVARIANT, RunFault
+from .plant import INVARIANT, PLANT_TRACE_COLUMNS, RunFault
 from .ramp import RampReport, ramp_report, report_to_dict, write_rates_file
 from .series import PowerSeries, scale_series
 from .synth import synth_pv
-from .util import AtomicWriter, Columns, atomic_write_text
+from .util import BLOCK_ROWS, AtomicWriter, Columns, atomic_write_text
 
 STREAMED_FILES = ("plant_trace.csv", "controller_log.csv", "frames.hex")
+PLANT, CONTROLLER, FRAMES = range(3)  # the streamed tables, in file order
 ARTIFACT_FILES = STREAMED_FILES + ("metrics.json", "raw_rates.csv", "smoothed_rates.csv", "histogram.csv")
 # per-point data of a ramp report, left out of metrics.json: the rates and
 # histogram files hold it
@@ -156,27 +166,202 @@ def smoothed_series_from(p_hat: np.ndarray, series: PowerSeries) -> PowerSeries:
     )
 
 
+# The writer process's ring: shared-memory slots that hold one block of one
+# table each. A row takes at most 64 bytes of columns, or 38 for a frame
+# plus its wire bytes (40 for the longest frame).
+RING_SLOTS = 8
+SLOT_BYTES = 128 * BLOCK_ROWS
+# parent to child: the table, the slot, the rows and the index in the whole
+# table of the first row; child to parent: one byte, the slot handed back
+_MESSAGE = struct.Struct("<BBIq")
+_END = 255  # message: no more blocks; reply: every file flushed and closed
+_FAILED = 254  # reply: the child failed; its error message follows
+
+
+def _format_blocks(ring: mmap.mmap, inbox: int, outbox: int, files: Sequence[AtomicWriter]) -> None:
+    """The writer process's loop: rebuild each block named on inbox from its
+    ring slot, append its text to the table's file, hand the slot back on
+    outbox. Returns once every file is closed at the run's end."""
+    plant_csv, ctrl_csv, frames_hex = files
+    frame_log = SessionLog()
+    tables = (Columns(PLANT_TRACE_COLUMNS), Columns(CONTROLLER_LOG_COLUMNS), frame_log.frames)
+    view = memoryview(ring)
+    while True:
+        message = os.read(inbox, _MESSAGE.size)
+        if len(message) < _MESSAGE.size:
+            raise EOFError("the run ended without closing the log writer")
+        table_id, slot, rows, start = _MESSAGE.unpack(message)
+        if table_id == _END:
+            for out in files:
+                out.close()
+            os.write(outbox, bytes([_END]))
+            return
+        table = tables[table_id]
+        offset = slot * SLOT_BYTES
+        for name in table.names:
+            col = getattr(table, name)
+            del col[:]
+            end = offset + rows * col.itemsize
+            col.frombytes(view[offset:end])
+            offset = end
+        table.start = start
+        if table_id == PLANT:
+            write_plant_trace(table, plant_csv)
+        elif table_id == CONTROLLER:
+            write_controller_log(table, ctrl_csv)
+        else:
+            frame_log.wire[:] = view[offset : offset + table.wire_end[-1]]
+            write_hexdump(frame_log.tagged_hex(), frames_hex)
+        os.write(outbox, bytes([slot]))
+
+
+class LogWriter:
+    """A forked writer process that formats the streamed tables into their
+    files (STREAMED_FILES order), so formatting overlaps the session.
+
+    send copies a block's columns, and a frame block's wire bytes, into a
+    free slot of a shared-memory ring and names the slot in a small message
+    on a pipe; the child rebuilds the block, runs the table's formatter into
+    the file and hands the slot back on a second pipe. The parent waits only
+    when every slot is busy, and never more than bus.SOCKET_TIMEOUT_S for a
+    reply. A child that fails or dies makes the parent raise with its
+    message. The child always ends with os._exit.
+
+    Used as a context manager around the run: a block that ends cleanly
+    closes the writer (close), one that raises kills and reaps the child.
+    Either way no child is left behind, and the files' temporary copies are
+    complete before anything renames them. In a socket session blocks come
+    from two threads; one lock guards the hand-off.
+    """
+
+    def __init__(self, files: Sequence[AtomicWriter]):
+        self._ring = mmap.mmap(-1, RING_SLOTS * SLOT_BYTES)
+        inbox, self._to_child = os.pipe()
+        self._from_child, outbox = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(self._to_child)
+                os.close(self._from_child)
+                _format_blocks(self._ring, inbox, outbox, files)
+                code = 0
+            except BaseException as exc:
+                with suppress(OSError):
+                    os.write(outbox, bytes([_FAILED]) + f"{type(exc).__name__}: {exc}".encode()[: select.PIPE_BUF - 1])
+            finally:
+                os._exit(code)
+        os.close(inbox)
+        os.close(outbox)
+        self._replies = select.poll()
+        self._replies.register(self._from_child, select.POLLIN)
+        self._free = list(range(RING_SLOTS))
+        self._lock = threading.Lock()
+
+    def send(self, table_id: int, table: Columns, wire: bytes | None = None) -> None:
+        """Hand the rows `table` holds to the writer, BLOCK_ROWS rows at a
+        time; a frame log comes with its wire bytes, and each piece's
+        wire_end is rebased to the piece's own bytes."""
+        ring = self._ring
+        with self._lock:
+            for i in range(0, len(table), BLOCK_ROWS):
+                cols = [memoryview(getattr(table, name))[i : i + BLOCK_ROWS] for name in table.names]
+                if wire is not None:
+                    ends = table.numpy("wire_end")[i : i + BLOCK_ROWS]
+                    base = int(table.wire_end[i - 1]) if i else 0
+                    cols[table.names.index("wire_end")] = ends - base
+                    cols.append(memoryview(wire)[base : int(ends[-1])])
+                size = sum(col.nbytes for col in cols)
+                if size > SLOT_BYTES:
+                    raise ValueError(f"a block of {size} bytes does not fit a {SLOT_BYTES}-byte ring slot")
+                while not self._free:
+                    self._collect()
+                slot = self._free.pop()
+                ring.seek(slot * SLOT_BYTES)
+                for col in cols:
+                    ring.write(col)
+                self._tell(_MESSAGE.pack(table_id, slot, len(cols[0]), table.start + i))
+
+    def drain(self) -> None:
+        """Wait until the writer has taken every block sent so far."""
+        with self._lock:
+            while len(self._free) < RING_SLOTS:
+                self._collect()
+
+    def close(self) -> None:
+        """End the blocks; return once the child has flushed and closed
+        every file and exited 0."""
+        with self._lock:
+            self._tell(_MESSAGE.pack(_END, 0, 0, 0))
+            while not self._collect():
+                pass
+            code = self._reap(kill=False)
+        if code != 0:
+            raise RuntimeError(f"log writer process exited with {code}")
+
+    def _tell(self, message: bytes) -> None:
+        try:
+            os.write(self._to_child, message)
+        except BrokenPipeError:  # the child is gone: raise with what it said
+            while True:
+                self._collect()
+
+    def _collect(self) -> bool:
+        """Take the child's replies, waiting for at least one; returns
+        whether the child reported its files closed."""
+        timeout = bus.SOCKET_TIMEOUT_S
+        if not self._replies.poll(1000 * timeout):
+            raise RuntimeError(f"log writer process sent nothing for {timeout} s")
+        replies = os.read(self._from_child, select.PIPE_BUF)
+        if not replies:
+            code = self._reap(kill=False)
+            raise RuntimeError(f"log writer process died ({'signal ' + str(-code) if code < 0 else f'exit {code}'})")
+        for i, reply in enumerate(replies):
+            if reply == _FAILED:
+                raise RuntimeError(f"log writer process failed: {replies[i + 1 :].decode(errors='replace')}")
+            if reply == _END:
+                return True
+            self._free.append(reply)
+        return False
+
+    def _reap(self, kill: bool) -> int:
+        """Wait for the child, killed first if `kill`; its exit code, or
+        minus the signal that ended it."""
+        pid, self.pid = self.pid, None
+        if kill:
+            with suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+    def __enter__(self) -> LogWriter:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            if exc_type is None and self.pid is not None:
+                self.close()
+        finally:
+            if self.pid is not None:  # a failed run, or a close that failed
+                self._reap(kill=True)
+            os.close(self._to_child)
+            os.close(self._from_child)
+            self._ring.close()
+
+
 class RunLogs:
     """A run's session logs on their way to disk, one block at a time.
 
     Each block of the controller log and of the plant trace is checked with
-    check_run_invariants and appended to its open file; each block of the
-    frame log is hex-dumped. What the run needs after the session stays
-    here: the p_hat of live controller rows (the smoothed series) and the
-    SOC range and final value. In a socket session controller_block runs on
-    the controller's thread.
+    check_run_invariants, and every block goes to the writer process. What
+    the run needs after the session stays here: the p_hat of live
+    controller rows (the smoothed series) and the SOC range and final
+    value. In a socket session controller_block runs on the controller's
+    thread.
     """
 
-    def __init__(
-        self,
-        cfg: ScenarioConfig,
-        n_samples: int,
-        plant_csv: AtomicWriter,
-        ctrl_csv: AtomicWriter,
-        frames_hex: AtomicWriter,
-    ):
+    def __init__(self, cfg: ScenarioConfig, n_samples: int, writer: LogWriter):
         self.cfg = cfg
-        self.plant_csv, self.ctrl_csv, self.frames_hex = plant_csv, ctrl_csv, frames_hex
+        self.writer = writer
         self._p_hat = np.empty(n_samples)  # one live row per sample at most
         self._n_live = 0
         self.soc_min, self.soc_max, self.soc_final = math.inf, -math.inf, math.nan
@@ -187,7 +372,7 @@ class RunLogs:
         p_hat = live_p_hat(log)
         self._p_hat[self._n_live : self._n_live + p_hat.size] = p_hat
         self._n_live += p_hat.size
-        write_controller_log(log, self.ctrl_csv)
+        self.writer.send(CONTROLLER, log)
 
     def plant_block(self, trace: Columns) -> None:
         check_run_invariants(self.cfg, trace=trace)
@@ -195,10 +380,10 @@ class RunLogs:
         self.soc_min = min(self.soc_min, float(soc.min()))
         self.soc_max = max(self.soc_max, float(soc.max()))
         self.soc_final = float(soc[-1])
-        write_plant_trace(trace, self.plant_csv)
+        self.writer.send(PLANT, trace)
 
     def frame_block(self, log: SessionLog) -> None:
-        write_hexdump(log.tagged_hex(), self.frames_hex)
+        self.writer.send(FRAMES, log.frames, log.wire)
 
     def finish(self, session: SessionResult) -> None:
         """Take the rows the session's tables still hold: the last, partial
@@ -256,9 +441,10 @@ def run_scenario(
 ) -> RunArtifacts:
     """Execute one experiment end to end and write its artifact set.
 
-    The session's logs stream to disk as it runs (RunLogs); the files are
-    renamed into place only when the run has passed, so an invariant breach,
-    a protocol fault or a crash leaves no artifact and no temporary file.
+    The session's logs stream to disk as it runs (RunLogs, LogWriter); the
+    files are renamed into place only when the run has passed and the writer
+    process has closed them, so an invariant breach, a protocol fault, a
+    crash or a failed writer leaves no artifact and no temporary file.
     """
     cfg = validate_scenario(cfg)
     if abs(series.sample_period_s - cfg.sample_period_s) > 1e-9 * cfg.sample_period_s:
@@ -275,7 +461,8 @@ def run_scenario(
     out.mkdir(parents=True, exist_ok=True)
     with ExitStack() as stack:
         files = [stack.enter_context(AtomicWriter(out / name)) for name in STREAMED_FILES]
-        logs = RunLogs(cfg, len(series), *files)
+        writer = stack.enter_context(LogWriter(files))
+        logs = RunLogs(cfg, len(series), writer)
         token = SESSION_SINKS.set(logs.sinks)
         try:
             session = run_session(series, cfg, transport)
@@ -296,6 +483,7 @@ def run_scenario(
             clamp_events=session.plant.clamp_events,
         )
         digest = config_hash(cfg, source)
+        writer.close()  # the streamed files are complete before any file is renamed into place
 
         write_rates_file(raw_rep, out / "raw_rates.csv", sample_period_s=series.sample_period_s)
         write_rates_file(smooth_rep, out / "smoothed_rates.csv", sample_period_s=series.sample_period_s)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-BLOCK_ROWS = 4096  # rows per block handed to a table's sink
+BLOCK_ROWS = 1024  # rows per block handed to a table's sink
 FORMAT_ROWS = 256  # rows converted to Python values, and lines joined, at a time
 
 
@@ -34,12 +34,17 @@ class AtomicWriter:
         """Append `text`, a string or an iterable of chunks written in order."""
         self._fh.writelines([text] if isinstance(text, str) else text)
 
+    def close(self) -> None:
+        """Flush and close the temporary file, leaving it in place; a writer
+        process hands a file back this way, and its owner renames it."""
+        self._fh.close()
+
     def __enter__(self) -> AtomicWriter:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         try:
-            self._fh.close()
+            self.close()
             if exc_type is None:
                 os.replace(self.tmp, self.path)
         finally:

@@ -1,4 +1,6 @@
 import math
+import socket
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from pvsmooth.bus import (
     C2S,
     S2C,
     PlantBoundary,
+    ControllerPeer,
     SocketEndpoint,
     drive,
     quantize,
@@ -30,6 +33,7 @@ from pvsmooth.config import (
 )
 from pvsmooth.controller import SmoothingController
 from pvsmooth.frames import (
+    HEADER_LEN,
     MSG_END,
     MSG_FAULT,
     MSG_SENSOR,
@@ -37,6 +41,9 @@ from pvsmooth.frames import (
     FrameError,
     decode_frame,
     encode_frame,
+    end_frame,
+    fault_frame,
+    sensor_frame,
     setpoint_frame,
 )
 from pvsmooth.plant import PROTOCOL, PlantDriver, RunFault
@@ -584,3 +591,63 @@ def test_session_log_retains_under_400_bytes_per_step():
     retained = sum(by_module.get(m, 0) for m in ("plant", "controller", "bus", "util"))
     assert len(result.plant.trace) == 2000
     assert retained / 2000 <= 400, by_module
+
+
+# Byte streams a socket may carry: whole frames of every type, frames with a
+# flipped bit, cut frames and arbitrary bytes, in any order.
+WHOLE_FRAMES = [
+    encode_frame(f)
+    for f in (sensor_frame(1, 0, 100.0, 50.0), sensor_frame(2, 5000, -0.0, 5e-324), setpoint_frame(1, 0, 3.5),
+              end_frame(3, 10000), fault_frame(2, 5000))
+]
+
+
+@st.composite
+def stream_pieces(draw):
+    frame = draw(st.sampled_from(WHOLE_FRAMES))
+    kind = draw(st.sampled_from(["whole", "flipped", "cut", "arbitrary"]))
+    if kind == "flipped":
+        bit = draw(st.integers(0, 8 * len(frame) - 1))
+        return frame[: bit // 8] + bytes([frame[bit // 8] ^ (1 << bit % 8)]) + frame[bit // 8 + 1 :]
+    if kind == "cut":
+        return frame[: draw(st.integers(0, len(frame) - 1))]
+    if kind == "arbitrary":
+        return draw(st.binary(max_size=64))
+    return frame
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.lists(stream_pieces(), max_size=8).map(b"".join))
+def test_socket_reader_turns_any_bytes_into_frames_or_frame_errors(data):
+    # Every read returns bytes that decode_frame decodes or rejects with a
+    # FrameError subclass, and neither the reader nor the controller's serve
+    # loop waits once the plant end has closed: a wait would raise a
+    # PROTOCOL RunFault after the timeout. The reads add up to the stream,
+    # but for a header that the close cuts off from its body: that is EOF.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bus, "SOCKET_TIMEOUT_S", 2.0)
+        plant_end, controller_end = socket.socketpair()
+        with plant_end, controller_end:
+            plant_end.sendall(data)
+            plant_end.close()
+            reader = SocketEndpoint(controller_end)
+            chunks = []
+            while True:
+                try:
+                    chunks.append(reader.recv_bytes())
+                except EOFError:
+                    break
+                try:
+                    decode_frame(chunks[-1])
+                except FrameError:
+                    pass
+        read = b"".join(chunks)
+        assert data.startswith(read) and len(data) - len(read) in (0, HEADER_LEN)
+
+        plant_end, controller_end = socket.socketpair()
+        with plant_end, controller_end:
+            plant_end.sendall(data)
+            plant_end.shutdown(socket.SHUT_WR)  # its reading half takes the replies
+            t0 = time.monotonic()
+            SocketEndpoint(controller_end).serve(ControllerPeer(4))
+            assert time.monotonic() - t0 < bus.SOCKET_TIMEOUT_S

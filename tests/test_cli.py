@@ -145,6 +145,30 @@ def test_exit_code_of_a_wrong_typed_value(tmp_path, capsys, section, key, value,
     assert named in err
 
 
+@pytest.mark.parametrize("case", ["scenario_dir", "scenario_utf16", "source_dir", "source_utf16"])
+def test_exit_code_of_an_unreadable_input_file(tmp_path, capsys, case):
+    # a directory or a file that is not UTF-8 text is an input error, not a crash
+    doc = json.loads((SCENARIOS / "default.json").read_text())
+    scenario = tmp_path / "scenario.json"
+    if case == "scenario_dir":
+        scenario.mkdir()
+    elif case == "scenario_utf16":
+        scenario.write_bytes(json.dumps(doc).encode("utf-16"))  # starts with the bytes ff fe
+    else:
+        pv = tmp_path / "pv.csv"
+        if case == "source_dir":
+            pv.mkdir()
+        else:
+            pv.write_bytes("t_s,power_w\n0,1.0\n5,2.0\n".encode("utf-16"))
+        doc["source"] = {"kind": "csv", "path": str(pv)}
+        scenario.write_text(json.dumps(doc))
+    code = main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_code_missing_columns(tmp_path, capsys):
     raw = tmp_path / "raw.csv"
     raw.write_text("a,b\n1,2\n")

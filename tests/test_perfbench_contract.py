@@ -3,13 +3,17 @@
 The tracer wraps pvsmooth attributes by name (perfbench/tracing.py), and
 perfbench/test_checks.py replaces run.run_session with a stub. A change in
 the package that breaks either would otherwise surface only when the
-benchmark or its tests run.
+benchmark or its tests run; the last test here runs the benchmark's own
+tests.
 """
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def load_tracing():
@@ -94,3 +98,13 @@ def test_run_scenario_takes_a_three_argument_session_stub(tmp_path, monkeypatch)
     assert sorted(p.name for p in stubbed.out_dir.iterdir()) == sorted(pvrun.ARTIFACT_FILES)
     for name in pvrun.ARTIFACT_FILES:
         assert (stubbed.out_dir / name).read_bytes() == (streamed.out_dir / name).read_bytes(), name
+
+
+def test_the_benchmarks_own_tests_pass():
+    # tests/ and perfbench/ each have a conftest module, so one pytest run
+    # cannot collect both; perfbench's suite runs in a process of its own
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "perfbench"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]

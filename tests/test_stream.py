@@ -1,13 +1,18 @@
 """A run streams its logs to disk block by block.
 
 The plant trace, the controller log and the frame log reach their files one
-block of BLOCK_ROWS rows at a time while the session runs. These tests pin
-that the streamed files equal the whole-table output of a session that kept
-every row, that a breach found after a block is on disk leaves nothing
-behind, and that run_scenario's memory no longer grows with the log.
+block of BLOCK_ROWS rows at a time while the session runs, formatted by a
+writer process (run.LogWriter). These tests pin that the streamed files
+equal the whole-table output of a session that kept every row, that a
+breach found after a block is on disk or a writer that dies leaves nothing
+behind and no child process, and that run_scenario's memory no longer grows
+with the log.
 """
 
 import json
+import os
+import signal
+import time
 import tracemalloc
 
 import numpy as np
@@ -18,6 +23,7 @@ from pvsmooth import run as pvrun
 from pvsmooth.cli import main
 from pvsmooth.config import ScenarioConfig, TransportConfig, validate_scenario
 from pvsmooth.plant import INVARIANT, RunFault
+from pvsmooth.series import PowerSeries
 from pvsmooth.run import (
     STREAMED_FILES,
     run_scenario,
@@ -69,15 +75,9 @@ def whole_table_files(session, out_dir):
         write_hexdump(session.log.tagged_hex(), out)
 
 
-CASES = [(n, None) for n in (B - 1, B, B + 1, 3 * B + 7)] + [(3 * B + 7, B + 5)]
-
-
-@pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize(("n", "lost"), CASES, ids=lambda v: str(v))
-def test_streamed_files_equal_the_whole_table_output(engine, n, lost, tmp_path, monkeypatch):
-    run_engine, transport, transport_cfg = ENGINES[engine]
-    cfg = validate_scenario(ScenarioConfig(seed=n, transport=transport_cfg))
-    series = synth_pv("cloud_random", n * cfg.sample_period_s, cfg.sample_period_s, 3000.0, seed=n)
+def assert_streamed_equals_whole(engine, cfg, series, lost, tmp_path, monkeypatch):
+    run_engine, transport, _ = ENGINES[engine]
+    n = len(series)
     corrupt = None if lost is None else flip_last_byte_of(lost - 1)
 
     whole = run_engine(series, cfg, corrupt_s2c=corrupt)
@@ -95,6 +95,60 @@ def test_streamed_files_equal_the_whole_table_output(engine, n, lost, tmp_path, 
     metrics = json.loads((tmp_path / "streamed" / "metrics.json").read_text())
     assert metrics["controller"]["error_count"] == (lost is not None)
     assert len(art.smoothed_series) == n - (lost is not None)
+
+
+def boundary_cases(block):
+    """Run lengths around a `block`-row boundary: one row short of it, on it,
+    one row past it, and several blocks with a partial tail, the last also
+    with a sample lost after the first block."""
+    return [(n, None) for n in (block - 1, block, block + 1, 3 * block + 7)] + [(3 * block + 7, block + 5)]
+
+
+# the same lengths around 4,096 rows, a whole number of blocks, so each case
+# sits at the same place in a block for any BLOCK_ROWS that divides 4,096
+assert 4096 % B == 0
+CASES = boundary_cases(B) + [c for c in boundary_cases(4096) if c not in boundary_cases(B)]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize(("n", "lost"), CASES, ids=lambda v: str(v))
+def test_streamed_files_equal_the_whole_table_output(engine, n, lost, tmp_path, monkeypatch):
+    cfg = validate_scenario(ScenarioConfig(seed=n, transport=ENGINES[engine][2]))
+    series = synth_pv("cloud_random", n * cfg.sample_period_s, cfg.sample_period_s, 3000.0, seed=n)
+    assert_streamed_equals_whole(engine, cfg, series, lost, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_streamed_files_keep_signed_zero_subnormal_and_rated_samples(engine, tmp_path, monkeypatch):
+    # the writer process rebuilds each block from its raw bytes, so every
+    # float must arrive bitwise: -0.0 and a subnormal are written as such
+    n = 3 * B + 7
+    cfg = validate_scenario(ScenarioConfig(seed=4, transport=ENGINES[engine][2]))
+    samples = synth_pv("cloud_random", n * 5.0, 5.0, 3000.0, seed=4).samples.copy()
+    samples[[0, B - 1, B, 2 * B + 3, n - 1]] = [-0.0, 5e-324, 3000.0, -0.0, 5e-324]
+    series = PowerSeries(samples, 5.0, 3000.0)
+    assert_streamed_equals_whole(engine, cfg, series, None, tmp_path, monkeypatch)
+    trace = (tmp_path / "streamed" / "plant_trace.csv").read_text().splitlines()
+    assert [trace[1 + i].split(",")[1] for i in (0, B - 1, B, n - 1)] == ["-0.0", "5e-324", "3000.0", "5e-324"]
+
+
+def capture_writers(monkeypatch):
+    """Record every LogWriter that run_scenario makes, with the pid of its
+    writer process."""
+    writers = []
+    real_init = pvrun.LogWriter.__init__
+
+    def init(self, files):
+        real_init(self, files)
+        writers.append((self, self.pid))  # in the parent only: the child never returns
+
+    monkeypatch.setattr(pvrun.LogWriter, "__init__", init)
+    return writers
+
+
+def assert_reaped(pid):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
 
 
 def breach_at_step(monkeypatch, step):
@@ -116,13 +170,16 @@ def breach_at_step(monkeypatch, step):
 def test_breach_after_the_first_block_leaves_no_artifact(transport, tmp_path, monkeypatch):
     step = B + 100
     breach_at_step(monkeypatch, step)
+    writers = capture_writers(monkeypatch)
     on_disk = {}
     real_check = pvrun.check_run_invariants
 
     def check(cfg, **tables):
-        # when the breach is found, the first block is already in the temp files
+        # when the breach is found, the first block is already in the temp
+        # files once the writer process has taken every block sent to it
         log = tables.get("log")
         if log is not None and step in log.k:
+            writers[0][0].drain()
             on_disk.update({p.name: p.stat().st_size for p in out.glob("*.tmp")})
         return real_check(cfg, **tables)
 
@@ -136,6 +193,46 @@ def test_breach_after_the_first_block_leaves_no_artifact(transport, tmp_path, mo
     assert sorted(name.split(".")[0] for name in on_disk) == ["controller_log", "frames", "plant_trace"]
     assert all(size > 0 for size in on_disk.values())
     assert list(out.iterdir()) == []
+    assert_reaped(writers[0][1])
+
+
+@pytest.mark.parametrize("transport", ["inproc", "socket"])
+def test_a_killed_writer_process_ends_the_run_within_the_timeout(transport, tmp_path, monkeypatch):
+    monkeypatch.setattr(bus, "SOCKET_TIMEOUT_S", 5.0)
+    writers = capture_writers(monkeypatch)
+    real_check = pvrun.check_run_invariants
+
+    def check(cfg, **tables):
+        if "log" in tables and tables["log"].start == 0:
+            os.kill(writers[0][1], signal.SIGKILL)  # at the first controller block
+        return real_check(cfg, **tables)
+
+    monkeypatch.setattr(pvrun, "check_run_invariants", check)
+    cfg = validate_scenario(ScenarioConfig(seed=5))
+    series = synth_pv("cloud_random", (3 * B + 7) * 5.0, 5.0, 3000.0, seed=5)
+    out = tmp_path / "out"
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError, match=r"log writer process died \(signal 9\)"):
+        run_scenario(cfg, series, out, transport=transport)
+    assert time.monotonic() - t0 < bus.SOCKET_TIMEOUT_S
+    assert list(out.iterdir()) == []
+    assert_reaped(writers[0][1])
+
+
+def test_a_failing_writer_process_raises_its_message_in_the_run(tmp_path, monkeypatch):
+    writers = capture_writers(monkeypatch)
+
+    def disk_full(tagged_hex, out):  # runs in the writer process, which inherits the patch
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(pvrun, "write_hexdump", disk_full)
+    cfg = validate_scenario(ScenarioConfig(seed=6))
+    series = synth_pv("cloud_random", (B + 7) * 5.0, 5.0, 3000.0, seed=6)
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match=r"log writer process failed: OSError: \[Errno 28\] No space left"):
+        run_scenario(cfg, series, out)
+    assert list(out.iterdir()) == []
+    assert_reaped(writers[0][1])
 
 
 def test_breach_after_the_first_block_exits_2_from_the_cli(tmp_path, monkeypatch, capsys):
