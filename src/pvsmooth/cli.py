@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: run, ingest, synth, metrics, protocol-check.
-Exit codes: 0 success, 2 invariant breach, 3 input error, 4 protocol fault.
-A RunFault's kind picks 2 or 4 (EXIT_CODES); an undecodable frame is a
-protocol fault.
+Exit codes: 0 success, 2 invariant breach, 3 input error, 4 protocol fault,
+5 output error. A RunFault's kind picks 2 or 4 (EXIT_CODES); an undecodable
+frame is a protocol fault. A missing input file is an input error; any other
+OSError, such as a full disk while writing, and a failed log writer process
+(OutputError) are output errors.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .frames import (
 from .ingest import RESAMPLE_MODES, TIMESTAMP_FORMATS, IngestError, IngestSpec, ingest_csv, write_series_csv
 from .plant import INVARIANT, PROTOCOL, RunFault
 from .ramp import RampMetricError, ramp_report, write_rates_file, write_report_json
-from .run import resolve_source, run_scenario
+from .run import OutputError, resolve_source, run_scenario
 from .series import SeriesError
 from .synth import SynthError, synth_pv
 from .util import AtomicWriter
@@ -37,6 +39,7 @@ EXIT_OK = 0
 EXIT_INVARIANT = 2
 EXIT_INPUT = 3
 EXIT_PROTOCOL = 4
+EXIT_OUTPUT = 5
 EXIT_CODES = {INVARIANT: EXIT_INVARIANT, PROTOCOL: EXIT_PROTOCOL}
 
 
@@ -154,13 +157,14 @@ def cmd_metrics(input_path, rated_power_w, rr_interval_s, limit_pct_per_min, bin
     )
     write_report_json(report, report_path)
     if rates_path:
-        write_rates_file(
-            report,
-            rates_path,
-            sample_period_s=result.series.sample_period_s,
-            start_time_s=result.series.start_time_s,
-            sliding=sliding,
-        )
+        with AtomicWriter(rates_path) as out:
+            write_rates_file(
+                report,
+                out,
+                sample_period_s=result.series.sample_period_s,
+                start_time_s=result.series.start_time_s,
+                sliding=sliding,
+            )
     verdict = "PASS" if report.passed else "FAIL"
     click.echo(f"max |RR| {report.max_abs_rr:.3f} %/min; {report.violation_count} violations -> {verdict}")
     click.echo(f"wrote {report_path}")
@@ -242,6 +246,9 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         click.echo(f"input error: {exc}", err=True)
         return EXIT_INPUT
+    except (OSError, OutputError) as exc:
+        click.echo(f"output error: {exc}", err=True)
+        return EXIT_OUTPUT
     except RunFault as exc:
         click.echo(f"{exc.kind}: {exc}", err=True)
         return EXIT_CODES[exc.kind]

@@ -11,14 +11,17 @@ clamp_negative is set, in which case they are zeroed and counted.
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
 
 from .series import PowerSeries
-from .util import atomic_write_text
+from .util import atomic_write_text, chunked
 
 TIMESTAMP_FORMATS = ("epoch_s", "iso8601")
 RESAMPLE_MODES = ("none", "zero_order_hold")
@@ -55,14 +58,62 @@ class IngestResult:
     gaps_filled: int
 
 
-def _parse_time(raw: str, fmt: str) -> float:
-    if fmt == "epoch_s":
-        return float(raw)
-    stamp = raw.strip().replace("Z", "+00:00")
-    dt = datetime.fromisoformat(stamp)
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt.timestamp()
+def _parse_iso(raw: str) -> float:
+    dt = datetime.fromisoformat(raw.strip().replace("Z", "+00:00"))
+    return (dt.replace(tzinfo=timezone.utc) if dt.tzinfo is None else dt).timestamp()
+
+
+def _read_rows(spec: IngestSpec, path: Path) -> tuple[np.ndarray, np.ndarray, int]:
+    """The accepted rows as (times, powers) float arrays, and how many were clamped."""
+    times, powers = array("d"), array("d")
+    add_time, add_power = times.append, powers.append
+    parse_time = float if spec.timestamp_format == "epoch_s" else _parse_iso
+    errors, clamped = [], 0
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh, delimiter=spec.delimiter)
+            header = next(reader, None)
+            if header is None:
+                raise IngestError([f"{path}: empty file"])
+            # as csv.DictReader: a name's last column wins, blank rows are skipped, short rows read None
+            column = {name: i for i, name in enumerate(header)}
+            missing = {spec.time_column, spec.power_column} - column.keys()
+            if missing:
+                raise IngestError([f"{path}: missing column {c!r} (found {header})" for c in sorted(missing)])
+            ti, pi = column[spec.time_column], column[spec.power_column]
+            for row in reader:
+                if not row:
+                    continue
+                raw = row[ti] if ti < len(row) else None
+                try:
+                    t = parse_time(raw)
+                except (AttributeError, TypeError, ValueError):  # None.strip() is an AttributeError
+                    errors.append(f"line {reader.line_num}: unparseable time {raw!r}")
+                    continue
+                raw = row[pi] if pi < len(row) else None
+                try:
+                    p = float(raw)
+                except (TypeError, ValueError):
+                    errors.append(f"line {reader.line_num}: unparseable power {raw!r}")
+                    continue
+                if not isfinite(p):
+                    errors.append(f"line {reader.line_num}: non-finite power {p}")
+                elif p < 0.0 and not spec.clamp_negative:
+                    errors.append(f"line {reader.line_num}: negative power {p} (enable clamp_negative to zero it)")
+                else:
+                    if p < 0.0:
+                        p = 0.0
+                        clamped += 1
+                    add_time(t)
+                    add_power(p)
+    except UnicodeDecodeError as exc:
+        raise IngestError([f"{path}: not UTF-8 text ({exc})"]) from exc
+
+    if errors:
+        raise IngestError(errors)
+    if not times:
+        raise IngestError([f"{path}: no data rows"])
+    return np.frombuffer(times, dtype=np.float64), np.frombuffer(powers, dtype=np.float64), clamped
 
 
 def ingest_csv(spec: IngestSpec) -> IngestResult:
@@ -80,56 +131,8 @@ def ingest_csv(spec: IngestSpec) -> IngestResult:
     if path.is_dir():
         raise IngestError([f"{path}: is a directory, not a CSV file"])
 
-    times: list[float] = []
-    powers: list[float] = []
-    errors: list[str] = []
-    clamped = 0
-
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh, delimiter=spec.delimiter)
-            if reader.fieldnames is None:
-                raise IngestError([f"{path}: empty file"])
-            missing = {spec.time_column, spec.power_column} - set(reader.fieldnames)
-            if missing:
-                raise IngestError(
-                    [f"{path}: missing column {c!r} (found {reader.fieldnames})" for c in sorted(missing)]
-                )
-            for row in reader:
-                line = reader.line_num
-                try:
-                    t = _parse_time(row[spec.time_column], spec.timestamp_format)
-                except (TypeError, ValueError):
-                    errors.append(f"line {line}: unparseable time {row[spec.time_column]!r}")
-                    continue
-                try:
-                    p = float(row[spec.power_column])
-                except (TypeError, ValueError):
-                    errors.append(f"line {line}: unparseable power {row[spec.power_column]!r}")
-                    continue
-                if not np.isfinite(p):
-                    errors.append(f"line {line}: non-finite power {p}")
-                    continue
-                if p < 0.0:
-                    if spec.clamp_negative:
-                        p = 0.0
-                        clamped += 1
-                    else:
-                        errors.append(f"line {line}: negative power {p} (enable clamp_negative to zero it)")
-                        continue
-                times.append(t)
-                powers.append(p)
-    except UnicodeDecodeError as exc:
-        raise IngestError([f"{path}: not UTF-8 text ({exc})"]) from exc
-
-    if errors:
-        raise IngestError(errors)
-    if not times:
-        raise IngestError([f"{path}: no data rows"])
-
-    t_arr = np.asarray(times, dtype=np.float64)
-    p_arr = np.asarray(powers, dtype=np.float64)
-    rows_read = len(times)
+    t_arr, p_arr, clamped = _read_rows(spec, path)
+    rows_read = len(t_arr)
     gaps_filled = 0
 
     if spec.resample == "none":
@@ -178,8 +181,5 @@ def ingest_csv(spec: IngestSpec) -> IngestResult:
 
 def write_series_csv(series: PowerSeries, path: str | Path) -> None:
     """Canonical two-column form: epoch seconds and watts, full precision."""
-    lines = ["t_s,power_w"]
-    t = series.times_s()
-    for i in range(len(series)):
-        lines.append(f"{float(t[i])!r},{float(series.samples[i])!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = zip(map(float, series.times_s()), map(float, series.samples))
+    atomic_write_text(path, chunked(chain(["t_s,power_w\n"], (f"{t!r},{p!r}\n" for t, p in rows))))

@@ -20,7 +20,7 @@ from typing import Any
 import numpy as np
 
 from .series import PowerSeries
-from .util import atomic_write_text, chunked
+from .util import AtomicWriter, atomic_write_text, chunked
 
 
 class RampMetricError(ValueError):
@@ -198,7 +198,7 @@ def write_report_json(report: RampReport, path: str | Path) -> None:
 
 def write_rates_file(
     report: RampReport,
-    path: str | Path,
+    out: AtomicWriter,
     *,
     sample_period_s: float,
     start_time_s: float = 0.0,
@@ -214,4 +214,4 @@ def write_rates_file(
             t = start_time_s + i * sample_period_s
             yield f"{float(t)!r},{float(rr)!r}\n"
 
-    atomic_write_text(path, chunked(lines()))
+    out.write(chunked(lines()))

@@ -16,9 +16,9 @@ The first three are streamed: each block of the session's logs is checked
 while the session runs and handed to a writer process (LogWriter), which
 appends it to its file, so formatting overlaps the session. Every file is
 written through a temporary file and renamed into place only after the
-session has passed its checks, so a failed run leaves none of them. The
-files contain no wall-clock timestamps, so a repeated run with identical
-inputs is byte-identical.
+session has passed its checks and metrics.json, written last, is complete,
+so a failed run leaves none of them. The files contain no wall-clock
+timestamps, so a repeated run with identical inputs is byte-identical.
 """
 
 from __future__ import annotations
@@ -92,13 +92,13 @@ def write_plant_trace(trace: Columns, out: AtomicWriter) -> None:
     out.write(trace.csv_chunks())
 
 
-def _write_histogram_csv(reports: dict[str, RampReport], path: Path) -> None:
+def _write_histogram_csv(reports: dict[str, RampReport], out: AtomicWriter) -> None:
     lines = ["series,bin_lo,bin_hi,count"]
     for name, rep in reports.items():
         edges, counts = rep.histogram.bin_edges, rep.histogram.counts
         for i in range(len(counts)):
             lines.append(f"{name},{float(edges[i])!r},{float(edges[i + 1])!r},{int(counts[i])}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    out.write("\n".join(lines) + "\n")
 
 
 def check_run_invariants(
@@ -215,6 +215,10 @@ def _format_blocks(ring: mmap.mmap, inbox: int, outbox: int, files: Sequence[Ato
         os.write(outbox, bytes([slot]))
 
 
+class OutputError(RuntimeError):
+    """The log writer process failed, died or went silent."""
+
+
 class LogWriter:
     """A forked writer process that formats the streamed tables into their
     files (STREAMED_FILES order), so formatting overlaps the session.
@@ -224,8 +228,8 @@ class LogWriter:
     on a pipe; the child rebuilds the block, runs the table's formatter into
     the file and hands the slot back on a second pipe. The parent waits only
     when every slot is busy, and never more than bus.SOCKET_TIMEOUT_S for a
-    reply. A child that fails or dies makes the parent raise with its
-    message. The child always ends with os._exit.
+    reply. A child that fails or dies makes the parent raise an
+    OutputError with its message. The child always ends with os._exit.
 
     Used as a context manager around the run: a block that ends cleanly
     closes the writer (close), one that raises kills and reaps the child.
@@ -297,7 +301,7 @@ class LogWriter:
                 pass
             code = self._reap(kill=False)
         if code != 0:
-            raise RuntimeError(f"log writer process exited with {code}")
+            raise OutputError(f"log writer process exited with {code}")
 
     def _tell(self, message: bytes) -> None:
         try:
@@ -311,14 +315,14 @@ class LogWriter:
         whether the child reported its files closed."""
         timeout = bus.SOCKET_TIMEOUT_S
         if not self._replies.poll(1000 * timeout):
-            raise RuntimeError(f"log writer process sent nothing for {timeout} s")
+            raise OutputError(f"log writer process sent nothing for {timeout} s")
         replies = os.read(self._from_child, select.PIPE_BUF)
         if not replies:
             code = self._reap(kill=False)
-            raise RuntimeError(f"log writer process died ({'signal ' + str(-code) if code < 0 else f'exit {code}'})")
+            raise OutputError(f"log writer process died ({'signal ' + str(-code) if code < 0 else f'exit {code}'})")
         for i, reply in enumerate(replies):
             if reply == _FAILED:
-                raise RuntimeError(f"log writer process failed: {replies[i + 1 :].decode(errors='replace')}")
+                raise OutputError(f"log writer process failed: {replies[i + 1 :].decode(errors='replace')}")
             if reply == _END:
                 return True
             self._free.append(reply)
@@ -485,9 +489,12 @@ def run_scenario(
         digest = config_hash(cfg, source)
         writer.close()  # the streamed files are complete before any file is renamed into place
 
-        write_rates_file(raw_rep, out / "raw_rates.csv", sample_period_s=series.sample_period_s)
-        write_rates_file(smooth_rep, out / "smoothed_rates.csv", sample_period_s=series.sample_period_s)
-        _write_histogram_csv({"raw": raw_rep, "smoothed": smooth_rep}, out / "histogram.csv")
+        # renamed into place with the streamed files when the block ends, so
+        # a failure up to the end of metrics.json leaves no artifact
+        raw_csv, smooth_csv, histogram_csv = (stack.enter_context(AtomicWriter(out / name)) for name in ARTIFACT_FILES[-3:])
+        write_rates_file(raw_rep, raw_csv, sample_period_s=series.sample_period_s)
+        write_rates_file(smooth_rep, smooth_csv, sample_period_s=series.sample_period_s)
+        _write_histogram_csv({"raw": raw_rep, "smoothed": smooth_rep}, histogram_csv)
 
         metrics = {
             "config_hash": digest,

@@ -1,8 +1,15 @@
-"""Reference implementations of the per-step hot path, kept as they were
-before the hot path was rewritten for speed (frozen dataclass frames, header
-and payload packed apart, a BatteryState per step, a numpy ring buffer), and
-the per-point warm-up count that ramp.warmup_skip_count replaced with a
-closed form.
+"""Reference implementations, kept as they were before the package rewrote
+them:
+
+- the per-step hot path before it was rewritten for speed (frozen dataclass
+  frames, header and payload packed apart, a BatteryState per step, a numpy
+  ring buffer);
+- the per-point warm-up count that ramp.warmup_skip_count replaced with a
+  closed form;
+- CSV ingest before its row stage became one csv.reader pass into float
+  arrays (csv.DictReader, float lists). Here a row of an ISO-8601 file that
+  lacks its time cell still crashes with AttributeError;
+- write_series_csv before it streamed its lines in chunks.
 
 tests/test_differential.py checks the package against these bitwise. They
 share the package's error classes and parameter types, so an error is the
@@ -11,10 +18,13 @@ same error only if it is the same class (and, for a RunFault, the same kind).
 
 from __future__ import annotations
 
+import csv
 import math
 import struct
 import zlib
 from dataclasses import dataclass, field
+from datetime import datetime, timezone
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -35,7 +45,10 @@ from pvsmooth.frames import (
     PayloadMismatch,
     UnknownMessageType,
 )
+from pvsmooth.ingest import RESAMPLE_MODES, TIMESTAMP_FORMATS, IngestError, IngestResult, IngestSpec
 from pvsmooth.plant import INVARIANT, RunFault
+from pvsmooth.series import PowerSeries
+from pvsmooth.util import atomic_write_text
 
 _HEADER = struct.Struct("<4sBBIQH")
 
@@ -265,3 +278,133 @@ def warmup_skip_count(
         else:
             break
     return skipped
+
+
+def _parse_time(raw: str, fmt: str) -> float:
+    if fmt == "epoch_s":
+        return float(raw)
+    stamp = raw.strip().replace("Z", "+00:00")
+    dt = datetime.fromisoformat(stamp)
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return dt.timestamp()
+
+
+def ingest_csv(spec: IngestSpec) -> IngestResult:
+    """Read a PV trace per the spec; collects every row error before failing."""
+    if spec.timestamp_format not in TIMESTAMP_FORMATS:
+        raise IngestError([f"timestamp_format {spec.timestamp_format!r} not one of {TIMESTAMP_FORMATS}"])
+    if spec.resample not in RESAMPLE_MODES:
+        raise IngestError([f"resample {spec.resample!r} not one of {RESAMPLE_MODES}"])
+    if spec.resample == "zero_order_hold" and not (spec.sample_period_s and spec.sample_period_s > 0):
+        raise IngestError(["sample_period_s: required (> 0) when resampling"])
+
+    path = Path(spec.path)
+    if not path.exists():
+        raise IngestError([f"{path}: file not found"])
+    if path.is_dir():
+        raise IngestError([f"{path}: is a directory, not a CSV file"])
+
+    times: list[float] = []
+    powers: list[float] = []
+    errors: list[str] = []
+    clamped = 0
+
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh, delimiter=spec.delimiter)
+            if reader.fieldnames is None:
+                raise IngestError([f"{path}: empty file"])
+            missing = {spec.time_column, spec.power_column} - set(reader.fieldnames)
+            if missing:
+                raise IngestError(
+                    [f"{path}: missing column {c!r} (found {reader.fieldnames})" for c in sorted(missing)]
+                )
+            for row in reader:
+                line = reader.line_num
+                try:
+                    t = _parse_time(row[spec.time_column], spec.timestamp_format)
+                except (TypeError, ValueError):
+                    errors.append(f"line {line}: unparseable time {row[spec.time_column]!r}")
+                    continue
+                try:
+                    p = float(row[spec.power_column])
+                except (TypeError, ValueError):
+                    errors.append(f"line {line}: unparseable power {row[spec.power_column]!r}")
+                    continue
+                if not np.isfinite(p):
+                    errors.append(f"line {line}: non-finite power {p}")
+                    continue
+                if p < 0.0:
+                    if spec.clamp_negative:
+                        p = 0.0
+                        clamped += 1
+                    else:
+                        errors.append(f"line {line}: negative power {p} (enable clamp_negative to zero it)")
+                        continue
+                times.append(t)
+                powers.append(p)
+    except UnicodeDecodeError as exc:
+        raise IngestError([f"{path}: not UTF-8 text ({exc})"]) from exc
+
+    if errors:
+        raise IngestError(errors)
+    if not times:
+        raise IngestError([f"{path}: no data rows"])
+
+    t_arr = np.asarray(times, dtype=np.float64)
+    p_arr = np.asarray(powers, dtype=np.float64)
+    rows_read = len(times)
+    gaps_filled = 0
+
+    if spec.resample == "none":
+        dts = np.diff(t_arr)
+        if len(dts) and (dts <= 0).any():
+            bad = int(np.argmax(dts <= 0))
+            raise IngestError(
+                [f"non-monotone timestamps at row {bad + 2} (t={t_arr[bad + 1]}); enable resampling"]
+            )
+        if len(dts):
+            period = float(dts[0])
+            if not np.allclose(dts, period, rtol=1e-6, atol=0.0):
+                raise IngestError(["non-uniform sample spacing; enable resampling"])
+        else:
+            period = spec.sample_period_s or 1.0
+        if spec.sample_period_s and len(dts) and abs(period - spec.sample_period_s) > 1e-6 * spec.sample_period_s:
+            raise IngestError(
+                [f"data period {period} s does not match requested {spec.sample_period_s} s"]
+            )
+        grid_p = p_arr
+        start = float(t_arr[0])
+    else:
+        order = np.argsort(t_arr, kind="stable")
+        t_arr, p_arr = t_arr[order], p_arr[order]
+        if (np.diff(t_arr) == 0.0).any():
+            dup = int(np.argmax(np.diff(t_arr) == 0.0))
+            raise IngestError([f"duplicate timestamp t={t_arr[dup]}"])
+        period = float(spec.sample_period_s)  # validated above
+        start = float(t_arr[0])
+        n = int(np.floor((t_arr[-1] - start) / period + 1e-9)) + 1
+        grid_t = start + np.arange(n) * period
+        idx = np.searchsorted(t_arr, grid_t + 1e-9 * period, side="right") - 1
+        grid_p = p_arr[idx]
+        # a grid point is "filled" when the held observation is older than it
+        gaps_filled = int(np.count_nonzero(np.abs(t_arr[idx] - grid_t) > 1e-6 * period))
+
+    rated = spec.rated_power_w if spec.rated_power_w is not None else float(grid_p.max())
+    if not rated > 0:
+        raise IngestError(["cannot infer a positive rated power (all samples zero?); set rated_power_w"])
+
+    series = PowerSeries(
+        samples=grid_p, sample_period_s=period, rated_power_w=rated, start_time_s=start
+    )
+    return IngestResult(series=series, rows_read=rows_read, clamped_count=clamped, gaps_filled=gaps_filled)
+
+
+def write_series_csv(series: PowerSeries, path: str | Path) -> None:
+    """Canonical two-column form: epoch seconds and watts, full precision."""
+    lines = ["t_s,power_w"]
+    t = series.times_s()
+    for i in range(len(series)):
+        lines.append(f"{float(t[i])!r},{float(series.samples[i])!r}")
+    atomic_write_text(path, "\n".join(lines) + "\n")

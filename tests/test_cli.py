@@ -176,6 +176,16 @@ def test_exit_code_missing_columns(tmp_path, capsys):
     assert code == 3
 
 
+def test_exit_code_of_a_row_lacking_its_time_cell(tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("pv_w,timestamp\n1.5\n")
+    code = main(["ingest", "--input", str(raw), "--out", str(tmp_path / "o.csv"), "--time-column", "timestamp",
+                 "--power-column", "pv_w", "--timestamp-format", "iso8601"])
+    assert code == 3
+    assert capsys.readouterr().err == "input error: line 2: unparseable time None\n"
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_exit_code_usage_error(capsys):
     assert main(["run"]) == 3  # missing required options
     assert "usage error" in capsys.readouterr().err
@@ -200,6 +210,38 @@ def test_exit_code_of_a_failed_run(tmp_path, monkeypatch, capsys, fault, code, l
     assert main(["run", "--scenario", str(SCENARIOS / "default.json"),
                  "--out", str(tmp_path / "out")]) == code
     assert capsys.readouterr().err == f"{label}: {fault}\n"
+
+
+def disk_full(*args):
+    raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize(
+    ("patch", "message"),
+    [
+        ("writer_process", "log writer process failed: OSError: [Errno 28] No space left on device"),
+        ("metrics_json", "[Errno 28] No space left on device"),
+    ],
+    ids=["writer_process", "metrics_json"],
+)
+def test_exit_code_of_a_failed_artifact_write(tmp_path, monkeypatch, capsys, patch, message):
+    import pvsmooth.run as pvrun
+    from pvsmooth.util import AtomicWriter
+
+    if patch == "writer_process":  # runs in the writer process, which inherits the patch
+        monkeypatch.setattr(pvrun, "write_hexdump", disk_full)
+    else:  # in the session's process, after the streamed files are complete
+        real_write = AtomicWriter.write
+
+        def write(self, text):
+            (disk_full if self.path.name == "metrics.json" else real_write)(self, text)
+
+        monkeypatch.setattr(AtomicWriter, "write", write)
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", str(SCENARIOS / "default.json"), "--out", str(out)])
+    assert code == 5
+    assert capsys.readouterr().err == f"output error: {message}\n"
+    assert list(out.iterdir()) == []  # no artifact, no temporary file
 
 
 def test_help_exits_zero(capsys):

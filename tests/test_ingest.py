@@ -1,3 +1,6 @@
+import tracemalloc
+from datetime import datetime, timezone
+
 import numpy as np
 import pytest
 
@@ -132,3 +135,34 @@ def test_gap_counting_with_large_epoch_timestamps(tmp_path):
     assert r.series.samples.tolist() == [100.0, 200.0, 200.0, 200.0, 300.0]
     assert r.gaps_filled == 2
     assert r.series.start_time_s == t0
+
+
+@pytest.mark.parametrize("fmt", ["iso8601", "epoch_s"])
+def test_a_row_lacking_its_time_cell_is_a_row_error(tmp_path, fmt):
+    path = write(tmp_path, "pv_w,timestamp\n1.5\n")
+    with pytest.raises(IngestError) as exc:
+        ingest_csv(IngestSpec(path=path, time_column="timestamp", power_column="pv_w", timestamp_format=fmt))
+    assert exc.value.errors == ["line 2: unparseable time None"]
+
+
+def test_iso8601_zero_order_hold_peak_is_under_90_bytes_per_row(tmp_path):
+    # a list of Python floats costs 32 bytes a value and a row dict far more;
+    # the rows are read into float arrays, so what remains is the grid
+    rows = 20_000
+    t0 = 1_717_200_000
+    keep = np.random.default_rng(7).random(rows) >= 0.02  # dropped rows leave gaps to fill
+    keep[0] = keep[-1] = True
+    stamps = (datetime.fromtimestamp(t0 + 5 * i, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ") for i in range(rows))
+    lines = [f"{stamp},{1000.0 + i % 7}" for i, stamp in enumerate(stamps) if keep[i]]
+    path = write(tmp_path, "timestamp,pv_w\n" + "\n".join(lines) + "\n")
+    spec = IngestSpec(path=path, time_column="timestamp", power_column="pv_w", timestamp_format="iso8601",
+                      resample="zero_order_hold", sample_period_s=5.0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        r = ingest_csv(spec)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(r.series) == rows and r.gaps_filled > 0
+    assert peak / r.rows_read < 90, peak / r.rows_read
