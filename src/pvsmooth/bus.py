@@ -431,7 +431,8 @@ def run_lockstep_socket(
     """Lockstep session over a loopback TCP socket, controller in its own thread.
 
     Whatever the controller thread raises (say, an invariant breach found by
-    its log's sink) is raised here, in place of what the plant side saw.
+    its log's sink) is raised here if the plant side ended cleanly or lost
+    its peer (a PROTOCOL fault); any other plant-side error wins.
     """
     plant = PlantDriver(series, cfg, sinks.plant)
     boundary = PlantBoundary(cfg, series.rated_power_w, corrupt_s2c=corrupt_s2c, sink=sinks.frames)
@@ -459,10 +460,14 @@ def run_lockstep_socket(
             except TimeoutError:
                 raise RunFault(PROTOCOL, f"controller did not connect within {SOCKET_TIMEOUT_S} s") from None
         drive(plant, boundary, SocketEndpoint(conn), free_running=False)
-    finally:
+    except BaseException as exc:
         thread.join(timeout=SOCKET_TIMEOUT_S)
-        if "error" in outcome:
-            raise outcome["error"]
+        if "error" in outcome and isinstance(exc, RunFault) and exc.kind == PROTOCOL:
+            raise outcome["error"]  # why the plant lost its peer
+        raise
+    thread.join(timeout=SOCKET_TIMEOUT_S)
+    if "error" in outcome:
+        raise outcome["error"]
     ctrl = outcome.get("driver")
     if ctrl is None:
         raise RunFault(PROTOCOL, "controller thread did not complete")

@@ -13,22 +13,22 @@ and writes a deterministic artifact set:
     histogram.csv         rate distributions, raw and smoothed
 
 The first three are streamed: each block of the session's logs is checked
-while the session runs and handed to a writer process (LogWriter), which
-appends it to its file, so formatting overlaps the session. Every file is
-written through a temporary file and renamed into place only after the
-session has passed its checks and metrics.json, written last, is complete,
-so a failed run leaves none of them. The files contain no wall-clock
-timestamps, so a repeated run with identical inputs is byte-identical.
+while the session runs and sent over a socket pair to a writer process
+(LogWriter), which appends it to its file, so formatting overlaps the
+session. Every file is written through a temporary file and renamed into
+place only after the session has passed its checks and metrics.json,
+written last, is complete, so a failed run leaves none of them. The files
+contain no wall-clock timestamps, so a repeated run with identical inputs
+is byte-identical.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import mmap
 import os
-import select
 import signal
+import socket
 import struct
 import sys
 import threading
@@ -36,7 +36,7 @@ from collections.abc import Sequence
 from contextlib import ExitStack, suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, BinaryIO
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from .plant import INVARIANT, PLANT_TRACE_COLUMNS, RunFault
 from .ramp import RampReport, ramp_report, report_to_dict, write_rates_file
 from .series import PowerSeries, scale_series
 from .synth import synth_pv
-from .util import BLOCK_ROWS, AtomicWriter, Columns, atomic_write_text
+from .util import AtomicWriter, Columns, atomic_write_text
 
 STREAMED_FILES = ("plant_trace.csv", "controller_log.csv", "frames.hex")
 PLANT, CONTROLLER, FRAMES = range(3)  # the streamed tables, in file order
@@ -166,38 +166,36 @@ def smoothed_series_from(p_hat: np.ndarray, series: PowerSeries) -> PowerSeries:
     )
 
 
-# The writer process's ring: shared-memory slots that hold one block of one
-# table each. A row takes at most 64 bytes of columns, or 38 for a frame
-# plus its wire bytes (40 for the longest frame).
-RING_SLOTS = 8
-SLOT_BYTES = 128 * BLOCK_ROWS
-# parent to child: the table, the slot, the rows and the index in the whole
-# table of the first row; child to parent: one byte, the slot handed back
-_MESSAGE = struct.Struct("<BBIq")
-_END = 255  # message: no more blocks; reply: every file flushed and closed
-_FAILED = 254  # reply: the child failed; its error message follows
+# The writer process's stream: each block is a header (the table, the rows,
+# the index in the whole table of the first row, the bytes that follow),
+# then its columns' bytes and, for a frame block, its wire bytes.
+_HEADER = struct.Struct("<Bqqq")
+_END = 255  # header: no more blocks
+# both ends' socket buffer: the blocks the session may send ahead of the
+# writer. At the kernel's default (208 KiB) the session waits on the writer;
+# runs on a 2-CPU host took 9 % or more longer per step in six of six pairs.
+STREAM_BUFFER_BYTES = 1 << 20
 
 
-def _format_blocks(ring: mmap.mmap, inbox: int, outbox: int, files: Sequence[AtomicWriter]) -> None:
-    """The writer process's loop: rebuild each block named on inbox from its
-    ring slot, append its text to the table's file, hand the slot back on
-    outbox. Returns once every file is closed at the run's end."""
+def _format_blocks(stream: BinaryIO, files: Sequence[AtomicWriter]) -> None:
+    """The writer process's loop: rebuild each block read from stream and
+    append its text to the table's file. Returns once every file is closed
+    at the run's end."""
     plant_csv, ctrl_csv, frames_hex = files
     frame_log = SessionLog()
     tables = (Columns(PLANT_TRACE_COLUMNS), Columns(CONTROLLER_LOG_COLUMNS), frame_log.frames)
-    view = memoryview(ring)
     while True:
-        message = os.read(inbox, _MESSAGE.size)
-        if len(message) < _MESSAGE.size:
+        header = stream.read(_HEADER.size)
+        if len(header) < _HEADER.size:
             raise EOFError("the run ended without closing the log writer")
-        table_id, slot, rows, start = _MESSAGE.unpack(message)
+        table_id, rows, start, size = _HEADER.unpack(header)
         if table_id == _END:
             for out in files:
                 out.close()
-            os.write(outbox, bytes([_END]))
             return
+        view = memoryview(stream.read(size))
         table = tables[table_id]
-        offset = slot * SLOT_BYTES
+        offset = 0
         for name in table.names:
             col = getattr(table, name)
             del col[:]
@@ -210,9 +208,8 @@ def _format_blocks(ring: mmap.mmap, inbox: int, outbox: int, files: Sequence[Ato
         elif table_id == CONTROLLER:
             write_controller_log(table, ctrl_csv)
         else:
-            frame_log.wire[:] = view[offset : offset + table.wire_end[-1]]
+            frame_log.wire[:] = view[offset:]
             write_hexdump(frame_log.tagged_hex(), frames_hex)
-        os.write(outbox, bytes([slot]))
 
 
 class OutputError(RuntimeError):
@@ -223,13 +220,15 @@ class LogWriter:
     """A forked writer process that formats the streamed tables into their
     files (STREAMED_FILES order), so formatting overlaps the session.
 
-    send copies a block's columns, and a frame block's wire bytes, into a
-    free slot of a shared-memory ring and names the slot in a small message
-    on a pipe; the child rebuilds the block, runs the table's formatter into
-    the file and hands the slot back on a second pipe. The parent waits only
-    when every slot is busy, and never more than bus.SOCKET_TIMEOUT_S for a
-    reply. A child that fails or dies makes the parent raise an
-    OutputError with its message. The child always ends with os._exit.
+    send writes a block's header, its columns' bytes and a frame block's
+    wire bytes to one end of a socket pair; the child reads them from the
+    other end, rebuilds the block and runs the table's formatter into the
+    file. The socket buffers hold STREAM_BUFFER_BYTES, so the parent waits
+    only when the child falls that far behind, and never more than
+    bus.SOCKET_TIMEOUT_S. A child that fails sends back its error message;
+    one that exits 0 has closed every file. A child that fails, dies or
+    stalls makes the parent raise an OutputError that says so. The child
+    always ends with os._exit.
 
     Used as a context manager around the run: a block that ends cleanly
     closes the writer (close), one that raises kills and reaps the child.
@@ -239,94 +238,66 @@ class LogWriter:
     """
 
     def __init__(self, files: Sequence[AtomicWriter]):
-        self._ring = mmap.mmap(-1, RING_SLOTS * SLOT_BYTES)
-        inbox, self._to_child = os.pipe()
-        self._from_child, outbox = os.pipe()
+        self._sock, child = socket.socketpair()
+        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, STREAM_BUFFER_BYTES)
+        child.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, STREAM_BUFFER_BYTES)
         self.pid = os.fork()
         if self.pid == 0:
             code = 1
             try:
-                os.close(self._to_child)
-                os.close(self._from_child)
-                _format_blocks(self._ring, inbox, outbox, files)
+                self._sock.close()
+                _format_blocks(child.makefile("rb"), files)
                 code = 0
             except BaseException as exc:
                 with suppress(OSError):
-                    os.write(outbox, bytes([_FAILED]) + f"{type(exc).__name__}: {exc}".encode()[: select.PIPE_BUF - 1])
+                    child.sendall(f"{type(exc).__name__}: {exc}".encode())
             finally:
                 os._exit(code)
-        os.close(inbox)
-        os.close(outbox)
-        self._replies = select.poll()
-        self._replies.register(self._from_child, select.POLLIN)
-        self._free = list(range(RING_SLOTS))
+        child.close()
+        self._sock.settimeout(bus.SOCKET_TIMEOUT_S)
         self._lock = threading.Lock()
 
     def send(self, table_id: int, table: Columns, wire: bytes | None = None) -> None:
-        """Hand the rows `table` holds to the writer, BLOCK_ROWS rows at a
-        time; a frame log comes with its wire bytes, and each piece's
-        wire_end is rebased to the piece's own bytes."""
-        ring = self._ring
+        """Hand the rows `table` holds to the writer in one block; a frame
+        log comes with its wire bytes, which its wire_end counts from."""
+        data = [getattr(table, name) for name in table.names]
+        if wire is not None:
+            data.append(wire)
+        size = sum(memoryview(d).nbytes for d in data)
         with self._lock:
-            for i in range(0, len(table), BLOCK_ROWS):
-                cols = [memoryview(getattr(table, name))[i : i + BLOCK_ROWS] for name in table.names]
-                if wire is not None:
-                    ends = table.numpy("wire_end")[i : i + BLOCK_ROWS]
-                    base = int(table.wire_end[i - 1]) if i else 0
-                    cols[table.names.index("wire_end")] = ends - base
-                    cols.append(memoryview(wire)[base : int(ends[-1])])
-                size = sum(col.nbytes for col in cols)
-                if size > SLOT_BYTES:
-                    raise ValueError(f"a block of {size} bytes does not fit a {SLOT_BYTES}-byte ring slot")
-                while not self._free:
-                    self._collect()
-                slot = self._free.pop()
-                ring.seek(slot * SLOT_BYTES)
-                for col in cols:
-                    ring.write(col)
-                self._tell(_MESSAGE.pack(table_id, slot, len(cols[0]), table.start + i))
-
-    def drain(self) -> None:
-        """Wait until the writer has taken every block sent so far."""
-        with self._lock:
-            while len(self._free) < RING_SLOTS:
-                self._collect()
+            self._send(_HEADER.pack(table_id, len(table), table.start, size), *data)
 
     def close(self) -> None:
         """End the blocks; return once the child has flushed and closed
         every file and exited 0."""
         with self._lock:
-            self._tell(_MESSAGE.pack(_END, 0, 0, 0))
-            while not self._collect():
-                pass
-            code = self._reap(kill=False)
-        if code != 0:
-            raise OutputError(f"log writer process exited with {code}")
+            self._send(_HEADER.pack(_END, 0, 0, 0))
+            self._reply()
 
-    def _tell(self, message: bytes) -> None:
+    def _send(self, *data: bytes) -> None:
         try:
-            os.write(self._to_child, message)
-        except BrokenPipeError:  # the child is gone: raise with what it said
-            while True:
-                self._collect()
+            for d in data:
+                self._sock.sendall(d)
+        except TimeoutError:
+            raise OutputError(f"log writer process sent nothing for {bus.SOCKET_TIMEOUT_S} s") from None
+        except OSError:  # the child is gone: raise with what it said
+            self._reply()
 
-    def _collect(self) -> bool:
-        """Take the child's replies, waiting for at least one; returns
-        whether the child reported its files closed."""
-        timeout = bus.SOCKET_TIMEOUT_S
-        if not self._replies.poll(1000 * timeout):
-            raise OutputError(f"log writer process sent nothing for {timeout} s")
-        replies = os.read(self._from_child, select.PIPE_BUF)
-        if not replies:
-            code = self._reap(kill=False)
+    def _reply(self) -> None:
+        """Read what the child sent, up to its end of the stream closing,
+        and reap the child; raise unless it sent nothing and exited 0."""
+        reply = b""
+        try:
+            with suppress(ConnectionResetError):  # a child gone with blocks unread, once its bytes are read
+                while chunk := self._sock.recv(4096):
+                    reply += chunk
+        except TimeoutError:
+            raise OutputError(f"log writer process sent nothing for {bus.SOCKET_TIMEOUT_S} s") from None
+        if reply:
+            raise OutputError(f"log writer process failed: {reply.decode(errors='replace')}")
+        code = self._reap(kill=False)
+        if code != 0:
             raise OutputError(f"log writer process died ({'signal ' + str(-code) if code < 0 else f'exit {code}'})")
-        for i, reply in enumerate(replies):
-            if reply == _FAILED:
-                raise OutputError(f"log writer process failed: {replies[i + 1 :].decode(errors='replace')}")
-            if reply == _END:
-                return True
-            self._free.append(reply)
-        return False
 
     def _reap(self, kill: bool) -> int:
         """Wait for the child, killed first if `kill`; its exit code, or
@@ -347,9 +318,7 @@ class LogWriter:
         finally:
             if self.pid is not None:  # a failed run, or a close that failed
                 self._reap(kill=True)
-            os.close(self._to_child)
-            os.close(self._from_child)
-            self._ring.close()
+            self._sock.close()
 
 
 class RunLogs:

@@ -175,12 +175,16 @@ def test_breach_after_the_first_block_leaves_no_artifact(transport, tmp_path, mo
     real_check = pvrun.check_run_invariants
 
     def check(cfg, **tables):
-        # when the breach is found, the first block is already in the temp
-        # files once the writer process has taken every block sent to it
+        # when the breach is found, the first block of each table reaches its
+        # temp file as the writer process formats it: wait for all three
         log = tables.get("log")
         if log is not None and step in log.k:
-            writers[0][0].drain()
-            on_disk.update({p.name: p.stat().st_size for p in out.glob("*.tmp")})
+            deadline = time.monotonic() + bus.SOCKET_TIMEOUT_S
+            while time.monotonic() < deadline:
+                on_disk.update({p.name: p.stat().st_size for p in out.glob("*.tmp")})
+                if len(on_disk) == 3 and all(on_disk.values()):
+                    break
+                time.sleep(0.01)
         return real_check(cfg, **tables)
 
     monkeypatch.setattr(pvrun, "check_run_invariants", check)
@@ -219,7 +223,41 @@ def test_a_killed_writer_process_ends_the_run_within_the_timeout(transport, tmp_
     assert_reaped(writers[0][1])
 
 
-def test_a_failing_writer_process_raises_its_message_in_the_run(tmp_path, monkeypatch):
+@pytest.mark.parametrize("transport", ["inproc", "socket"])
+def test_a_stopped_writer_process_ends_the_run_within_the_timeout(transport, tmp_path, monkeypatch):
+    # the writer is stopped right after the fork, and the blocks fill the
+    # socket's buffer mid-session
+    monkeypatch.setattr(bus, "SOCKET_TIMEOUT_S", 2.0)
+    writers = capture_writers(monkeypatch)
+    capturing_init = pvrun.LogWriter.__init__
+
+    def init(self, files):
+        capturing_init(self, files)
+        os.kill(self.pid, signal.SIGSTOP)
+
+    monkeypatch.setattr(pvrun.LogWriter, "__init__", init)
+    real_check = pvrun.check_run_invariants
+    starts = []
+
+    def check(cfg, **tables):
+        starts.extend(table.start for table in tables.values())
+        return real_check(cfg, **tables)
+
+    monkeypatch.setattr(pvrun, "check_run_invariants", check)
+    cfg = validate_scenario(ScenarioConfig(seed=7))
+    series = synth_pv("cloud_random", 12 * B * 5.0, 5.0, 3000.0, seed=7)
+    out = tmp_path / "out"
+    t0 = time.monotonic()
+    with pytest.raises(pvrun.OutputError, match=r"log writer process sent nothing for 2.0 s"):
+        run_scenario(cfg, series, out, transport=transport)
+    assert time.monotonic() - t0 < 2 * bus.SOCKET_TIMEOUT_S
+    assert max(starts) < 11 * B  # the session never reached its last block
+    assert list(out.iterdir()) == []
+    assert_reaped(writers[0][1])
+
+
+@pytest.mark.parametrize("transport", ["inproc", "socket"])
+def test_a_failing_writer_process_raises_its_message_in_the_run(transport, tmp_path, monkeypatch):
     writers = capture_writers(monkeypatch)
 
     def disk_full(tagged_hex, out):  # runs in the writer process, which inherits the patch
@@ -230,7 +268,7 @@ def test_a_failing_writer_process_raises_its_message_in_the_run(tmp_path, monkey
     series = synth_pv("cloud_random", (B + 7) * 5.0, 5.0, 3000.0, seed=6)
     out = tmp_path / "out"
     with pytest.raises(RuntimeError, match=r"log writer process failed: OSError: \[Errno 28\] No space left"):
-        run_scenario(cfg, series, out)
+        run_scenario(cfg, series, out, transport=transport)
     assert list(out.iterdir()) == []
     assert_reaped(writers[0][1])
 
