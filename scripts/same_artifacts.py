@@ -5,15 +5,20 @@
 
 The parent is exported with bench_pairs.export_commit into a temporary
 directory. Then `pvsmooth run` runs every scenarios/*.json of the working
-tree on the inproc and the socket transport, once with each tree's source,
-and the two artifact sets of each run are compared file by file. Exits 0
-when every file is byte-identical, and 1 naming the first file that differs
-or exists on one side only, or the first run that fails.
+tree and the scenario of each benchmark workload at seed 1 (its input files
+made by perfbench's `workloads.prepare`: CSV ingest, free-running with
+jitter, two-day runs), once with each tree's source, and the two artifact
+sets of each run are compared file by file. Each scenario runs on the
+inproc and the socket transport; a free-running one on inproc only, since
+free-running sessions have no socket engine. Exits 0 when every file is
+byte-identical, and 1 naming the first file that differs or exists on one
+side only, or the first run that fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -22,7 +27,12 @@ from pathlib import Path
 
 from bench_pairs import ROOT, export_commit
 
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402  (perfbench's input files, unchanged)
+
 TRANSPORTS = ("inproc", "socket")
+WORKLOAD_SEED = 1
 
 
 def run_scenario(tree: Path, scenario: Path, transport: str, out: Path) -> None:
@@ -33,6 +43,12 @@ def run_scenario(tree: Path, scenario: Path, transport: str, out: Path) -> None:
     proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"{out}: pvsmooth run exited {proc.returncode}\n{proc.stderr}")
+
+
+def transports(scenario: Path) -> tuple[str, ...]:
+    """The transports a scenario runs on: a free-running one, inproc only."""
+    mode = json.loads(scenario.read_text(encoding="utf-8")).get("transport", {}).get("mode")
+    return TRANSPORTS[:1] if mode == "free_running" else TRANSPORTS
 
 
 def first_difference(a: Path, b: Path) -> str | None:
@@ -50,20 +66,24 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", default="HEAD", help="commit to compare against (default HEAD)")
     args = parser.parse_args(argv)
 
-    scenarios = sorted((ROOT / "scenarios").glob("*.json"))
     with tempfile.TemporaryDirectory(prefix="same_artifacts-") as tmp:
         parent_tree, outs = Path(tmp) / "parent", Path(tmp) / "out"
         commit = export_commit(args.parent, parent_tree)
-        for scenario in scenarios:
-            for transport in TRANSPORTS:
-                run = f"{scenario.stem}/{transport}"
+        scenarios = {path.stem: path for path in sorted((ROOT / "scenarios").glob("*.json"))}
+        for name in workloads.WORKLOADS:
+            scenarios[name] = workloads.prepare(name, WORKLOAD_SEED, Path(tmp) / "inputs" / name).scenario_path
+        runs = 0
+        for stem, scenario in scenarios.items():
+            for transport in transports(scenario):
+                run = f"{stem}/{transport}"
+                runs += 1
                 for side, tree in (("parent", parent_tree), ("change", ROOT)):
                     run_scenario(tree, scenario, transport, outs / side / run)
                 differs = first_difference(outs / "parent" / run, outs / "change" / run)
                 if differs is not None:
                     print(f"{run}/{differs} differs from {commit[:12]}")
                     return 1
-    print(f"{len(scenarios)} scenarios x {len(TRANSPORTS)} transports: artifacts identical to {commit[:12]}")
+    print(f"{len(scenarios)} scenarios, {runs} runs: artifacts identical to {commit[:12]}")
     return 0
 
 

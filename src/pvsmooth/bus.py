@@ -47,7 +47,7 @@ from .frames import (
 )
 from .plant import PROTOCOL, PlantDriver, RunFault
 from .series import PowerSeries
-from .util import Columns
+from .util import Columns, FloatTexts
 
 # frame directions, as coded in the frame log, and their names in frame tags
 S2C = 0  # plant sensor -> controller
@@ -168,16 +168,19 @@ class SessionLog:
 
     def tagged_hex(self) -> Iterator[tuple[str, str]]:
         """(tag, wire bytes as hex) per frame, the tag naming direction, seq
-        and times. The wire is hex-encoded once and sliced per frame."""
+        and times. The tags are built column by column, with each distinct
+        time formatted once (FloatTexts); the wire is hex-encoded once and
+        sliced per frame."""
+        frames = self.frames
+        n = len(frames)
+        times = FloatTexts()(np.concatenate((frames.numpy("t_send_ms"), frames.numpy("t_deliver_ms")))).tolist()
+        tags = [
+            f"{DIRECTION_NAMES[d]} seq={seq} send={t_send} recv={t_deliver}"
+            for d, seq, t_send, t_deliver in zip(frames.direction.tolist(), frames.seq.tolist(), times[:n], times[n:])
+        ]
         hex_wire = self.wire.hex()
-        start = 0
-        for d, seq, t_send, t_deliver, end in self.frames.rows(
-            ["direction", "seq", "t_send_ms", "t_deliver_ms", "wire_end"]
-        ):
-            tag = f"{DIRECTION_NAMES[d]} seq={seq} send={t_send!r} recv={t_deliver!r}"
-            end *= 2
-            yield tag, hex_wire[start:end]
-            start = end
+        ends = (2 * frames.numpy("wire_end")).tolist()
+        return zip(tags, map(hex_wire.__getitem__, map(slice, [0, *ends[:-1]], ends)))
 
 
 class PlantBoundary:

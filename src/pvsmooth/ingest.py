@@ -155,8 +155,11 @@ def ingest_csv(spec: IngestSpec) -> IngestResult:
         grid_p = p_arr
         start = float(t_arr[0])
     else:
+        # each array is let go as soon as it is used, so no more than three
+        # grid-sized float arrays are alive at once
         order = np.argsort(t_arr, kind="stable")
         t_arr, p_arr = t_arr[order], p_arr[order]
+        del order
         if (np.diff(t_arr) == 0.0).any():
             dup = int(np.argmax(np.diff(t_arr) == 0.0))
             raise IngestError([f"duplicate timestamp t={t_arr[dup]}"])
@@ -166,8 +169,15 @@ def ingest_csv(spec: IngestSpec) -> IngestResult:
         grid_t = start + np.arange(n) * period
         idx = np.searchsorted(t_arr, grid_t + 1e-9 * period, side="right") - 1
         grid_p = p_arr[idx]
+        del p_arr
         # a grid point is "filled" when the held observation is older than it
-        gaps_filled = int(np.count_nonzero(np.abs(t_arr[idx] - grid_t) > 1e-6 * period))
+        held = t_arr[idx]
+        del idx
+        held -= grid_t
+        del grid_t
+        np.abs(held, out=held)
+        gaps_filled = int(np.count_nonzero(held > 1e-6 * period))
+        del held
 
     rated = spec.rated_power_w if spec.rated_power_w is not None else float(grid_p.max())
     if not rated > 0:

@@ -50,7 +50,7 @@ from .plant import INVARIANT, PLANT_TRACE_COLUMNS, RunFault
 from .ramp import RampReport, ramp_report, report_to_dict, write_rates_file
 from .series import PowerSeries, scale_series
 from .synth import synth_pv
-from .util import AtomicWriter, Columns, atomic_write_text
+from .util import AtomicWriter, Columns, FloatTexts, atomic_write_text
 
 STREAMED_FILES = ("plant_trace.csv", "controller_log.csv", "frames.hex")
 PLANT, CONTROLLER, FRAMES = range(3)  # the streamed tables, in file order
@@ -84,12 +84,12 @@ class RunArtifacts:
     smoothed_series: PowerSeries
 
 
-def write_controller_log(log: Columns, out: AtomicWriter) -> None:
-    out.write(log.csv_chunks())
+def write_controller_log(log: Columns, out: AtomicWriter, texts: FloatTexts | None = None) -> None:
+    out.write(log.csv_chunks(texts))
 
 
-def write_plant_trace(trace: Columns, out: AtomicWriter) -> None:
-    out.write(trace.csv_chunks())
+def write_plant_trace(trace: Columns, out: AtomicWriter, texts: FloatTexts | None = None) -> None:
+    out.write(trace.csv_chunks(texts))
 
 
 def _write_histogram_csv(reports: dict[str, RampReport], out: AtomicWriter) -> None:
@@ -180,10 +180,15 @@ STREAM_BUFFER_BYTES = 1 << 20
 def _format_blocks(stream: BinaryIO, files: Sequence[AtomicWriter]) -> None:
     """The writer process's loop: rebuild each block read from stream and
     append its text to the table's file. Returns once every file is closed
-    at the run's end."""
+    at the run's end; a stream that ends early raises EOFError before any of
+    the unfinished block is formatted.
+
+    The two CSV logs share one FloatTexts, so a value that a plant block and
+    the controller block of the same steps both hold is formatted once."""
     plant_csv, ctrl_csv, frames_hex = files
     frame_log = SessionLog()
     tables = (Columns(PLANT_TRACE_COLUMNS), Columns(CONTROLLER_LOG_COLUMNS), frame_log.frames)
+    texts = FloatTexts()
     while True:
         header = stream.read(_HEADER.size)
         if len(header) < _HEADER.size:
@@ -193,7 +198,10 @@ def _format_blocks(stream: BinaryIO, files: Sequence[AtomicWriter]) -> None:
             for out in files:
                 out.close()
             return
-        view = memoryview(stream.read(size))
+        data = stream.read(size)
+        if len(data) < size:
+            raise EOFError("the run ended in the middle of a block")
+        view = memoryview(data)
         table = tables[table_id]
         offset = 0
         for name in table.names:
@@ -204,9 +212,9 @@ def _format_blocks(stream: BinaryIO, files: Sequence[AtomicWriter]) -> None:
             offset = end
         table.start = start
         if table_id == PLANT:
-            write_plant_trace(table, plant_csv)
+            write_plant_trace(table, plant_csv, texts)
         elif table_id == CONTROLLER:
-            write_controller_log(table, ctrl_csv)
+            write_controller_log(table, ctrl_csv, texts)
         else:
             frame_log.wire[:] = view[offset:]
             write_hexdump(frame_log.tagged_hex(), frames_hex)
@@ -456,14 +464,15 @@ def run_scenario(
             clamp_events=session.plant.clamp_events,
         )
         digest = config_hash(cfg, source)
-        writer.close()  # the streamed files are complete before any file is renamed into place
 
+        # written while the writer process formats the last blocks, and
         # renamed into place with the streamed files when the block ends, so
         # a failure up to the end of metrics.json leaves no artifact
         raw_csv, smooth_csv, histogram_csv = (stack.enter_context(AtomicWriter(out / name)) for name in ARTIFACT_FILES[-3:])
         write_rates_file(raw_rep, raw_csv, sample_period_s=series.sample_period_s)
         write_rates_file(smooth_rep, smooth_csv, sample_period_s=series.sample_period_s)
         _write_histogram_csv({"raw": raw_rep, "smoothed": smooth_rep}, histogram_csv)
+        writer.close()  # the streamed files are complete before any file is renamed into place
 
         metrics = {
             "config_hash": digest,

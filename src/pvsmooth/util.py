@@ -67,6 +67,36 @@ def chunked(lines: Iterable[str], size: int = FORMAT_ROWS) -> Iterator[str]:
         yield chunk
 
 
+class FloatTexts:
+    """repr of float64 values, formatted once per distinct bit pattern.
+
+    Calling it with a block of values returns an object array of their repr
+    strings. Each distinct bit pattern in the block is formatted once, or not
+    at all when the previous block held it: only that block's sorted bits and
+    texts are kept. So blocks of two tables for the same steps, such as the
+    plant trace's and the controller log's, share the values they both hold.
+    Keys are bit patterns, never float values (0.0 == -0.0 and NaN != NaN),
+    and a key's text is repr of its own value, so the text equals repr of
+    each value it stands for.
+    """
+
+    def __init__(self):
+        self.bits = np.empty(0, np.int64)  # the last block's distinct bits, sorted
+        self.texts = np.empty(0, object)  # repr of each, in the same order
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        bits, where = np.unique(values.view(np.int64), return_inverse=True)
+        pos = np.searchsorted(self.bits, bits)
+        hit = pos < self.bits.size
+        hit[hit] = self.bits[pos[hit]] == bits[hit]
+        texts = np.empty(bits.size, object)
+        texts[hit] = self.texts[pos[hit]]
+        miss = ~hit
+        texts[miss] = np.fromiter(map(repr, bits[miss].view(np.float64).tolist()), object, np.count_nonzero(miss))
+        self.bits, self.texts = bits, texts
+        return texts[where]
+
+
 class Columns:
     """A table kept as one stdlib array per column, appended once per row.
 
@@ -120,14 +150,23 @@ class Columns:
         for i in range(0, len(self), FORMAT_ROWS):
             yield from zip(*(c[i : i + FORMAT_ROWS].tolist() for c in cols))
 
-    def csv_chunks(self) -> Iterator[str]:
+    def csv_chunks(self, texts: FloatTexts | None = None) -> Iterator[str]:
         """The rows held as CSV text, after the header when they start the
         table, so a table's blocks in order make up its whole file. Floats
-        are written with repr, so each reads back bitwise with float();
-        flags and integers as decimal integers."""
+        are written with repr, so each reads back bitwise with float(), and
+        formatted through `texts` (a fresh FloatTexts by default), which may
+        carry the previous block's texts; flags and integers as decimal
+        integers."""
         if self.start == 0:
             yield ",".join(self.names) + "\n"
-        cols = [getattr(self, name) for name in self.names]
-        for i in range(0, len(self), FORMAT_ROWS):  # repr column by column, then join rows
-            cells = [map(repr, col[i : i + FORMAT_ROWS].tolist()) for col in cols]
+        n = len(self)
+        floats = [name for name in self.names if getattr(self, name).typecode == "d"]
+        values = np.concatenate([self.numpy(name) for name in floats])
+        float_cells = dict(zip(floats, (FloatTexts() if texts is None else texts)(values).reshape(len(floats), n)))
+        for i in range(0, n, FORMAT_ROWS):  # texts column by column, then join rows
+            cells = [
+                float_cells[name][i : i + FORMAT_ROWS].tolist() if name in float_cells
+                else map(repr, getattr(self, name)[i : i + FORMAT_ROWS].tolist())
+                for name in self.names
+            ]
             yield "\n".join(map(",".join, zip(*cells))) + "\n"

@@ -9,7 +9,9 @@ them:
 - CSV ingest before its row stage became one csv.reader pass into float
   arrays (csv.DictReader, float lists). Here a row of an ISO-8601 file that
   lacks its time cell still crashes with AttributeError;
-- write_series_csv before it streamed its lines in chunks.
+- write_series_csv before it streamed its lines in chunks;
+- the CSV logs' and the hex dump's formatters before each distinct float of
+  a block was formatted once (FloatTexts): one repr per value.
 
 tests/test_differential.py checks the package against these bitwise. They
 share the package's error classes and parameter types, so an error is the
@@ -22,6 +24,7 @@ import csv
 import math
 import struct
 import zlib
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -29,6 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from pvsmooth.bus import DIRECTION_NAMES, SessionLog
 from pvsmooth.config import SUPPLY_HARD_LIMIT_A, BatteryParams
 from pvsmooth.frames import (
     CRC_LEN,
@@ -48,7 +52,7 @@ from pvsmooth.frames import (
 from pvsmooth.ingest import RESAMPLE_MODES, TIMESTAMP_FORMATS, IngestError, IngestResult, IngestSpec
 from pvsmooth.plant import INVARIANT, RunFault
 from pvsmooth.series import PowerSeries
-from pvsmooth.util import atomic_write_text
+from pvsmooth.util import FORMAT_ROWS, Columns, atomic_write_text
 
 _HEADER = struct.Struct("<4sBBIQH")
 
@@ -408,3 +412,28 @@ def write_series_csv(series: PowerSeries, path: str | Path) -> None:
     for i in range(len(series)):
         lines.append(f"{float(t[i])!r},{float(series.samples[i])!r}")
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+# --- log formatters: one repr per value ----------------------------------------
+
+
+def csv_chunks(table: Columns) -> Iterator[str]:
+    """Columns.csv_chunks with every cell formatted by its own repr."""
+    if table.start == 0:
+        yield ",".join(table.names) + "\n"
+    cols = [getattr(table, name) for name in table.names]
+    for i in range(0, len(table), FORMAT_ROWS):
+        cells = [map(repr, col[i : i + FORMAT_ROWS].tolist()) for col in cols]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+def tagged_hex(log: SessionLog) -> Iterator[tuple[str, str]]:
+    """SessionLog.tagged_hex with a repr per time and an f-string per tag."""
+    hex_wire = log.wire.hex()
+    start = 0
+    rows = log.frames.rows(["direction", "seq", "t_send_ms", "t_deliver_ms", "wire_end"])
+    for d, seq, t_send, t_deliver, end in rows:
+        tag = f"{DIRECTION_NAMES[d]} seq={seq} send={t_send!r} recv={t_deliver!r}"
+        end *= 2
+        yield tag, hex_wire[start:end]
+        start = end

@@ -14,6 +14,7 @@ import io
 import struct
 import tempfile
 import zlib
+from contextlib import ExitStack
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -21,8 +22,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference as ref
+from pvsmooth.bus import SessionLog
 from pvsmooth.config import SUPPLY_HARD_LIMIT_A, BatteryParams
-from pvsmooth.controller import SmoothingController
+from pvsmooth.controller import CONTROLLER_LOG_COLUMNS, SmoothingController
 from pvsmooth.frames import (
     MSG_END,
     MSG_FAULT,
@@ -34,9 +36,11 @@ from pvsmooth.frames import (
     encode_frame,
 )
 from pvsmooth.ingest import IngestError, IngestSpec, ingest_csv, write_series_csv
-from pvsmooth.plant import battery_step, supply_apply
+from pvsmooth.plant import PLANT_TRACE_COLUMNS, battery_step, supply_apply
 from pvsmooth.ramp import warmup_skip_count
+from pvsmooth.run import write_controller_log, write_plant_trace
 from pvsmooth.series import PowerSeries
+from pvsmooth.util import AtomicWriter, Columns, FloatTexts
 
 SUBNORMALS = (5e-324, -5e-324, 2.2250738585072009e-308, -1e-310)
 
@@ -420,3 +424,63 @@ def test_write_series_csv_matches_reference_bytes(pattern, repeat, start, period
         write_series_csv(series, new)
         ref.write_series_csv(series, old)
         assert new.read_bytes() == old.read_bytes()
+
+
+# --- log formatters ---------------------------------------------------------------
+
+
+def repeating_doubles(data):
+    """Doubles that repeat: each is one of a small drawn pool or a fresh one,
+    so equal bit patterns recur within a row, across tables and across blocks."""
+    pool = data.draw(st.lists(doubles, min_size=1, max_size=6), label="pool")
+    return st.one_of(st.sampled_from(pool), doubles)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_csv_logs_sharing_float_texts_match_a_repr_per_cell(tmp_path_factory, data):
+    # a plant block and a controller block in turn, as the writer process
+    # gets them, through one FloatTexts
+    cell = repeating_doubles(data)
+    tmp = tmp_path_factory.mktemp("logs")
+    logs = ((PLANT_TRACE_COLUMNS, write_plant_trace), (CONTROLLER_LOG_COLUMNS, write_controller_log))
+    texts = FloatTexts()
+    with ExitStack() as stack:
+        tables = [
+            (Columns(spec), write, stack.enter_context(AtomicWriter(tmp / f"{i}.csv")), [])
+            for i, (spec, write) in enumerate(logs)
+        ]
+        start = 0
+        for _ in range(data.draw(st.integers(1, 4), label="blocks")):
+            rows = data.draw(st.integers(0, 8), label="rows")
+            repeat = data.draw(st.integers(1, 40), label="repeat")  # up to 320 rows: two format chunks
+            for table, write, out, want in tables:
+                for name in table.names:
+                    col = getattr(table, name)
+                    del col[:]
+                    if name == "k":
+                        col.extend(range(start + 1, start + 1 + rows * repeat))
+                    elif col.typecode == "d":
+                        col.extend(data.draw(st.lists(cell, min_size=rows, max_size=rows)) * repeat)
+                    else:
+                        col.extend(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)) * repeat)
+                table.start = start
+                write(table, out, texts)
+                want.extend(ref.csv_chunks(table))
+            start += rows * repeat
+    for i, (*_, want) in enumerate(tables):
+        assert (tmp / f"{i}.csv").read_bytes() == "".join(want).encode()
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_hex_dump_tags_match_a_repr_per_time(data):
+    cell = repeating_doubles(data)
+    log = SessionLog()
+    for _ in range(data.draw(st.integers(0, 30), label="frames")):
+        log.wire += data.draw(st.binary(max_size=40))
+        direction, seq, t_send, t_deliver = data.draw(st.tuples(st.integers(0, 1), seqs, cell, cell))
+        row = (direction, seq, MSG_SENSOR, t_send, t_deliver, 0.0, len(log.wire))
+        for append, value in zip(log.frames.appenders(), row):
+            append(value)
+    assert list(log.tagged_hex()) == list(ref.tagged_hex(log))

@@ -145,7 +145,7 @@ def test_a_row_lacking_its_time_cell_is_a_row_error(tmp_path, fmt):
     assert exc.value.errors == ["line 2: unparseable time None"]
 
 
-def test_iso8601_zero_order_hold_peak_is_under_90_bytes_per_row(tmp_path):
+def test_iso8601_zero_order_hold_peak_is_under_50_bytes_per_row(tmp_path):
     # a list of Python floats costs 32 bytes a value and a row dict far more;
     # the rows are read into float arrays, so what remains is the grid
     rows = 20_000
@@ -165,4 +165,4 @@ def test_iso8601_zero_order_hold_peak_is_under_90_bytes_per_row(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(r.series) == rows and r.gaps_filled > 0
-    assert peak / r.rows_read < 90, peak / r.rows_read
+    assert peak / r.rows_read < 50, peak / r.rows_read

@@ -9,6 +9,7 @@ behind and no child process, and that run_scenario's memory no longer grows
 with the log.
 """
 
+import io
 import json
 import os
 import signal
@@ -22,7 +23,7 @@ from pvsmooth import bus, controller
 from pvsmooth import run as pvrun
 from pvsmooth.cli import main
 from pvsmooth.config import ScenarioConfig, TransportConfig, validate_scenario
-from pvsmooth.plant import INVARIANT, RunFault
+from pvsmooth.plant import INVARIANT, PLANT_TRACE_COLUMNS, RunFault
 from pvsmooth.series import PowerSeries
 from pvsmooth.run import (
     STREAMED_FILES,
@@ -32,7 +33,7 @@ from pvsmooth.run import (
     write_plant_trace,
 )
 from pvsmooth.synth import synth_pv
-from pvsmooth.util import BLOCK_ROWS, AtomicWriter
+from pvsmooth.util import BLOCK_ROWS, AtomicWriter, Columns
 
 B = BLOCK_ROWS
 
@@ -308,3 +309,32 @@ def test_run_scenario_peak_grows_at_most_40_bytes_per_step(tmp_path):
     large = peak_bytes_of_run(4 * B, tmp_path)
     per_step = (large - small) / (2 * B)
     assert per_step <= 40, (small, large, per_step)
+
+
+def block_bytes(table_id, table):
+    """A block as LogWriter.send puts it on the stream: header, then columns."""
+    data = b"".join(getattr(table, name).tobytes() for name in table.names)
+    return pvrun._HEADER.pack(table_id, len(table), table.start, len(data)) + data
+
+
+def test_the_writer_formats_nothing_of_a_truncated_block(tmp_path):
+    # a whole controller block, then a stream that ends 80 bytes into a plant block
+    tables = {
+        pvrun.CONTROLLER: Columns(controller.CONTROLLER_LOG_COLUMNS),
+        pvrun.PLANT: Columns(PLANT_TRACE_COLUMNS),
+    }
+    values = {"q": range(1, 21), "b": [i % 2 for i in range(20)], "d": [i / 3 for i in range(20)]}
+    for table in tables.values():
+        for name in table.names:
+            col = getattr(table, name)
+            col.extend(values[col.typecode])
+    stream = block_bytes(pvrun.CONTROLLER, tables[pvrun.CONTROLLER])
+    stream += block_bytes(pvrun.PLANT, tables[pvrun.PLANT])[: pvrun._HEADER.size + 80]
+    files = [AtomicWriter(tmp_path / name) for name in STREAMED_FILES]
+    with pytest.raises(EOFError, match="in the middle of a block"):
+        pvrun._format_blocks(io.BufferedReader(io.BytesIO(stream)), files)
+    for out in files:
+        out.close()
+    plant_csv, ctrl_csv, frames_hex = (out.tmp.read_text(encoding="utf-8") for out in files)
+    assert ctrl_csv == "".join(tables[pvrun.CONTROLLER].csv_chunks())
+    assert plant_csv == frames_hex == ""  # not even the plant trace's header

@@ -4,13 +4,14 @@ import struct
 import sys
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pvsmooth.controller import CONTROLLER_LOG_COLUMNS
 from pvsmooth.run import write_controller_log
-from pvsmooth.util import AtomicWriter, Columns, atomic_write_text, chunked
+from pvsmooth.util import AtomicWriter, Columns, FloatTexts, atomic_write_text, chunked
 
 # --- atomic writes ------------------------------------------------------------
 
@@ -125,3 +126,16 @@ def test_controller_log_floats_read_back_bitwise(tmp_path_factory, rows):
         cells = line.split(",")
         assert [int(c) for c in (cells[0], cells[6], cells[7])] == [row[0], row[6], row[7]]
         assert [bits(float(c)) for c in cells[1:6]] == [bits(v) for v in row[1:6]]
+
+
+def test_float_texts_keep_only_the_last_blocks_values():
+    texts = FloatTexts()
+    first = texts(np.array([1.5, 2.0, 2.0, -0.0]))
+    second = texts(np.array([3.0, 0.0, 1.5, 3.0]))
+    assert first.tolist() == ["1.5", "2.0", "2.0", "-0.0"]
+    assert second.tolist() == ["3.0", "0.0", "1.5", "3.0"]
+    # the distinct bits of the second block, sorted, with their texts;
+    # 2.0 and -0.0 are gone, and 0.0 is a key of its own
+    assert texts.bits.tolist() == sorted(np.array([3.0, 0.0, 1.5]).view(np.int64).tolist())
+    assert texts.texts.tolist() == [repr(v) for v in texts.bits.view(np.float64).tolist()]
+    assert second[2] is first[0]  # 1.5 was taken from the first block, not formatted again
