@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
 """Where a run's CPU goes: the session's process against its log writer.
 
-    PYTHONPATH=src python3 scripts/cpu_split.py --workload multiday_inproc --seed 1 --runs 5
+    PYTHONPATH=src python3 scripts/cpu_split.py --workload multiday_inproc --seed 1 --runs 5 [--transport socket]
 
 Prepares the benchmark workload's input files with perfbench's
 `workloads.prepare` in a temporary directory, loads the scenario and makes
-its input series once, then calls `run_scenario` --runs times, each into a
-fresh directory that is removed after the run. For each run it prints, per
-simulated step:
+its input series once, then calls `run_scenario` --runs times on the
+transport given (default inproc), each into a fresh directory that is
+removed after the run. For each run it prints, per simulated step:
 
 - wall: the time `run_scenario` took;
-- session CPU: user + system time of this process (`RUSAGE_SELF`);
+- session CPU: user + system time of this process (`RUSAGE_SELF`); on the
+  socket transport that includes the controller's thread, which runs in
+  this process;
 - writer CPU: user + system time of the reaped log writer process
   (`RUSAGE_CHILDREN`).
 
@@ -48,6 +50,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--runs", type=int, default=5)
+    parser.add_argument("--transport", choices=("inproc", "socket"), default="inproc")
     args = parser.parse_args(argv)
 
     rows = []
@@ -56,10 +59,11 @@ def main(argv: list[str] | None = None) -> int:
         cfg, source = load_scenario(wl.scenario_path)
         series = resolve_source(source, cfg)
         steps = len(series)
-        print(f"{args.workload} seed {args.seed}: {steps} steps; us/step wall, session CPU, writer CPU")
+        print(f"{args.workload} seed {args.seed} over {args.transport}: {steps} steps; "
+              "us/step wall, session CPU, writer CPU")
         for i in range(args.runs):
             self0, child0, t0 = cpu_s(resource.RUSAGE_SELF), cpu_s(resource.RUSAGE_CHILDREN), time.perf_counter()
-            run_scenario(cfg, series, Path(tmp) / "run", source=source)
+            run_scenario(cfg, series, Path(tmp) / "run", transport=args.transport, source=source)
             wall = time.perf_counter() - t0
             session = cpu_s(resource.RUSAGE_SELF) - self0
             writer = cpu_s(resource.RUSAGE_CHILDREN) - child0

@@ -10,7 +10,8 @@ made by perfbench's `workloads.prepare`: CSV ingest, free-running with
 jitter, two-day runs), once with each tree's source, and the two artifact
 sets of each run are compared file by file. Each scenario runs on the
 inproc and the socket transport; a free-running one on inproc only, since
-free-running sessions have no socket engine. Exits 0 when every file is
+a parent older than the one session builder cannot run it on the socket.
+Exits 0 when every file is
 byte-identical, and 1 naming the first file that differs or exists on one
 side only, or the first run that fails.
 """
@@ -46,7 +47,8 @@ def run_scenario(tree: Path, scenario: Path, transport: str, out: Path) -> None:
 
 
 def transports(scenario: Path) -> tuple[str, ...]:
-    """The transports a scenario runs on: a free-running one, inproc only."""
+    """The transports a scenario runs on: a free-running one, inproc only
+    (a parent before free-running sessions ran over the socket rejects it)."""
     mode = json.loads(scenario.read_text(encoding="utf-8")).get("transport", {}).get("mode")
     return TRANSPORTS[:1] if mode == "free_running" else TRANSPORTS
 

@@ -6,13 +6,15 @@ The plant-side bus boundary is where physics meets the wire:
   * inbound setpoint values are quantized (DAC emulation) after decoding,
   * every frame is logged with its raw bytes plus send/delivery times.
 
-One loop, drive, runs every session; the controller sits behind a peer in
-the same thread or behind a loopback TCP socket, with the same bytes on the
-wire. The session mode is only a delivery rule. In lockstep mode latency and
-jitter shift recorded timestamps only, so a run is bitwise reproducible on
-either peer. In free-running mode delays decouple delivery from the plant's
-sample clock; identical seeds give identical logs. Delivery within one
-direction is FIFO: a frame never overtakes an earlier one.
+One builder, _run, makes every session and one loop, drive, runs it; the
+controller sits behind a peer in the same thread or is served over a
+loopback TCP socket from its own thread (SocketController), with the same
+bytes on the wire. The session mode is only a delivery rule, and either mode
+runs on either transport. In lockstep mode latency and jitter shift recorded
+timestamps only, so a run is bitwise reproducible on either peer. In
+free-running mode delays decouple delivery from the plant's sample clock;
+identical seeds give identical logs. Delivery within one direction is FIFO:
+a frame never overtakes an earlier one.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import socket
 import threading
 from collections import deque
 from collections.abc import Callable, Iterator
-from contextlib import suppress
+from contextlib import nullcontext, suppress
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from itertools import repeat
@@ -53,6 +55,7 @@ from .util import Columns, FloatTexts
 S2C = 0  # plant sensor -> controller
 C2S = 1  # controller setpoint -> plant
 DIRECTION_NAMES = ("s2c", "c2s")
+TRANSPORTS = ("inproc", "socket")  # the media a session runs over
 
 # longest wait for the controller to connect, or for any bytes from a peer
 SOCKET_TIMEOUT_S = 10.0
@@ -402,13 +405,57 @@ class SocketEndpoint:
         self.conn.close()
 
 
-def _run_inproc(
-    series: PowerSeries, cfg: ScenarioConfig, corrupt_s2c, sinks: Sinks, free_running: bool
+class SocketController:
+    """The controller served over a loopback TCP socket from its own thread.
+
+    Used as a context manager around a session: entering starts the thread,
+    which connects and answers frames through peer (SocketEndpoint.serve),
+    and returns the plant's end of the connection once it has connected.
+    Leaving joins the thread. What the thread raised (say, an invariant
+    breach found by its log's sink) is raised if the session ended cleanly
+    or lost its peer (a PROTOCOL RunFault), since that is why the plant lost
+    it; any other session error wins.
+    """
+
+    def __init__(self, peer: ControllerPeer):
+        self.peer = peer
+        self.error: Exception | None = None
+
+    def _serve(self, port: int) -> None:
+        try:
+            with socket.create_connection(("127.0.0.1", port), timeout=SOCKET_TIMEOUT_S) as conn:
+                SocketEndpoint(conn).serve(self.peer)
+        except Exception as exc:  # raised again on the plant side
+            self.error = exc
+
+    def __enter__(self) -> SocketEndpoint:
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(SOCKET_TIMEOUT_S)
+            self._thread = threading.Thread(target=self._serve, args=(listener.getsockname()[1],), daemon=True)
+            self._thread.start()
+            with suppress(TimeoutError):
+                return SocketEndpoint(listener.accept()[0])
+        fault = RunFault(PROTOCOL, f"controller did not connect within {SOCKET_TIMEOUT_S} s")
+        self.__exit__(RunFault, fault, None)
+        raise fault
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._thread.join(timeout=SOCKET_TIMEOUT_S)
+        if self.error is not None and (exc is None or isinstance(exc, RunFault) and exc.kind == PROTOCOL):
+            raise self.error
+        if exc is None and self._thread.is_alive():
+            raise RunFault(PROTOCOL, "controller thread did not complete")
+
+
+def _run(
+    series: PowerSeries, cfg: ScenarioConfig, corrupt_s2c, sinks: Sinks, free_running: bool, over_socket: bool
 ) -> SessionResult:
+    """Build one session and drive it, the controller in this thread or behind a socket."""
     plant = PlantDriver(series, cfg, sinks.plant)
     peer = ControllerPeer(cfg.n_window, sinks.controller)
     boundary = PlantBoundary(cfg, series.rated_power_w, corrupt_s2c=corrupt_s2c, sink=sinks.frames)
-    drive(plant, boundary, peer, free_running)
+    with SocketController(peer) if over_socket else nullcontext(peer) as plant_peer:
+        drive(plant, boundary, plant_peer, free_running)
     return SessionResult(plant, peer.driver, boundary.log)
 
 
@@ -416,80 +463,29 @@ def run_lockstep_inproc(
     series: PowerSeries, cfg: ScenarioConfig, corrupt_s2c=None, sinks: Sinks = NO_SINKS
 ) -> SessionResult:
     """Lockstep session in one thread, through the full codec path."""
-    return _run_inproc(series, cfg, corrupt_s2c, sinks, free_running=False)
+    return _run(series, cfg, corrupt_s2c, sinks, free_running=False, over_socket=False)
 
 
 def run_free_running(
     series: PowerSeries, cfg: ScenarioConfig, corrupt_s2c=None, sinks: Sinks = NO_SINKS
 ) -> SessionResult:
     """Free-running session in one thread: each tick integrates under the last
-    setpoint delivered by the tick's sample time (zero-order hold).
-    """
-    return _run_inproc(series, cfg, corrupt_s2c, sinks, free_running=True)
+    setpoint delivered by the tick's sample time (zero-order hold)."""
+    return _run(series, cfg, corrupt_s2c, sinks, free_running=True, over_socket=False)
 
 
 def run_lockstep_socket(
     series: PowerSeries, cfg: ScenarioConfig, corrupt_s2c=None, sinks: Sinks = NO_SINKS
 ) -> SessionResult:
-    """Lockstep session over a loopback TCP socket, controller in its own thread.
-
-    Whatever the controller thread raises (say, an invariant breach found by
-    its log's sink) is raised here if the plant side ended cleanly or lost
-    its peer (a PROTOCOL fault); any other plant-side error wins.
-    """
-    plant = PlantDriver(series, cfg, sinks.plant)
-    boundary = PlantBoundary(cfg, series.rated_power_w, corrupt_s2c=corrupt_s2c, sink=sinks.frames)
-
-    listener = socket.create_server(("127.0.0.1", 0))
-    listener.settimeout(SOCKET_TIMEOUT_S)
-    port = listener.getsockname()[1]
-    outcome: dict[str, object] = {}
-
-    def serve() -> None:
-        try:
-            with socket.create_connection(("127.0.0.1", port), timeout=SOCKET_TIMEOUT_S) as conn:
-                peer = ControllerPeer(cfg.n_window, sinks.controller)
-                SocketEndpoint(conn).serve(peer)
-                outcome["driver"] = peer.driver
-        except Exception as exc:  # raised again on the plant side
-            outcome["error"] = exc
-
-    thread = threading.Thread(target=serve, daemon=True)
-    thread.start()
-    try:
-        with listener:
-            try:
-                conn, _ = listener.accept()
-            except TimeoutError:
-                raise RunFault(PROTOCOL, f"controller did not connect within {SOCKET_TIMEOUT_S} s") from None
-        drive(plant, boundary, SocketEndpoint(conn), free_running=False)
-    except BaseException as exc:
-        thread.join(timeout=SOCKET_TIMEOUT_S)
-        if "error" in outcome and isinstance(exc, RunFault) and exc.kind == PROTOCOL:
-            raise outcome["error"]  # why the plant lost its peer
-        raise
-    thread.join(timeout=SOCKET_TIMEOUT_S)
-    if "error" in outcome:
-        raise outcome["error"]
-    ctrl = outcome.get("driver")
-    if ctrl is None:
-        raise RunFault(PROTOCOL, "controller thread did not complete")
-    return SessionResult(plant, ctrl, boundary.log)
+    """Lockstep session with the controller served over a socket (SocketController)."""
+    return _run(series, cfg, corrupt_s2c, sinks, free_running=False, over_socket=True)
 
 
-def run_session(
-    series: PowerSeries, cfg: ScenarioConfig, transport: str = "inproc"
-) -> SessionResult:
-    """Dispatch to the configured session mode and transport medium, with
-    the sinks set in SESSION_SINKS."""
-    mode = cfg.transport.mode
-    sinks = SESSION_SINKS.get()
-    if mode == "free_running":
-        if transport != "inproc":
-            raise ValueError("free_running mode is supported on the in-process transport only")
-        return run_free_running(series, cfg, sinks=sinks)
+def run_session(series: PowerSeries, cfg: ScenarioConfig, transport: str = "inproc") -> SessionResult:
+    """Run the scenario's session mode over transport, with the sinks set in SESSION_SINKS."""
+    free_running = cfg.transport.mode == "free_running"
     if transport == "inproc":
-        return run_lockstep_inproc(series, cfg, sinks=sinks)
+        return (run_free_running if free_running else run_lockstep_inproc)(series, cfg, sinks=SESSION_SINKS.get())
     if transport == "socket":
-        return run_lockstep_socket(series, cfg, sinks=sinks)
-    raise ValueError(f"unknown transport {transport!r} (expected 'inproc' or 'socket')")
+        return _run(series, cfg, None, SESSION_SINKS.get(), free_running, over_socket=True)
+    raise ValueError(f"unknown transport {transport!r} (expected one of {TRANSPORTS})")

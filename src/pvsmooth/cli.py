@@ -30,7 +30,7 @@ from .frames import (
 from .ingest import RESAMPLE_MODES, TIMESTAMP_FORMATS, IngestError, IngestSpec, ingest_csv, write_series_csv
 from .plant import INVARIANT, PROTOCOL, RunFault
 from .ramp import RampMetricError, ramp_report, write_rates_file, write_report_json
-from .run import OutputError, resolve_source, run_scenario
+from .run import TRANSPORTS, OutputError, resolve_source, run_scenario
 from .series import SeriesError
 from .synth import SynthError, synth_pv
 from .util import AtomicWriter
@@ -52,7 +52,7 @@ def cli() -> None:
 @click.option("--scenario", "scenario_path", required=True, type=click.Path(exists=True), help="Scenario JSON file.")
 @click.option("--out", "out_dir", required=True, type=click.Path(), help="Artifact output directory.")
 @click.option("--input", "input_csv", type=click.Path(exists=True), default=None, help="PV CSV overriding the scenario source.")
-@click.option("--transport", type=click.Choice(["inproc", "socket"]), default="inproc", show_default=True)
+@click.option("--transport", type=click.Choice(TRANSPORTS), default="inproc", show_default=True)
 @click.option("--seed", type=int, default=None, help="Override the scenario seed.")
 def cmd_run(scenario_path: str, out_dir: str, input_csv: str | None, transport: str, seed: int | None) -> None:
     """Run a full smoothing experiment and write its artifact set."""

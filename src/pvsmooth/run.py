@@ -41,7 +41,7 @@ from typing import Any, BinaryIO
 import numpy as np
 
 from . import __version__, bus, synth
-from .bus import FRAME_LOG_COLUMNS, SESSION_SINKS, SessionLog, SessionResult, Sinks, run_session
+from .bus import FRAME_LOG_COLUMNS, SESSION_SINKS, TRANSPORTS, SessionLog, SessionResult, Sinks, run_session
 from .config import ConfigError, ScenarioConfig, checked_kwargs, config_hash, validate_scenario
 from .controller import CONTROLLER_LOG_COLUMNS
 from .frames import write_hexdump
@@ -84,11 +84,11 @@ class RunArtifacts:
     smoothed_series: PowerSeries
 
 
-def write_controller_log(log: Columns, out: AtomicWriter, texts: FloatTexts | None = None) -> None:
+def write_controller_log(log: Columns, out: AtomicWriter, texts: FloatTexts) -> None:
     out.write(log.csv_chunks(texts))
 
 
-def write_plant_trace(trace: Columns, out: AtomicWriter, texts: FloatTexts | None = None) -> None:
+def write_plant_trace(trace: Columns, out: AtomicWriter, texts: FloatTexts) -> None:
     out.write(trace.csv_chunks(texts))
 
 
@@ -428,6 +428,8 @@ def run_scenario(
     crash or a failed writer leaves no artifact and no temporary file.
     """
     cfg = validate_scenario(cfg)
+    if transport not in TRANSPORTS:
+        raise ConfigError([f"transport: {transport!r} not one of {TRANSPORTS}"])
     if abs(series.sample_period_s - cfg.sample_period_s) > 1e-9 * cfg.sample_period_s:
         raise ConfigError(
             [f"input series period {series.sample_period_s} s does not match "

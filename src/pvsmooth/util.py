@@ -143,26 +143,18 @@ class Columns:
         col = getattr(self, name)
         return np.frombuffer(col, dtype=col.typecode)
 
-    def rows(self, names: Iterable[str] | None = None) -> Iterator[tuple]:
-        """Rows of the named columns (default: all) as Python values,
-        converted FORMAT_ROWS at a time."""
-        cols = [getattr(self, n) for n in (self.names if names is None else names)]
-        for i in range(0, len(self), FORMAT_ROWS):
-            yield from zip(*(c[i : i + FORMAT_ROWS].tolist() for c in cols))
-
-    def csv_chunks(self, texts: FloatTexts | None = None) -> Iterator[str]:
+    def csv_chunks(self, texts: FloatTexts) -> Iterator[str]:
         """The rows held as CSV text, after the header when they start the
         table, so a table's blocks in order make up its whole file. Floats
         are written with repr, so each reads back bitwise with float(), and
-        formatted through `texts` (a fresh FloatTexts by default), which may
-        carry the previous block's texts; flags and integers as decimal
-        integers."""
+        formatted through `texts`, which may carry the previous block's
+        texts; flags and integers as decimal integers."""
         if self.start == 0:
             yield ",".join(self.names) + "\n"
         n = len(self)
         floats = [name for name in self.names if getattr(self, name).typecode == "d"]
         values = np.concatenate([self.numpy(name) for name in floats])
-        float_cells = dict(zip(floats, (FloatTexts() if texts is None else texts)(values).reshape(len(floats), n)))
+        float_cells = dict(zip(floats, texts(values).reshape(len(floats), n)))
         for i in range(0, n, FORMAT_ROWS):  # texts column by column, then join rows
             cells = [
                 float_cells[name][i : i + FORMAT_ROWS].tolist() if name in float_cells

@@ -431,8 +431,8 @@ def tagged_hex(log: SessionLog) -> Iterator[tuple[str, str]]:
     """SessionLog.tagged_hex with a repr per time and an f-string per tag."""
     hex_wire = log.wire.hex()
     start = 0
-    rows = log.frames.rows(["direction", "seq", "t_send_ms", "t_deliver_ms", "wire_end"])
-    for d, seq, t_send, t_deliver, end in rows:
+    f = log.frames
+    for d, seq, t_send, t_deliver, end in zip(f.direction, f.seq, f.t_send_ms, f.t_deliver_ms, f.wire_end):
         tag = f"{DIRECTION_NAMES[d]} seq={seq} send={t_send!r} recv={t_deliver!r}"
         end *= 2
         yield tag, hex_wire[start:end]

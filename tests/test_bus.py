@@ -171,14 +171,14 @@ def test_controller_in_separate_process_matches_inproc(tmp_path):
 
     from pvsmooth.bus import SocketEndpoint
     from pvsmooth.run import write_controller_log
-    from pvsmooth.util import AtomicWriter
+    from pvsmooth.util import AtomicWriter, FloatTexts
 
     series = synth_pv("cloud_random", 600, 5, 3000.0, seed=17)
     cfg = validate_scenario(ScenarioConfig(window_s=60.0, seed=17))
     inproc = run_lockstep_inproc(series, cfg)
     log_inproc = tmp_path / "ctrl_inproc.csv"
     with AtomicWriter(log_inproc) as out:
-        write_controller_log(inproc.controller.log, out)
+        write_controller_log(inproc.controller.log, out, FloatTexts())
 
     listener = socket.create_server(("127.0.0.1", 0))
     listener.settimeout(30)
@@ -188,12 +188,12 @@ def test_controller_in_separate_process_matches_inproc(tmp_path):
         "import socket\n"
         "from pvsmooth.bus import ControllerPeer, SocketEndpoint\n"
         "from pvsmooth.run import write_controller_log\n"
-        "from pvsmooth.util import AtomicWriter\n"
+        "from pvsmooth.util import AtomicWriter, FloatTexts\n"
         f"conn = socket.create_connection(('127.0.0.1', {port}))\n"
         f"peer = ControllerPeer({cfg.n_window})\n"
         "SocketEndpoint(conn).serve(peer)\n"
         f"with AtomicWriter(r'{log_remote}') as out:\n"
-        "    write_controller_log(peer.driver.log, out)\n"
+        "    write_controller_log(peer.driver.log, out, FloatTexts())\n"
     )
     proc = subprocess.Popen([sys.executable, "-c", script])
     try:
@@ -504,9 +504,8 @@ def test_free_running_delivery_times_replay_from_draws():
     series = synth_pv("cloud_random", 600, 5, 3000.0, seed=5)
     result = run_free_running(series, freerun_cfg(latency=100.0, jitter=50.0))
     last = {S2C: 0.0, C2S: 0.0}
-    for direction, t_send, t_deliver, draw in result.log.frames.rows(
-        ["direction", "t_send_ms", "t_deliver_ms", "draw_ms"]
-    ):
+    f = result.log.frames
+    for direction, t_send, t_deliver, draw in zip(f.direction, f.t_send_ms, f.t_deliver_ms, f.draw_ms):
         t = max(t_send + 100.0 + draw, last[direction])
         last[direction] = t
         assert t == t_deliver
@@ -559,11 +558,44 @@ def test_free_running_latency_holds_stale_setpoints():
     assert len(result.controller.log) == 4
 
 
-def test_free_running_requires_inproc():
-    series = PowerSeries([1.0, 2.0, 3.0], 5.0, 10.0)
-    cfg = freerun_cfg()
-    with pytest.raises(ValueError, match="in-process"):
-        run_session(series, cfg, transport="socket")
+def test_run_session_runs_free_running_over_the_socket():
+    # the mode is a delivery rule of the one loop: run_session runs it over
+    # the socket too, with what the in-process engine gives, bit for bit
+    series = synth_pv("cloud_random", 300, 5, 3000.0, seed=5)
+    cfg = freerun_cfg(latency=7000.0, jitter=3000.0)  # setpoints land a sample late or more
+    over_socket = session_bytes(run_session(series, cfg, transport="socket"))
+    assert over_socket == session_bytes(run_free_running(series, cfg))
+    assert over_socket != session_bytes(run_lockstep_socket(series, cfg))
+    with pytest.raises(ValueError, match="unknown transport 'tcp'"):
+        run_session(series, cfg, transport="tcp")
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 60),
+    window_s=st.sampled_from([5.0, 60.0, 1800.0]),
+    latency_ms=st.floats(0.0, 15000.0),
+    jitter_share=st.floats(0.0, 1.0),
+    bits=st.sampled_from([None, 12]),
+    lost=st.none() | st.integers(0, 59),
+)
+@settings(max_examples=25, deadline=None)
+def test_free_running_over_the_socket_matches_inproc(seed, n, window_s, latency_ms, jitter_share, bits, lost):
+    # same frames, times, wire bytes, plant and controller columns on both
+    # transports, with delays that reorder delivery against the sample
+    # clock, the converters on or off, and a sensor frame lost on the way
+    series = synth_pv("cloud_random", n * 5.0, 5, 3000.0, seed=seed)
+    transport = TransportConfig(
+        mode="free_running", latency_ms=latency_ms, jitter_ms=jitter_share * latency_ms, seed=seed,
+        quantization=None if bits is None else QuantizationConfig(bits=bits),
+    )
+    cfg = validate_scenario(ScenarioConfig(window_s=window_s, seed=seed, transport=transport))
+    lost = lost if lost is not None and lost < n else None  # a sensor frame, not END
+    corrupt = None if lost is None else flip_bit_of_frames({lost}, 25, 4)
+    inproc = run_free_running(series, cfg, corrupt_s2c=corrupt)
+    over_socket = bus._run(series, cfg, corrupt, bus.NO_SINKS, free_running=True, over_socket=True)
+    assert session_bytes(over_socket) == session_bytes(inproc)
+    assert over_socket.controller.error_count == inproc.controller.error_count == (lost is not None)
 
 
 def test_session_log_retains_under_400_bytes_per_step():

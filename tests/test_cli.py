@@ -92,6 +92,26 @@ def test_run_socket_transport_matches_inproc(tmp_path):
     assert (tmp_path / "a" / "plant_trace.csv").read_bytes() == (tmp_path / "b" / "plant_trace.csv").read_bytes()
 
 
+def test_run_free_running_over_the_socket_matches_inproc(tmp_path):
+    scenario = tmp_path / "free_running.json"
+    scenario.write_text(json.dumps({
+        "seed": 3,
+        "transport": {"mode": "free_running", "latency_ms": 4000.0, "jitter_ms": 1500.0},
+        "source": {"kind": "synth", "profile": "cloud_random", "duration_s": 3600.0},
+    }))
+    for transport in ("inproc", "socket"):
+        args = ["run", "--scenario", str(scenario), "--out", str(tmp_path / transport), "--transport", transport]
+        assert main(args) == 0, transport
+    inproc, over_socket = (json.loads((tmp_path / t / "metrics.json").read_text()) for t in ("inproc", "socket"))
+    assert (inproc.pop("transport"), over_socket.pop("transport")) == ("inproc", "socket")
+    assert inproc == over_socket
+    names = sorted(p.name for p in (tmp_path / "inproc").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "socket").iterdir())
+    for name in names:
+        if name != "metrics.json":
+            assert (tmp_path / "inproc" / name).read_bytes() == (tmp_path / "socket" / name).read_bytes(), name
+
+
 def test_protocol_check_passes(tmp_path, capsys):
     dump = tmp_path / "frames.hex"
     assert main(["protocol-check", "--frames", "2000", "--dump", str(dump)]) == 0

@@ -223,7 +223,10 @@ def test_invariant_check_reports_the_first_offending_step():
 def loop_invariant_check(session, cfg):
     """The per-row reference the vectorised check must agree with: the
     (step, message) of the first breach, or None."""
-    for k, p_pv, v_batt, p_hat, p_batt, i_set, _warmup, fault in session.controller.log.rows():
+    log = session.controller.log
+    for k, p_pv, v_batt, p_hat, p_batt, i_set, fault in zip(
+        log.k, log.p_pv_w, log.v_batt_v, log.p_hat_w, log.p_batt_w, log.i_set_a, log.fault
+    ):
         if k == 0:
             continue
         if p_batt != p_pv - p_hat:
@@ -232,7 +235,7 @@ def loop_invariant_check(session, cfg):
             return k, f"setpoint identity breach at controller step {k}"
     b = cfg.battery
     if b.enforce_soc_limits:
-        for k, soc in session.plant.trace.rows(["k", "soc"]):
+        for k, soc in zip(session.plant.trace.k, session.plant.trace.soc):
             if not (b.soc_min <= soc <= b.soc_max):
                 return k, f"soc {soc} outside [{b.soc_min}, {b.soc_max}] at plant step {k}"
     return None

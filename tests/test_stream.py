@@ -22,7 +22,7 @@ import pytest
 from pvsmooth import bus, controller
 from pvsmooth import run as pvrun
 from pvsmooth.cli import main
-from pvsmooth.config import ScenarioConfig, TransportConfig, validate_scenario
+from pvsmooth.config import ConfigError, ScenarioConfig, TransportConfig, validate_scenario
 from pvsmooth.plant import INVARIANT, PLANT_TRACE_COLUMNS, RunFault
 from pvsmooth.series import PowerSeries
 from pvsmooth.run import (
@@ -33,18 +33,20 @@ from pvsmooth.run import (
     write_plant_trace,
 )
 from pvsmooth.synth import synth_pv
-from pvsmooth.util import BLOCK_ROWS, AtomicWriter, Columns
+from pvsmooth.util import BLOCK_ROWS, AtomicWriter, Columns, FloatTexts
 
 B = BLOCK_ROWS
 
+# engine: (the sink-less session whose tables make the whole-table files,
+# run_scenario's transport, the scenario's transport section). A free-running
+# socket run is held to the in-process session's tables, which the socket
+# session equals bit for bit (test_bus.py), at half the socket time
+FREE_RUNNING = TransportConfig(mode="free_running", latency_ms=4000.0, jitter_ms=1500.0)
 ENGINES = {
     "inproc": (bus.run_lockstep_inproc, "inproc", TransportConfig()),
     "socket": (bus.run_lockstep_socket, "socket", TransportConfig()),
-    "free_running": (
-        bus.run_free_running,
-        "inproc",
-        TransportConfig(mode="free_running", latency_ms=4000.0, jitter_ms=1500.0),
-    ),
+    "free_running": (bus.run_free_running, "inproc", FREE_RUNNING),
+    "free_running_socket": (bus.run_free_running, "socket", FREE_RUNNING),
 }
 
 
@@ -69,9 +71,9 @@ def whole_table_files(session, out_dir):
     whose tables kept every row."""
     out_dir.mkdir()
     with AtomicWriter(out_dir / "plant_trace.csv") as out:
-        write_plant_trace(session.plant.trace, out)
+        write_plant_trace(session.plant.trace, out, FloatTexts())
     with AtomicWriter(out_dir / "controller_log.csv") as out:
-        write_controller_log(session.controller.log, out)
+        write_controller_log(session.controller.log, out, FloatTexts())
     with AtomicWriter(out_dir / "frames.hex") as out:
         write_hexdump(session.log.tagged_hex(), out)
 
@@ -167,8 +169,9 @@ def breach_at_step(monkeypatch, step):
     monkeypatch.setattr(controller.SmoothingController, "step", step_one_ulp_off)
 
 
-@pytest.mark.parametrize("transport", ["inproc", "socket"])
-def test_breach_after_the_first_block_leaves_no_artifact(transport, tmp_path, monkeypatch):
+@pytest.mark.parametrize("engine", ["inproc", "socket", "free_running_socket"])
+def test_breach_after_the_first_block_leaves_no_artifact(engine, tmp_path, monkeypatch):
+    _, transport, transport_cfg = ENGINES[engine]
     step = B + 100
     breach_at_step(monkeypatch, step)
     writers = capture_writers(monkeypatch)
@@ -189,7 +192,7 @@ def test_breach_after_the_first_block_leaves_no_artifact(transport, tmp_path, mo
         return real_check(cfg, **tables)
 
     monkeypatch.setattr(pvrun, "check_run_invariants", check)
-    cfg = validate_scenario(ScenarioConfig(seed=2))
+    cfg = validate_scenario(ScenarioConfig(seed=2, transport=transport_cfg))
     series = synth_pv("cloud_random", (2 * B + 10) * 5.0, 5.0, 3000.0, seed=2)
     out = tmp_path / "out"
     with pytest.raises(RunFault, match=f"conservation breach at controller step {step}") as err:
@@ -274,6 +277,16 @@ def test_a_failing_writer_process_raises_its_message_in_the_run(transport, tmp_p
     assert_reaped(writers[0][1])
 
 
+def test_an_unknown_transport_is_an_input_error_before_anything_starts(tmp_path, monkeypatch):
+    writers = capture_writers(monkeypatch)
+    cfg = validate_scenario(ScenarioConfig(seed=1))
+    series = synth_pv("cloud_random", 10 * 5.0, 5.0, 3000.0, seed=1)
+    with pytest.raises(ConfigError, match="transport: 'tcp' not one of"):
+        run_scenario(cfg, series, tmp_path / "out", transport="tcp")
+    assert not (tmp_path / "out").exists()
+    assert writers == []  # no writer process was forked
+
+
 def test_breach_after_the_first_block_exits_2_from_the_cli(tmp_path, monkeypatch, capsys):
     breach_at_step(monkeypatch, B + 100)
     scenario = tmp_path / "scenario.json"
@@ -336,5 +349,5 @@ def test_the_writer_formats_nothing_of_a_truncated_block(tmp_path):
     for out in files:
         out.close()
     plant_csv, ctrl_csv, frames_hex = (out.tmp.read_text(encoding="utf-8") for out in files)
-    assert ctrl_csv == "".join(tables[pvrun.CONTROLLER].csv_chunks())
+    assert ctrl_csv == "".join(tables[pvrun.CONTROLLER].csv_chunks(FloatTexts()))
     assert plant_csv == frames_hex == ""  # not even the plant trace's header
