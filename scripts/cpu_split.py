@@ -11,8 +11,8 @@ removed after the run. For each run it prints, per simulated step:
 
 - wall: the time `run_scenario` took;
 - session CPU: user + system time of this process (`RUSAGE_SELF`); on the
-  socket transport that includes the controller's thread, which runs in
-  this process;
+  socket transport that includes the controller, which the session serves
+  in its own thread;
 - writer CPU: user + system time of the reaped log writer process
   (`RUSAGE_CHILDREN`).
 

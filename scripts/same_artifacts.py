@@ -9,17 +9,14 @@ tree and the scenario of each benchmark workload at seed 1 (its input files
 made by perfbench's `workloads.prepare`: CSV ingest, free-running with
 jitter, two-day runs), once with each tree's source, and the two artifact
 sets of each run are compared file by file. Each scenario runs on the
-inproc and the socket transport; a free-running one on inproc only, since
-a parent older than the one session builder cannot run it on the socket.
-Exits 0 when every file is
-byte-identical, and 1 naming the first file that differs or exists on one
-side only, or the first run that fails.
+inproc and the socket transport. Exits 0 when every file is byte-identical,
+and 1 naming the first file that differs or exists on one side only, or the
+first run that fails.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import subprocess
 import sys
@@ -46,13 +43,6 @@ def run_scenario(tree: Path, scenario: Path, transport: str, out: Path) -> None:
         sys.exit(f"{out}: pvsmooth run exited {proc.returncode}\n{proc.stderr}")
 
 
-def transports(scenario: Path) -> tuple[str, ...]:
-    """The transports a scenario runs on: a free-running one, inproc only
-    (a parent before free-running sessions ran over the socket rejects it)."""
-    mode = json.loads(scenario.read_text(encoding="utf-8")).get("transport", {}).get("mode")
-    return TRANSPORTS[:1] if mode == "free_running" else TRANSPORTS
-
-
 def first_difference(a: Path, b: Path) -> str | None:
     """The name of the first file, in sorted order, that differs between
     directories a and b or exists in only one; None if they are equal."""
@@ -76,7 +66,7 @@ def main(argv: list[str] | None = None) -> int:
             scenarios[name] = workloads.prepare(name, WORKLOAD_SEED, Path(tmp) / "inputs" / name).scenario_path
         runs = 0
         for stem, scenario in scenarios.items():
-            for transport in transports(scenario):
+            for transport in TRANSPORTS:
                 run = f"{stem}/{transport}"
                 runs += 1
                 for side, tree in (("parent", parent_tree), ("change", ROOT)):

@@ -7,10 +7,10 @@ The plant-side bus boundary is where physics meets the wire:
   * every frame is logged with its raw bytes plus send/delivery times.
 
 One builder, _run, makes every session and one loop, drive, runs it; the
-controller sits behind a peer in the same thread or is served over a
-loopback TCP socket from its own thread (SocketController), with the same
-bytes on the wire. The session mode is only a delivery rule, and either mode
-runs on either transport. In lockstep mode latency and jitter shift recorded
+controller sits behind a peer, called directly or served over a socket pair
+(SocketLink) with the same bytes on the wire, in the session's own thread
+either way. The session mode is only a delivery rule, and either mode runs
+on either transport. In lockstep mode latency and jitter shift recorded
 timestamps only, so a run is bitwise reproducible on either peer. In
 free-running mode delays decouple delivery from the plant's sample clock;
 identical seeds give identical logs. Delivery within one direction is FIFO:
@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import math
 import socket
-import threading
 from collections import deque
 from collections.abc import Callable, Iterator
-from contextlib import nullcontext, suppress
+from contextlib import suppress
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from itertools import repeat
@@ -57,7 +56,7 @@ C2S = 1  # controller setpoint -> plant
 DIRECTION_NAMES = ("s2c", "c2s")
 TRANSPORTS = ("inproc", "socket")  # the media a session runs over
 
-# longest wait for the controller to connect, or for any bytes from a peer
+# longest wait for any bytes from a peer
 SOCKET_TIMEOUT_S = 10.0
 
 
@@ -352,6 +351,7 @@ class SocketEndpoint:
         """
         try:
             self.conn.sendall(data)
+            self._sent()
             if data[5] != MSG_SENSOR:
                 try:
                     if decode_frame(data).msg_type in (MSG_END, MSG_FAULT):
@@ -384,18 +384,25 @@ class SocketEndpoint:
             return header
         return header + self._recv_exact(frame_length(header) - HEADER_LEN)
 
+    def answer(self, peer: ControllerPeer) -> None:
+        """The controller's end: read one frame and send the peer's reply, if any."""
+        reply = peer.exchange(self.recv_bytes())
+        if reply is not None:
+            self.conn.sendall(reply)
+
     def serve(self, peer: ControllerPeer) -> None:
-        """The controller's end: answer each frame through the peer until the
-        session ends (END, FAULT or a sequence gap) or the plant disconnects.
-        With a sink, the log's last, partial block stays in peer.driver.log."""
+        """Answer each frame until the session ends (END, FAULT or a sequence
+        gap) or the plant disconnects. With a sink, the log's last, partial
+        block stays in peer.driver.log."""
         while not peer.driver.done:
             try:
-                data = self.recv_bytes()
+                self.answer(peer)
             except EOFError:
                 return
-            reply = peer.exchange(data)
-            if reply is not None:
-                self.conn.sendall(reply)
+
+    def _sent(self) -> None:
+        """Called between a plant frame's send and its reply's read; a
+        controller served elsewhere answers on its own."""
 
     def close(self) -> None:
         try:
@@ -405,46 +412,30 @@ class SocketEndpoint:
         self.conn.close()
 
 
-class SocketController:
-    """The controller served over a loopback TCP socket from its own thread.
-
-    Used as a context manager around a session: entering starts the thread,
-    which connects and answers frames through peer (SocketEndpoint.serve),
-    and returns the plant's end of the connection once it has connected.
-    Leaving joins the thread. What the thread raised (say, an invariant
-    breach found by its log's sink) is raised if the session ended cleanly
-    or lost its peer (a PROTOCOL RunFault), since that is why the plant lost
-    it; any other session error wins.
+class SocketLink(SocketEndpoint):
+    """The plant's end of a socket pair whose other end serves the controller
+    in the session's own thread: once a plant frame is sent, the controller's
+    end answers it (SocketEndpoint.answer) before the plant reads the reply.
+    The bytes cross the socket both ways as with a remote controller, and
+    whatever the controller raises (say, an invariant breach found by its
+    log's sink) is raised by the session as it is. Once the controller's
+    session is over its end closes, as a served controller's would.
     """
 
     def __init__(self, peer: ControllerPeer):
+        plant_end, controller_end = socket.socketpair()
+        super().__init__(plant_end)
+        self.controller = SocketEndpoint(controller_end)
         self.peer = peer
-        self.error: Exception | None = None
 
-    def _serve(self, port: int) -> None:
-        try:
-            with socket.create_connection(("127.0.0.1", port), timeout=SOCKET_TIMEOUT_S) as conn:
-                SocketEndpoint(conn).serve(self.peer)
-        except Exception as exc:  # raised again on the plant side
-            self.error = exc
+    def _sent(self) -> None:
+        self.controller.answer(self.peer)
+        if self.peer.driver.done:
+            self.controller.close()
 
-    def __enter__(self) -> SocketEndpoint:
-        with socket.create_server(("127.0.0.1", 0)) as listener:
-            listener.settimeout(SOCKET_TIMEOUT_S)
-            self._thread = threading.Thread(target=self._serve, args=(listener.getsockname()[1],), daemon=True)
-            self._thread.start()
-            with suppress(TimeoutError):
-                return SocketEndpoint(listener.accept()[0])
-        fault = RunFault(PROTOCOL, f"controller did not connect within {SOCKET_TIMEOUT_S} s")
-        self.__exit__(RunFault, fault, None)
-        raise fault
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._thread.join(timeout=SOCKET_TIMEOUT_S)
-        if self.error is not None and (exc is None or isinstance(exc, RunFault) and exc.kind == PROTOCOL):
-            raise self.error
-        if exc is None and self._thread.is_alive():
-            raise RunFault(PROTOCOL, "controller thread did not complete")
+    def close(self) -> None:
+        super().close()
+        self.controller.close()
 
 
 def _run(
@@ -454,8 +445,7 @@ def _run(
     plant = PlantDriver(series, cfg, sinks.plant)
     peer = ControllerPeer(cfg.n_window, sinks.controller)
     boundary = PlantBoundary(cfg, series.rated_power_w, corrupt_s2c=corrupt_s2c, sink=sinks.frames)
-    with SocketController(peer) if over_socket else nullcontext(peer) as plant_peer:
-        drive(plant, boundary, plant_peer, free_running)
+    drive(plant, boundary, SocketLink(peer) if over_socket else peer, free_running)
     return SessionResult(plant, peer.driver, boundary.log)
 
 
@@ -477,7 +467,7 @@ def run_free_running(
 def run_lockstep_socket(
     series: PowerSeries, cfg: ScenarioConfig, corrupt_s2c=None, sinks: Sinks = NO_SINKS
 ) -> SessionResult:
-    """Lockstep session with the controller served over a socket (SocketController)."""
+    """Lockstep session with the controller served over a socket (SocketLink)."""
     return _run(series, cfg, corrupt_s2c, sinks, free_running=False, over_socket=True)
 
 

@@ -102,10 +102,11 @@ class ControllerDriver:
 
     Transport-agnostic; bus.ControllerPeer feeds it one frame at a time, in
     process or from a socket. Every received frame gets exactly one response
-    carrying the same sequence number. Malformed input produces a safe
-    zero-current setpoint (the sample is lost, as a corrupted analog read
-    would be) and bumps the error counter. `sink`, if given, receives the
-    log block by block (see Columns).
+    carrying the same sequence number. Malformed input, or a sensor frame
+    whose power is not finite, produces a safe zero-current setpoint (the
+    sample is lost, as a corrupted analog read would be) and bumps the error
+    counter. `sink`, if given, receives the log block by block (see
+    Columns).
     """
 
     def __init__(self, n: int, sink=None):
@@ -127,8 +128,10 @@ class ControllerDriver:
             # Lockstep sequence gap: report it and stop cleanly.
             self.done = True
             return fault_frame(seq, sim_time_ms)
-        self.expected_seq = seq + 1
         p_pv, v_batt = values
+        if not isfinite(p_pv):  # no sample to average: lost, as an undecodable frame's is
+            return self.on_bad_frame()
+        self.expected_seq = seq + 1
         c = self.controller
         p_hat, p_batt, i_set, fault = c.step(p_pv, v_batt)
         k = c.k - 1  # index of the step just taken

@@ -31,7 +31,6 @@ import signal
 import socket
 import struct
 import sys
-import threading
 from collections.abc import Sequence
 from contextlib import ExitStack, suppress
 from dataclasses import dataclass
@@ -241,8 +240,7 @@ class LogWriter:
     Used as a context manager around the run: a block that ends cleanly
     closes the writer (close), one that raises kills and reaps the child.
     Either way no child is left behind, and the files' temporary copies are
-    complete before anything renames them. In a socket session blocks come
-    from two threads; one lock guards the hand-off.
+    complete before anything renames them.
     """
 
     def __init__(self, files: Sequence[AtomicWriter]):
@@ -263,7 +261,6 @@ class LogWriter:
                 os._exit(code)
         child.close()
         self._sock.settimeout(bus.SOCKET_TIMEOUT_S)
-        self._lock = threading.Lock()
 
     def send(self, table_id: int, table: Columns, wire: bytes | None = None) -> None:
         """Hand the rows `table` holds to the writer in one block; a frame
@@ -272,15 +269,13 @@ class LogWriter:
         if wire is not None:
             data.append(wire)
         size = sum(memoryview(d).nbytes for d in data)
-        with self._lock:
-            self._send(_HEADER.pack(table_id, len(table), table.start, size), *data)
+        self._send(_HEADER.pack(table_id, len(table), table.start, size), *data)
 
     def close(self) -> None:
         """End the blocks; return once the child has flushed and closed
         every file and exited 0."""
-        with self._lock:
-            self._send(_HEADER.pack(_END, 0, 0, 0))
-            self._reply()
+        self._send(_HEADER.pack(_END, 0, 0, 0))
+        self._reply()
 
     def _send(self, *data: bytes) -> None:
         try:
@@ -336,8 +331,7 @@ class RunLogs:
     check_run_invariants, and every block goes to the writer process. What
     the run needs after the session stays here: the p_hat of live
     controller rows (the smoothed series) and the SOC range and final
-    value. In a socket session controller_block runs on the controller's
-    thread.
+    value.
     """
 
     def __init__(self, cfg: ScenarioConfig, n_samples: int, writer: LogWriter):

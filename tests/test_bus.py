@@ -1,7 +1,7 @@
 import math
 import socket
+import threading
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,11 +155,20 @@ def test_same_config_reruns_identically():
 
 
 def test_socket_matches_inproc_bitwise():
+    # the socket session runs in its caller's thread: none is started for it
     series = synth_pv("cloud_random", 900, 5, 3000.0, seed=3)
     cfg = validate_scenario(ScenarioConfig())
+    threads = set()
+
+    def count_threads(i, data):
+        threads.add(threading.active_count())
+        return data
+
     a = run_lockstep_inproc(series, cfg)
-    b = run_lockstep_socket(series, cfg)
+    before = threading.active_count()
+    b = run_lockstep_socket(series, cfg, corrupt_s2c=count_threads)
     assert session_bytes(a) == session_bytes(b)
+    assert threads == {before}
 
 
 def test_controller_in_separate_process_matches_inproc(tmp_path):
@@ -331,8 +340,6 @@ def flip_bit_of_frames(indices, byte: int, bit: int):
 def test_corrupted_header_on_socket_matches_inproc(byte, bit):
     # a corrupted header must cost one lost sample on the socket too, never a
     # reader waiting for payload bytes that will not come
-    import threading
-
     series = PowerSeries([10.0, 20.0, 30.0, 40.0], 5.0, 100.0)
     cfg = validate_scenario(ScenarioConfig(window_s=10.0))
     corrupt = flip_bit_of_frames({1}, byte, bit)
@@ -398,61 +405,31 @@ def test_controller_closing_mid_session_is_a_protocol_fault(monkeypatch):
     assert err.value.kind == PROTOCOL
 
 
-def test_controller_that_never_connects_is_a_protocol_fault(monkeypatch):
-    import socket
-    import threading
+def test_controller_error_is_raised_on_the_plant_side(monkeypatch):
+    # what the controller's end raises reaches the caller as it was raised
+    boom = RuntimeError("controller failed")
 
-    monkeypatch.setattr(bus, "SOCKET_TIMEOUT_S", 0.2)
-    release = threading.Event()
+    def exchange(peer, data):
+        raise boom
 
-    def never_connect(*args, **kwargs):
-        release.wait(5.0)
-        raise OSError("gave up")
-
-    monkeypatch.setattr(socket, "create_connection", never_connect)
-    try:
-        with pytest.raises(RunFault, match="did not connect within 0.2 s") as err:
-            run_lockstep_socket(PowerSeries([10.0, 20.0, 30.0], 5.0, 100.0), three_sample_cfg())
-        assert err.value.kind == PROTOCOL
-    finally:
-        release.set()
-
-
-def test_controller_thread_error_is_raised_on_the_plant_side(monkeypatch):
-    # the controller thread's own exception reaches the caller, not the EOF
-    # the plant saw when that thread closed its socket
-    class Boom(RuntimeError):
-        pass
-
-    def serve(endpoint, peer):
-        endpoint.recv_bytes()
-        raise Boom("controller failed")
-
-    monkeypatch.setattr(bus.SocketEndpoint, "serve", serve)
-    with pytest.raises(Boom, match="controller failed") as err:
+    monkeypatch.setattr(bus.ControllerPeer, "exchange", exchange)
+    with pytest.raises(RuntimeError) as err:
         run_lockstep_socket(PowerSeries([10.0, 20.0, 30.0], 5.0, 100.0), three_sample_cfg())
-    assert isinstance(err.value.__context__, RunFault)
-    assert err.value.__context__.kind == PROTOCOL
+    assert err.value is boom
 
 
 @pytest.mark.parametrize(
     "cut, error", [(10, "need 20 header bytes, got 10"), (30, "declared 32 bytes, got 30")]
 )
-def test_controller_closing_mid_reply_is_a_frame_error(monkeypatch, tmp_path, capsys, cut, error):
+def test_controller_closing_mid_reply_is_a_frame_error(cut, error):
     # the plant reads a reply cut short by a closing controller as the frame
-    # it is, which decode_frame rejects; the command line exits 4 for it
-    from pvsmooth.cli import main
-
-    def serve(endpoint, peer):
-        endpoint.conn.sendall(peer.exchange(endpoint.recv_bytes())[:cut])
-
-    monkeypatch.setattr(bus.SocketEndpoint, "serve", serve)
-    with pytest.raises(FrameError, match=error):
-        run_lockstep_socket(PowerSeries([10.0, 20.0, 30.0], 5.0, 100.0), three_sample_cfg())
-    scenario = Path(__file__).resolve().parents[1] / "scenarios" / "default.json"
-    assert main(["run", "--scenario", str(scenario), "--transport", "socket", "--out", str(tmp_path / "out")]) == 4
-    assert capsys.readouterr().err == f"protocol fault: {error}\n"
-    assert not (tmp_path / "out" / "metrics.json").exists()
+    # it is, which decode_frame rejects (the command line exits 4 for it)
+    conn, stub = stub_peer()
+    with stub:
+        stub.sendall(encode_frame(setpoint_frame(1, 0, 0.0))[:cut])
+        stub.shutdown(socket.SHUT_WR)
+        with pytest.raises(FrameError, match=error):
+            drive_against(conn)
 
 
 def test_quantization_applies_on_the_wire():
@@ -570,6 +547,21 @@ def test_run_session_runs_free_running_over_the_socket():
         run_session(series, cfg, transport="tcp")
 
 
+def resign_sensor_frame(index: int, field: int, value: float):
+    """corrupt_s2c hook: sensor frame `index` carries `value` in payload
+    field `field` (0 power, 1 voltage), under a valid CRC."""
+
+    def corrupt(idx: int, data: bytes) -> bytes:
+        if idx != index:
+            return data
+        frame = decode_frame(data)
+        values = list(frame.values)
+        values[field] = value
+        return encode_frame(sensor_frame(frame.seq, frame.sim_time_ms, *values))
+
+    return corrupt
+
+
 @given(
     seed=st.integers(0, 2**16),
     n=st.integers(1, 60),
@@ -577,25 +569,42 @@ def test_run_session_runs_free_running_over_the_socket():
     latency_ms=st.floats(0.0, 15000.0),
     jitter_share=st.floats(0.0, 1.0),
     bits=st.sampled_from([None, 12]),
-    lost=st.none() | st.integers(0, 59),
+    free_running=st.booleans(),
+    index=st.integers(0, 59),
+    corruption=st.sampled_from(
+        [None, "flip"] + [(field, v) for field in (0, 1) for v in (math.nan, math.inf, -math.inf, -0.0)]
+    ),
 )
-@settings(max_examples=25, deadline=None)
-def test_free_running_over_the_socket_matches_inproc(seed, n, window_s, latency_ms, jitter_share, bits, lost):
+@settings(max_examples=40, deadline=None)
+def test_free_running_over_the_socket_matches_inproc(
+    seed, n, window_s, latency_ms, jitter_share, bits, free_running, index, corruption
+):
     # same frames, times, wire bytes, plant and controller columns on both
-    # transports, with delays that reorder delivery against the sample
-    # clock, the converters on or off, and a sensor frame lost on the way
+    # transports in either mode, with delays that reorder free-running
+    # delivery against the sample clock, the converters on or off, and a
+    # sensor frame lost to a flipped bit or re-signed with a NaN, infinite or
+    # negative-zero reading
     series = synth_pv("cloud_random", n * 5.0, 5, 3000.0, seed=seed)
     transport = TransportConfig(
-        mode="free_running", latency_ms=latency_ms, jitter_ms=jitter_share * latency_ms, seed=seed,
+        mode="free_running" if free_running else "lockstep", latency_ms=latency_ms,
+        jitter_ms=jitter_share * latency_ms, seed=seed,
         quantization=None if bits is None else QuantizationConfig(bits=bits),
     )
     cfg = validate_scenario(ScenarioConfig(window_s=window_s, seed=seed, transport=transport))
-    lost = lost if lost is not None and lost < n else None  # a sensor frame, not END
-    corrupt = None if lost is None else flip_bit_of_frames({lost}, 25, 4)
-    inproc = run_free_running(series, cfg, corrupt_s2c=corrupt)
-    over_socket = bus._run(series, cfg, corrupt, bus.NO_SINKS, free_running=True, over_socket=True)
+    index %= n  # a sensor frame, not END
+    if corruption is None:
+        corrupt, lost = None, False
+    elif corruption == "flip":
+        corrupt, lost = flip_bit_of_frames({index}, 25, 4), True
+    else:
+        field, value = corruption
+        corrupt, lost = resign_sensor_frame(index, field, value), field == 0 and not math.isfinite(value)
+    inproc, over_socket = (
+        bus._run(series, cfg, corrupt, bus.NO_SINKS, free_running=free_running, over_socket=over)
+        for over in (False, True)
+    )
     assert session_bytes(over_socket) == session_bytes(inproc)
-    assert over_socket.controller.error_count == inproc.controller.error_count == (lost is not None)
+    assert over_socket.controller.error_count == inproc.controller.error_count == lost
 
 
 def test_session_log_retains_under_400_bytes_per_step():

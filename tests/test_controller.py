@@ -237,6 +237,22 @@ def test_serve_loop_corruption_end_and_eof():
     assert len(driver.log) == 3 and driver.log.fault.tolist() == [0, 1, 0]
 
 
+@pytest.mark.parametrize("p_pv_w", [float("nan"), float("inf"), float("-inf")])
+def test_serve_loop_answers_a_non_finite_power_as_a_lost_sample(p_pv_w):
+    # a CRC-valid frame whose power cannot be averaged is lost like a corrupt
+    # one: safe zero reply with its seq, counted, and the session goes on
+    driver, sent = serve_script(*(encode_frame(f) for f in (
+        sensor_frame(1, 0, 100.0, 50.0),
+        sensor_frame(2, 5000, p_pv_w, 50.0),
+        sensor_frame(3, 10000, 300.0, 50.0),
+        end_frame(4, 15000),
+    )))
+    assert driver.done
+    assert [(f.seq, f.values) for f in sent] == [(1, sent[0].values), (2, (0.0,)), (3, sent[2].values)]
+    assert driver.error_count == 1
+    assert driver.log.k.tolist() == [1, 0, 2] and driver.log.fault.tolist() == [0, 1, 0]
+
+
 def test_serve_loop_transport_close_is_clean():
     driver, sent = serve_script(encode_frame(sensor_frame(1, 0, 100.0, 50.0)))  # EOF after one frame
     assert not driver.done  # closed, not ended; log flushed as-is
