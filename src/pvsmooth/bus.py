@@ -7,14 +7,15 @@ The plant-side bus boundary is where physics meets the wire:
   * every frame is logged with its raw bytes plus send/delivery times.
 
 One builder, _run, makes every session and one loop, drive, runs it; the
-controller sits behind a peer, called directly or served over a socket pair
-(SocketLink) with the same bytes on the wire, in the session's own thread
-either way. The session mode is only a delivery rule, and either mode runs
-on either transport. In lockstep mode latency and jitter shift recorded
-timestamps only, so a run is bitwise reproducible on either peer. In
-free-running mode delays decouple delivery from the plant's sample clock;
-identical seeds give identical logs. Delivery within one direction is FIFO:
-a frame never overtakes an earlier one.
+controller sits behind a peer, called directly or served over a message
+socket pair (SocketLink: AF_UNIX SOCK_SEQPACKET, one frame per message) with
+the same bytes on the wire, in the session's own thread either way. The
+session mode is only a delivery rule, and either mode runs on either
+transport. In lockstep mode latency and jitter shift recorded timestamps
+only, so a run is bitwise reproducible on either peer. In free-running mode
+delays decouple delivery from the plant's sample clock; identical seeds give
+identical logs. Delivery within one direction is FIFO: a frame never
+overtakes an earlier one.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import numpy as np
 from .config import QuantizationConfig, ScenarioConfig
 from .controller import ControllerDriver
 from .frames import (
-    HEADER_LEN,
     MSG_END,
     MSG_FAULT,
     MSG_SENSOR,
@@ -42,7 +42,6 @@ from .frames import (
     FrameError,
     decode_frame,
     encode_frame,
-    frame_length,
     sensor_frame,
     setpoint_frame,
 )
@@ -56,8 +55,10 @@ C2S = 1  # controller setpoint -> plant
 DIRECTION_NAMES = ("s2c", "c2s")
 TRANSPORTS = ("inproc", "socket")  # the media a session runs over
 
-# longest wait for any bytes from a peer
+# longest wait for a message from a peer
 SOCKET_TIMEOUT_S = 10.0
+# longest message read whole; a longer one is cut, and decode_frame rejects it
+RECV_MAX = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +333,17 @@ class ControllerPeer:
 
 
 class SocketEndpoint:
-    """Blocking frame endpoint over a connected stream socket: the plant's
-    peer (exchange) or the controller's end of the wire (serve).
+    """Blocking frame endpoint over a connected SOCK_SEQPACKET socket, one
+    frame per message: the plant's peer (exchange) or the controller's end of
+    the wire (serve).
 
-    A read that waits SOCKET_TIMEOUT_S for bytes that never come raises a
-    PROTOCOL RunFault.
+    A read that waits SOCKET_TIMEOUT_S for a message that never comes raises
+    a PROTOCOL RunFault.
     """
 
     def __init__(self, conn: socket.socket):
+        if conn.type != socket.SOCK_SEQPACKET:
+            raise ValueError(f"a frame endpoint needs a SOCK_SEQPACKET socket, got {conn.type!r}")
         conn.settimeout(SOCKET_TIMEOUT_S)
         self.conn = conn
 
@@ -352,7 +356,7 @@ class SocketEndpoint:
         try:
             self.conn.sendall(data)
             self._sent()
-            if data[5] != MSG_SENSOR:
+            if len(data) > 5 and data[5] != MSG_SENSOR:
                 try:
                     if decode_frame(data).msg_type in (MSG_END, MSG_FAULT):
                         return None
@@ -362,27 +366,16 @@ class SocketEndpoint:
         except (EOFError, ConnectionError) as exc:
             raise RunFault(PROTOCOL, f"controller connection closed: {exc}") from exc
 
-    def _recv_exact(self, n: int) -> bytes:
-        """n bytes, or fewer if the peer closes mid-read (decode_frame
-        rejects them); EOFError if it closes before sending any."""
-        buf = b""
-        while len(buf) < n:
-            try:
-                chunk = self.conn.recv(n - len(buf))
-            except TimeoutError:
-                raise RunFault(PROTOCOL, f"peer sent nothing for {self.conn.gettimeout()} s") from None
-            if not chunk:
-                if buf:
-                    break
-                raise EOFError("connection closed")
-            buf += chunk
-        return buf
-
     def recv_bytes(self) -> bytes:
-        header = self._recv_exact(HEADER_LEN)
-        if len(header) < HEADER_LEN:
-            return header
-        return header + self._recv_exact(frame_length(header) - HEADER_LEN)
+        """The next message, whole; EOFError once the peer has closed. An
+        empty message reads the same as a close."""
+        try:
+            data = self.conn.recv(RECV_MAX)
+        except TimeoutError:
+            raise RunFault(PROTOCOL, f"peer sent nothing for {self.conn.gettimeout()} s") from None
+        if not data:
+            raise EOFError("connection closed")
+        return data
 
     def answer(self, peer: ControllerPeer) -> None:
         """The controller's end: read one frame and send the peer's reply, if any."""
@@ -423,7 +416,7 @@ class SocketLink(SocketEndpoint):
     """
 
     def __init__(self, peer: ControllerPeer):
-        plant_end, controller_end = socket.socketpair()
+        plant_end, controller_end = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
         super().__init__(plant_end)
         self.controller = SocketEndpoint(controller_end)
         self.peer = peer

@@ -45,8 +45,6 @@ MSG_FAULT = 0x04
 MSG_NAMES = {MSG_SENSOR: "SENSOR", MSG_SETPOINT: "SETPOINT", MSG_END: "END", MSG_FAULT: "FAULT"}
 PAYLOAD_COUNTS = {MSG_SENSOR: 2, MSG_SETPOINT: 1, MSG_END: 0, MSG_FAULT: 0}
 
-_PAYLOAD_LENS = frozenset(8 * n for n in PAYLOAD_COUNTS.values())
-
 _HEADER = struct.Struct("<4sBBIQH")
 
 # One whole-frame layout (header and payload) per message type. A frame's
@@ -178,28 +176,6 @@ def decode_frame(data: bytes) -> BusFrame:
         )
     values = struct.unpack_from(f"<{expected}d", data, HEADER_LEN)
     return BusFrame(msg_type, seq, sim_time_ms, tuple(values))
-
-
-def frame_length(header: bytes) -> int:
-    """Total size of the frame a stream header starts (for stream reads).
-
-    A header with good magic, version and message type gets the length its
-    type implies, so a corrupted length field cannot make a reader wait for
-    bytes that never come. When payload_len is also a length some type has,
-    the longer of the two wins: a flipped type bit (SENSOR read as END) then
-    still consumes the whole frame. Either way a single-bit flip of the type
-    or of the length costs one frame, which decode_frame rejects. For any
-    other header payload_len is the only hint, capped at the longest frame.
-    """
-    if len(header) < HEADER_LEN:
-        raise FrameTruncated(f"need {HEADER_LEN} header bytes, got {len(header)}")
-    (payload_len,) = struct.unpack_from("<H", header, 18)
-    count = PAYLOAD_COUNTS.get(header[5])
-    if header[:4] == MAGIC and header[4] == VERSION and count is not None:
-        if payload_len in _PAYLOAD_LENS:
-            return HEADER_LEN + max(8 * count, payload_len) + CRC_LEN
-        return HEADER_LEN + 8 * count + CRC_LEN
-    return HEADER_LEN + min(payload_len, max(_PAYLOAD_LENS)) + CRC_LEN
 
 
 # ---------------------------------------------------------------------------

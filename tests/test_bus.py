@@ -33,7 +33,6 @@ from pvsmooth.config import (
 )
 from pvsmooth.controller import SmoothingController
 from pvsmooth.frames import (
-    HEADER_LEN,
     MSG_END,
     MSG_FAULT,
     MSG_SENSOR,
@@ -174,7 +173,6 @@ def test_socket_matches_inproc_bitwise():
 def test_controller_in_separate_process_matches_inproc(tmp_path):
     # the wire format is the whole contract: a controller hosted in another
     # interpreter produces byte-identical traffic and an identical step log
-    import socket
     import subprocess
     import sys
 
@@ -189,25 +187,22 @@ def test_controller_in_separate_process_matches_inproc(tmp_path):
     with AtomicWriter(log_inproc) as out:
         write_controller_log(inproc.controller.log, out, FloatTexts())
 
-    listener = socket.create_server(("127.0.0.1", 0))
-    listener.settimeout(30)
-    port = listener.getsockname()[1]
+    conn, controller_end = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
     log_remote = tmp_path / "ctrl_remote.csv"
     script = (
         "import socket\n"
         "from pvsmooth.bus import ControllerPeer, SocketEndpoint\n"
         "from pvsmooth.run import write_controller_log\n"
         "from pvsmooth.util import AtomicWriter, FloatTexts\n"
-        f"conn = socket.create_connection(('127.0.0.1', {port}))\n"
+        f"conn = socket.socket(fileno={controller_end.fileno()})\n"
         f"peer = ControllerPeer({cfg.n_window})\n"
         "SocketEndpoint(conn).serve(peer)\n"
         f"with AtomicWriter(r'{log_remote}') as out:\n"
         "    write_controller_log(peer.driver.log, out, FloatTexts())\n"
     )
-    proc = subprocess.Popen([sys.executable, "-c", script])
+    with controller_end:  # the child holds its own copy
+        proc = subprocess.Popen([sys.executable, "-c", script], pass_fds=(controller_end.fileno(),))
     try:
-        conn, _ = listener.accept()
-        listener.close()
         plant = PlantDriver(series, cfg)
         boundary = PlantBoundary(cfg, series.rated_power_w)
         drive(plant, boundary, SocketEndpoint(conn), free_running=False)
@@ -332,41 +327,60 @@ def flip_bit_of_frames(indices, byte: int, bit: int):
     return corrupt
 
 
+def cut_frame(index: int, n: int):
+    """corrupt_s2c hook: outbound frame `index` keeps only its first n bytes."""
+    return lambda idx, data: data[:n] if idx == index else data
+
+
+SAMPLES_4 = PowerSeries([10.0, 20.0, 30.0, 40.0], 5.0, 100.0)
+
+
 @pytest.mark.parametrize(
-    "byte, bit", [(18, 3), (18, 4), (18, 7), (19, 0), (0, 0), (4, 1), (5, 4), (5, 1)],
+    "corrupt",
+    [flip_bit_of_frames({1}, byte, bit) for byte, bit in [(18, 3), (18, 4), (18, 7), (19, 0), (0, 0), (4, 1), (5, 4)]]
+    + [flip_bit_of_frames({1}, 5, 1), flip_bit_of_frames({len(SAMPLES_4)}, 5, 1), cut_frame(1, 5)],
     ids=["len-bit3", "len-bit4", "len-bit7", "len-high", "magic", "version", "msg-type",
-         "sensor-to-end"],
+         "sensor-to-end", "end-to-sensor", "cut-in-header"],
 )
-def test_corrupted_header_on_socket_matches_inproc(byte, bit):
-    # a corrupted header must cost one lost sample on the socket too, never a
-    # reader waiting for payload bytes that will not come
-    series = PowerSeries([10.0, 20.0, 30.0, 40.0], 5.0, 100.0)
+def test_corrupted_header_on_socket_matches_inproc(corrupt, monkeypatch):
+    # a corrupted header (on a sensor frame or on END) costs one lost sample
+    # on the socket too, and no read waits for the timeout
+    monkeypatch.setattr(bus, "SOCKET_TIMEOUT_S", 1.0)
     cfg = validate_scenario(ScenarioConfig(window_s=10.0))
-    corrupt = flip_bit_of_frames({1}, byte, bit)
-    box = {}
+    t0 = time.monotonic()
+    over_socket = run_lockstep_socket(SAMPLES_4, cfg, corrupt_s2c=corrupt)
+    assert time.monotonic() - t0 < 1.0
+    inproc = run_lockstep_inproc(SAMPLES_4, cfg, corrupt_s2c=corrupt)
+    assert inproc.controller.error_count == over_socket.controller.error_count == 1
+    assert list(over_socket.log.tagged_hex()) == list(inproc.log.tagged_hex())
+    assert session_bytes(over_socket) == session_bytes(inproc)
 
-    def run() -> None:
-        box["result"] = run_lockstep_socket(series, cfg, corrupt_s2c=corrupt)
 
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    thread.join(timeout=20.0)
-    assert not thread.is_alive(), "socket session hung on a corrupted header"
-    inproc = run_lockstep_inproc(series, cfg, corrupt_s2c=corrupt)
-    assert inproc.controller.error_count == 1
-    assert list(box["result"].log.tagged_hex()) == list(inproc.log.tagged_hex())
-    assert session_bytes(box["result"]) == session_bytes(inproc)
+def test_emptied_sensor_frame_ends_a_socket_session_at_once(monkeypatch):
+    # the one corruption on which the transports differ: an empty message
+    # reads as a close, so the socket session ends as a protocol fault where
+    # the in-process one loses a sample; either way nothing waits
+    monkeypatch.setattr(bus, "SOCKET_TIMEOUT_S", 1.0)
+    cfg = validate_scenario(ScenarioConfig(window_s=10.0))
+    assert run_lockstep_inproc(SAMPLES_4, cfg, corrupt_s2c=cut_frame(1, 0)).controller.error_count == 1
+    t0 = time.monotonic()
+    with pytest.raises(RunFault, match="controller connection closed") as err:
+        run_lockstep_socket(SAMPLES_4, cfg, corrupt_s2c=cut_frame(1, 0))
+    assert err.value.kind == PROTOCOL
+    assert time.monotonic() - t0 < 0.5
+
+
+def test_endpoint_refuses_a_stream_socket():
+    # a stream may merge or split frames; only a message socket keeps them whole
+    a, b = socket.socketpair(socket.AF_UNIX, socket.SOCK_STREAM)
+    with a, b, pytest.raises(ValueError, match="SOCK_SEQPACKET"):
+        SocketEndpoint(a)
 
 
 def stub_peer():
-    """(plant-side socket, stub controller socket): a connected loopback
-    pair whose controller end does only what the test makes it do."""
-    import socket
-
-    with socket.create_server(("127.0.0.1", 0)) as listener:
-        conn = socket.create_connection(listener.getsockname())
-        stub, _ = listener.accept()
-    return conn, stub
+    """(plant-side socket, stub controller socket): a message socket pair
+    whose controller end does only what the test makes it do."""
+    return socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
 
 
 def drive_against(conn):
@@ -388,12 +402,9 @@ def test_silent_controller_is_a_protocol_fault(monkeypatch):
             drive_against(conn)
         assert err.value.kind == PROTOCOL
         assert time.perf_counter() - t0 < 5.0
-        # the plant still told the peer why it stopped: SENSOR (40 bytes), FAULT
+        # the plant still told the peer why it stopped: SENSOR, then FAULT
         stub.settimeout(5.0)
-        sent = b""
-        while len(sent) < 64:
-            sent += stub.recv(64 - len(sent))
-        assert decode_frame(sent[40:]).msg_type == MSG_FAULT
+        assert [decode_frame(stub.recv(64)).msg_type for _ in range(2)] == [MSG_SENSOR, MSG_FAULT]
 
 
 def test_controller_closing_mid_session_is_a_protocol_fault(monkeypatch):
@@ -634,8 +645,9 @@ def test_session_log_retains_under_400_bytes_per_step():
     assert retained / 2000 <= 400, by_module
 
 
-# Byte streams a socket may carry: whole frames of every type, frames with a
-# flipped bit, cut frames and arbitrary bytes, in any order.
+# Messages a socket may carry: whole frames of every type, frames with a
+# flipped bit, cut frames and arbitrary bytes, in any order. None is empty:
+# an empty message reads as a close.
 WHOLE_FRAMES = [
     encode_frame(f)
     for f in (sensor_frame(1, 0, 100.0, 50.0), sensor_frame(2, 5000, -0.0, 5e-324), setpoint_frame(1, 0, 3.5),
@@ -644,50 +656,48 @@ WHOLE_FRAMES = [
 
 
 @st.composite
-def stream_pieces(draw):
+def wire_messages(draw):
     frame = draw(st.sampled_from(WHOLE_FRAMES))
     kind = draw(st.sampled_from(["whole", "flipped", "cut", "arbitrary"]))
     if kind == "flipped":
         bit = draw(st.integers(0, 8 * len(frame) - 1))
         return frame[: bit // 8] + bytes([frame[bit // 8] ^ (1 << bit % 8)]) + frame[bit // 8 + 1 :]
     if kind == "cut":
-        return frame[: draw(st.integers(0, len(frame) - 1))]
+        return frame[: draw(st.integers(1, len(frame) - 1))]
     if kind == "arbitrary":
-        return draw(st.binary(max_size=64))
+        return draw(st.binary(min_size=1, max_size=64))
     return frame
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.lists(stream_pieces(), max_size=8).map(b"".join))
-def test_socket_reader_turns_any_bytes_into_frames_or_frame_errors(data):
-    # Every read returns bytes that decode_frame decodes or rejects with a
-    # FrameError subclass, and neither the reader nor the controller's serve
-    # loop waits once the plant end has closed: a wait would raise a
-    # PROTOCOL RunFault after the timeout. The reads add up to the stream,
-    # but for a header that the close cuts off from its body: that is EOF.
+@given(messages=st.lists(wire_messages(), max_size=8))
+def test_socket_reader_turns_any_bytes_into_frames_or_frame_errors(messages):
+    # Each read returns one message byte for byte, which decode_frame decodes
+    # or rejects with a FrameError subclass, and the controller's serve loop
+    # does not wait once the plant end has shut down writing: a wait would
+    # raise a PROTOCOL RunFault after the timeout.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bus, "SOCKET_TIMEOUT_S", 2.0)
-        plant_end, controller_end = socket.socketpair()
+        plant_end, controller_end = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
         with plant_end, controller_end:
-            plant_end.sendall(data)
+            for message in messages:
+                plant_end.sendall(message)
             plant_end.close()
             reader = SocketEndpoint(controller_end)
-            chunks = []
-            while True:
+            for message in messages:
+                data = reader.recv_bytes()
+                assert data == message
                 try:
-                    chunks.append(reader.recv_bytes())
-                except EOFError:
-                    break
-                try:
-                    decode_frame(chunks[-1])
+                    decode_frame(data)
                 except FrameError:
                     pass
-        read = b"".join(chunks)
-        assert data.startswith(read) and len(data) - len(read) in (0, HEADER_LEN)
+            with pytest.raises(EOFError):
+                reader.recv_bytes()
 
-        plant_end, controller_end = socket.socketpair()
+        plant_end, controller_end = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
         with plant_end, controller_end:
-            plant_end.sendall(data)
+            for message in messages:
+                plant_end.sendall(message)
             plant_end.shutdown(socket.SHUT_WR)  # its reading half takes the replies
             t0 = time.monotonic()
             SocketEndpoint(controller_end).serve(ControllerPeer(4))

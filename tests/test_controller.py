@@ -15,7 +15,6 @@ from pvsmooth.frames import (
     encode_frame,
     end_frame,
     fault_frame,
-    frame_length,
     sensor_frame,
 )
 
@@ -200,9 +199,10 @@ def test_zero_frames_is_clean():
 
 
 def serve_script(*chunks: bytes):
-    """Serve a controller over a socket pair whose plant end sends the chunks
-    and then closes for writing; returns (driver, reply frames)."""
-    plant_end, controller_end = socket.socketpair()
+    """Serve a controller over a message socket pair whose plant end sends
+    each chunk as one message and then closes for writing; returns (driver,
+    reply frames)."""
+    plant_end, controller_end = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
     with plant_end, controller_end:
         for chunk in chunks:
             plant_end.sendall(chunk)
@@ -210,14 +210,9 @@ def serve_script(*chunks: bytes):
         peer = ControllerPeer(4)
         SocketEndpoint(controller_end).serve(peer)
         controller_end.shutdown(socket.SHUT_WR)
-        replies = b""
-        while chunk := plant_end.recv(4096):
-            replies += chunk
-    frames = []
-    while replies:  # whole frames only: decode_frame rejects a cut one
-        n = frame_length(replies)
-        frames.append(decode_frame(replies[:n]))
-        replies = replies[n:]
+        frames = []
+        while reply := plant_end.recv(4096):  # one frame per message
+            frames.append(decode_frame(reply))
     return peer.driver, frames
 
 
@@ -259,10 +254,10 @@ def test_serve_loop_transport_close_is_clean():
     assert len(driver.log) == 1 and len(sent) == 1
 
 
-@pytest.mark.parametrize("cut, replies", [(10, 1), (20, 0), (30, 1)])
+@pytest.mark.parametrize("cut, replies", [(10, 1), (20, 1), (30, 1)])
 def test_serve_loop_frame_cut_short_by_close(cut, replies):
-    # bytes cut short inside the header or the body are a lost sample with a
-    # safe zero reply; a close right after the header ends the session quietly
+    # a message cut short inside the header, right after it or inside the
+    # body is a truncated frame: a lost sample with a safe zero reply
     driver, sent = serve_script(encode_frame(sensor_frame(1, 0, 100.0, 50.0))[:cut])
     assert [(f.msg_type, f.seq, f.values) for f in sent] == [(MSG_SETPOINT, 1, (0.0,))] * replies
     assert driver.error_count == replies

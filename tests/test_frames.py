@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvsmooth.frames import (
-    HEADER_LEN,
     MAGIC,
     MSG_END,
     MSG_FAULT,
@@ -23,7 +22,6 @@ from pvsmooth.frames import (
     decode_frame,
     encode_frame,
     end_frame,
-    frame_length,
     read_hexdump,
     sensor_frame,
     setpoint_frame,
@@ -62,39 +60,6 @@ def test_layout_fields():
     assert struct.unpack_from("<H", data, 18)[0] == 16
     assert struct.unpack_from("<2d", data, 20) == (1.5, -2.5)
     assert struct.unpack_from("<I", data, 36)[0] == zlib.crc32(data[:36])
-
-
-def test_frame_length_from_header():
-    data = encode_frame(setpoint_frame(1, 0, 2.0))
-    assert frame_length(data[:HEADER_LEN]) == len(data)
-
-
-def test_frame_length_ignores_a_corrupted_length_field():
-    # a good header's type fixes the length: the reader takes exactly one
-    # frame and decode_frame rejects it as truncated
-    data = bytearray(encode_frame(sensor_frame(2, 5000, 1.0, 50.0)))
-    data[18:20] = (0xFFFF).to_bytes(2, "little")
-    assert frame_length(bytes(data[:HEADER_LEN])) == 40
-    with pytest.raises(FrameTruncated):
-        decode_frame(bytes(data))
-
-
-def test_frame_length_keeps_the_payload_of_a_retyped_frame():
-    # SENSOR with bit 1 of the type flipped reads as END: the intact length
-    # field still covers the whole frame, so the stream stays aligned
-    data = bytearray(encode_frame(sensor_frame(2, 5000, 1.0, 50.0)))
-    data[5] ^= 0x02
-    assert frame_length(bytes(data[:HEADER_LEN])) == len(data)
-    with pytest.raises(BadCrc):
-        decode_frame(bytes(data))
-
-
-def test_frame_length_of_a_bad_header_is_capped():
-    data = bytearray(encode_frame(setpoint_frame(1, 0, 2.0)))
-    data[0] ^= 0x01  # bad magic: payload_len is the only hint and is intact
-    assert frame_length(bytes(data[:HEADER_LEN])) == len(data)
-    data[18:20] = (0xFFFF).to_bytes(2, "little")
-    assert frame_length(bytes(data[:HEADER_LEN])) == HEADER_LEN + 16 + 4
 
 
 def test_every_single_bit_flip_is_rejected():
