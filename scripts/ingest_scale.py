@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
 """Ingest time and memory on a year-long, high-resolution PV trace.
 
-    PYTHONPATH=src python3 scripts/ingest_scale.py [--days 365] [--period 5]
+    PYTHONPATH=src python3 scripts/ingest_scale.py [--days 365] [--period 5] [--format iso8601|epoch_s]
 
-Writes a CSV of ISO-8601 `Z` stamps every --period seconds for --days days
-(6,307,200 rows and about 230 MB for the defaults, daily PV bells with
-seeded cloud dips and 2 % of rows dropped) into a temporary directory, then
-ingests it with zero-order hold as a scenario's csv source would. Prints the
-ingest time per file and per row, and the process's peak RSS before and
-after the ingest. The file is written in blocks, so the peak before the
-ingest is the interpreter and numpy alone. The directory is removed at the
-end.
+Writes a CSV of stamps every --period seconds for --days days (6,307,200
+rows for the defaults, daily PV bells with seeded cloud dips and 2 % of rows
+dropped) into a temporary directory, then ingests it with zero-order hold as
+a scenario's csv source would. The stamps are ISO-8601 with a `Z` suffix
+(about 230 MB for the defaults) or, with --format epoch_s, epoch seconds.
+Prints the ingest time per file and per row, and the process's peak RSS
+before and after the ingest. The file is written in blocks, so the peak
+before the ingest is the interpreter and numpy alone. The directory is
+removed at the end.
 """
 
 from __future__ import annotations
@@ -23,13 +24,13 @@ from pathlib import Path
 
 import numpy as np
 
-from pvsmooth.ingest import IngestSpec, ingest_csv
+from pvsmooth.ingest import TIMESTAMP_FORMATS, IngestSpec, ingest_csv
 
 START = np.datetime64("2024-01-01T00:00:00", "s")
 BLOCK_ROWS = 100_000
 
 
-def write_trace(path: Path, days: float, period_s: int, seed: int = 1) -> int:
+def write_trace(path: Path, days: float, period_s: int, fmt: str, seed: int = 1) -> int:
     """The trace's kept rows, written block by block; returns their count."""
     rng = np.random.default_rng(seed)
     n = int(days * 86400 // period_s)
@@ -45,8 +46,11 @@ def write_trace(path: Path, days: float, period_s: int, seed: int = 1) -> int:
                 keep[0] = True  # the first and last rows fix the grid's span
             if lo + t.size == n:
                 keep[-1] = True
-            stamps = np.datetime_as_string(START + t[keep], unit="s")
-            fh.writelines(f"{s}Z,{p!r}\n" for s, p in zip(stamps.tolist(), power[keep].tolist()))
+            if fmt == "iso8601":
+                stamps = (f"{s}Z" for s in np.datetime_as_string(START + t[keep], unit="s").tolist())
+            else:
+                stamps = map(repr, (START.astype(np.int64) + t[keep]).astype(np.float64).tolist())
+            fh.writelines(f"{s},{p!r}\n" for s, p in zip(stamps, power[keep].tolist()))
             kept += int(keep.sum())
     return kept
 
@@ -59,15 +63,16 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--days", type=float, default=365.0)
     parser.add_argument("--period", type=int, default=5, help="sample period [s]")
+    parser.add_argument("--format", choices=TIMESTAMP_FORMATS, default="iso8601", help="how the stamps are written")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory(prefix="ingest_scale-") as tmp:
         path = Path(tmp) / "pv.csv"
-        rows = write_trace(path, args.days, args.period)
+        rows = write_trace(path, args.days, args.period, args.format)
         size_mb = path.stat().st_size / 1e6
         before = peak_rss_mib()
         t0 = time.perf_counter()
         result = ingest_csv(IngestSpec(
-            path=str(path), time_column="timestamp", power_column="pv_w", timestamp_format="iso8601",
+            path=str(path), time_column="timestamp", power_column="pv_w", timestamp_format=args.format,
             resample="zero_order_hold", sample_period_s=float(args.period), rated_power_w=3000.0,
         ))
         seconds = time.perf_counter() - t0

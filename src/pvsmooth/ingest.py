@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import csv
 from array import array
+from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import chain
+from itertools import chain, islice
 from math import isfinite
 from pathlib import Path
 
@@ -58,19 +59,175 @@ class IngestResult:
     gaps_filled: int
 
 
+# a chunk's row lists are ingest's largest transient; small chunks keep its peak near the grid's
+CHUNK_ROWS = 1024
+
+
+def _stamp_template(suffix: str) -> tuple[np.ndarray, np.ndarray]:
+    """The bytes of a canonical stamp with a "0" for each digit, then ","; and
+    how far each byte may exceed the template's: 9 for a digit, else 0."""
+    stamp = "0000-00-00T00:00:00"
+    template = np.frombuffer(f"{stamp}{suffix},".encode(), np.uint8)
+    limit = np.zeros_like(template)
+    limit[: len(stamp)][template[: len(stamp)] == ord("0")] = 9
+    return template, limit
+
+
+# canonical whole-second stamps, YYYY-MM-DDTHH:MM:SS followed by Z, +00:00 or
+# nothing, by their width once joined with ","
+_STAMP_TEMPLATES = {len(t): (t, limit) for t, limit in map(_stamp_template, ("", "Z", "+00:00"))}
+# where each two-digit field's tens digit sits, its units digit next:
+# century, year of century, month, day, hour, minute, second
+_TENS = np.array([0, 2, 5, 8, 11, 14, 17])
+_FIELD_MIN = np.array([0, 0, 1, 1, 0, 0, 0], dtype=np.uint8)
+_FIELD_SPAN = np.array([99, 99, 12, 31, 23, 59, 59], dtype=np.uint8) - _FIELD_MIN
+# a 29 February is checked against its year apart
+_MONTH_DAYS = np.array([0, 31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+# days from 1 March to the first of each month
+_DAYS_FROM_MARCH = np.array([0] + [(153 * ((m + 9) % 12) + 2) // 5 for m in range(1, 13)])
+
+
 def _parse_iso(raw: str) -> float:
     dt = datetime.fromisoformat(raw.strip().replace("Z", "+00:00"))
     return (dt.replace(tzinfo=timezone.utc) if dt.tzinfo is None else dt).timestamp()
 
 
+def _iso_seconds(cells: list[str]) -> np.ndarray:
+    """Epoch seconds of ISO-8601 stamps, each equal to _parse_iso's bitwise."""
+    seconds = _canonical_seconds(cells)
+    return seconds if seconds is not None else np.fromiter(map(_parse_iso, cells), np.float64, len(cells))
+
+
+def _canonical_seconds(cells: list[str]) -> np.ndarray | None:
+    """Epoch seconds of stamps that are all canonical and of one width, else None.
+
+    The stamps are joined with "," and viewed as one row of bytes each (a
+    non-ASCII character reads "?"). When every row matches the template of
+    its width, no stamp holds a ",", so the rows are the stamps. Each
+    character and field range is checked, leap days included; the days are
+    counted from the civil date by H. Hinnant's days_from_civil
+    ("chrono-Compatible Low-Level Date Algorithms"). Whole seconds are
+    integers, so the result is exact.
+    """
+    n = len(cells)
+    text = ",".join(cells) + ","  # a TypeError on a missing cell
+    width, rest = divmod(len(text), max(n, 1))
+    if rest or width not in _STAMP_TEMPLATES:
+        return None
+    template, limit = _STAMP_TEMPLATES[width]
+    digits = np.frombuffer(text.encode("ascii", "replace"), np.uint8).reshape(n, width) - template
+    if not (digits <= limit).all():  # a byte below the template's wraps past its limit
+        return None
+    fields = digits[:, _TENS] * np.uint8(10) + digits[:, _TENS + 1]
+    if not (fields - _FIELD_MIN <= _FIELD_SPAN).all():  # a field below its minimum wraps past its span
+        return None
+    century, year, month, day, hour, minute, second = fields.astype(np.int64).T
+    year += 100 * century
+    if not (year.all() and (day <= _MONTH_DAYS[month]).all()):
+        return None
+    leap_days = year[(month == 2) & (day == 29)]
+    if not ((leap_days % 4 == 0) & ((leap_days % 100 != 0) | (leap_days % 400 == 0))).all():
+        return None
+    year -= month <= 2  # years counted from March, so a leap day ends its year
+    era, year_of_era = np.divmod(year, 400)
+    day_of_era = year_of_era * 365 + year_of_era // 4 - year_of_era // 100 + _DAYS_FROM_MARCH[month] + day - 1
+    days = era * 146097 + day_of_era - 719468  # 719468: 0000-03-01 to 1970-01-01
+    return days * 86400.0 + (hour * 3600 + minute * 60 + second)
+
+
+def _floats(cells: list[str]) -> np.ndarray:
+    return np.fromiter(map(float, cells), np.float64, len(cells))
+
+
+def _cells(rows: list[list[str]], i: int) -> list[str | None]:
+    """Column i of the non-blank rows; a short row's missing cell reads None."""
+    try:
+        return [row[i] for row in rows]
+    except IndexError:  # a blank or short row
+        return [row[i] if i < len(row) else None for row in rows if row]
+
+
+def _parse_chunk(
+    rows: list[list[str]], ti: int, pi: int, parse_times: Callable[[list], np.ndarray], clamp_negative: bool
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """A chunk's (times, powers) and how many powers were clamped; raises
+    AttributeError, TypeError or ValueError if any row is in error."""
+    t = parse_times(_cells(rows, ti))
+    p = _floats(_cells(rows, pi))
+    if not np.isfinite(p).all():
+        raise ValueError("non-finite power")
+    negative = p < 0.0
+    clamped = int(np.count_nonzero(negative))
+    if clamped:
+        if not clamp_negative:
+            raise ValueError("negative power")
+        p[negative] = 0.0
+    return t, p, clamped
+
+
+def _parse_rows(
+    rows: list[list[str]],
+    line: int,
+    last_line: int,
+    ti: int,
+    pi: int,
+    parse_time: Callable[[str], float],
+    clamp_negative: bool,
+) -> tuple[np.ndarray, np.ndarray, int, list[str]]:
+    """A chunk read row by row, as (times, powers, clamped, errors).
+
+    line is the line before the chunk's first row and last_line the one its
+    last row ends on. A row spans one line and one more per line break in
+    its quoted cells, except that a quote left open at the end of the file
+    also holds the file's last line break.
+    """
+    ends = []
+    for row in rows[:-1]:
+        line += 1 + sum(cell.count("\n") + cell.count("\r") - cell.count("\r\n") for cell in row)
+        ends.append(line)
+    ends.append(last_line)
+    times, powers, errors, clamped = [], [], [], 0
+    for row, line in zip(rows, ends):
+        if not row:
+            continue
+        raw = row[ti] if ti < len(row) else None
+        try:
+            t = parse_time(raw)
+        except (AttributeError, TypeError, ValueError):  # None.strip() is an AttributeError
+            errors.append(f"line {line}: unparseable time {raw!r}")
+            continue
+        raw = row[pi] if pi < len(row) else None
+        try:
+            p = float(raw)
+        except (TypeError, ValueError):
+            errors.append(f"line {line}: unparseable power {raw!r}")
+            continue
+        if not isfinite(p):
+            errors.append(f"line {line}: non-finite power {p}")
+        elif p < 0.0 and not clamp_negative:
+            errors.append(f"line {line}: negative power {p} (enable clamp_negative to zero it)")
+        else:
+            if p < 0.0:
+                p = 0.0
+                clamped += 1
+            times.append(t)
+            powers.append(p)
+    return np.array(times, dtype=np.float64), np.array(powers, dtype=np.float64), clamped, errors
+
+
 def _read_rows(spec: IngestSpec, path: Path) -> tuple[np.ndarray, np.ndarray, int]:
-    """The accepted rows as (times, powers) float arrays, and how many were clamped."""
+    """The accepted rows as (times, powers) float arrays, and how many were clamped.
+
+    csv.reader splits the rows; they are parsed column by column, CHUNK_ROWS
+    at a time. A chunk with any row in error is read again row by row, so
+    the errors come in row order with the line each row ends on.
+    """
     times, powers = array("d"), array("d")
-    add_time, add_power = times.append, powers.append
-    parse_time = float if spec.timestamp_format == "epoch_s" else _parse_iso
+    epoch = spec.timestamp_format == "epoch_s"
+    parse_times, parse_time = (_floats, float) if epoch else (_iso_seconds, _parse_iso)
     errors, clamped = [], 0
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh, delimiter=spec.delimiter)
             header = next(reader, None)
             if header is None:
@@ -81,33 +238,24 @@ def _read_rows(spec: IngestSpec, path: Path) -> tuple[np.ndarray, np.ndarray, in
             if missing:
                 raise IngestError([f"{path}: missing column {c!r} (found {header})" for c in sorted(missing)])
             ti, pi = column[spec.time_column], column[spec.power_column]
-            for row in reader:
-                if not row:
-                    continue
-                raw = row[ti] if ti < len(row) else None
+            line = reader.line_num
+            while rows := list(islice(reader, CHUNK_ROWS)):
                 try:
-                    t = parse_time(raw)
-                except (AttributeError, TypeError, ValueError):  # None.strip() is an AttributeError
-                    errors.append(f"line {reader.line_num}: unparseable time {raw!r}")
-                    continue
-                raw = row[pi] if pi < len(row) else None
-                try:
-                    p = float(raw)
-                except (TypeError, ValueError):
-                    errors.append(f"line {reader.line_num}: unparseable power {raw!r}")
-                    continue
-                if not isfinite(p):
-                    errors.append(f"line {reader.line_num}: non-finite power {p}")
-                elif p < 0.0 and not spec.clamp_negative:
-                    errors.append(f"line {reader.line_num}: negative power {p} (enable clamp_negative to zero it)")
-                else:
-                    if p < 0.0:
-                        p = 0.0
-                        clamped += 1
-                    add_time(t)
-                    add_power(p)
+                    t, p, n_clamped = _parse_chunk(rows, ti, pi, parse_times, spec.clamp_negative)
+                except (AttributeError, TypeError, ValueError):
+                    t, p, n_clamped, row_errors = _parse_rows(
+                        rows, line, reader.line_num, ti, pi, parse_time, spec.clamp_negative
+                    )
+                    errors += row_errors
+                times.frombytes(t.view(np.uint8))
+                powers.frombytes(p.view(np.uint8))
+                clamped += n_clamped
+                line = reader.line_num
+                del rows, t, p
     except UnicodeDecodeError as exc:
         raise IngestError([f"{path}: not UTF-8 text ({exc})"]) from exc
+    except csv.Error as exc:  # e.g. a cell past csv.field_size_limit()
+        raise IngestError([f"line {reader.line_num}: {exc}"]) from exc
 
     if errors:
         raise IngestError(errors)
@@ -122,6 +270,8 @@ def ingest_csv(spec: IngestSpec) -> IngestResult:
         raise IngestError([f"timestamp_format {spec.timestamp_format!r} not one of {TIMESTAMP_FORMATS}"])
     if spec.resample not in RESAMPLE_MODES:
         raise IngestError([f"resample {spec.resample!r} not one of {RESAMPLE_MODES}"])
+    if not (isinstance(spec.delimiter, str) and len(spec.delimiter) == 1):
+        raise IngestError([f"delimiter {spec.delimiter!r}: must be one character"])
     if spec.resample == "zero_order_hold" and not (spec.sample_period_s and spec.sample_period_s > 0):
         raise IngestError(["sample_period_s: required (> 0) when resampling"])
 

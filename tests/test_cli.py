@@ -206,6 +206,32 @@ def test_exit_code_of_a_row_lacking_its_time_cell(tmp_path, capsys):
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize(("command", "delimiter"), [("ingest", ";;"), ("ingest", ""), ("run", ";;"), ("run", "")])
+def test_exit_code_of_a_delimiter_of_other_than_one_character(tmp_path, capsys, command, delimiter):
+    pv = tmp_path / "pv.csv"
+    pv.write_text("t_s,power_w\n0,1.0\n5,2.0\n")
+    if command == "ingest":
+        args = ["ingest", "--input", str(pv), "--out", str(tmp_path / "out.csv"), "--delimiter", delimiter]
+    else:
+        doc = json.loads((SCENARIOS / "default.json").read_text())
+        doc["source"] = {"kind": "csv", "path": str(pv), "delimiter": delimiter}
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        args = ["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]
+    assert main(args) == 3
+    assert capsys.readouterr().err == f"input error: delimiter {delimiter!r}: must be one character\n"
+    assert not (tmp_path / "out").exists() and not (tmp_path / "out.csv").exists()
+
+
+def test_exit_code_of_a_cell_past_the_field_limit(tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("t_s,power_w\n0,1.0\n5," + "7" * 200_000 + "\n")
+    code = main(["ingest", "--input", str(raw), "--out", str(tmp_path / "o.csv")])
+    assert code == 3
+    assert capsys.readouterr().err == "input error: line 3: field larger than field limit (131072)\n"
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_exit_code_usage_error(capsys):
     assert main(["run"]) == 3  # missing required options
     assert "usage error" in capsys.readouterr().err

@@ -16,8 +16,10 @@ import tempfile
 import zlib
 from contextlib import ExitStack
 from datetime import datetime, timedelta, timezone
+from itertools import count
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -35,7 +37,7 @@ from pvsmooth.frames import (
     decode_frame,
     encode_frame,
 )
-from pvsmooth.ingest import IngestError, IngestSpec, ingest_csv, write_series_csv
+from pvsmooth.ingest import CHUNK_ROWS, IngestError, IngestSpec, ingest_csv, write_series_csv
 from pvsmooth.plant import PLANT_TRACE_COLUMNS, battery_step, supply_apply
 from pvsmooth.ramp import warmup_skip_count
 from pvsmooth.run import write_controller_log, write_plant_trace
@@ -393,10 +395,7 @@ def ingest_outcome(ingest, spec):
     return "ok", s.samples.tobytes(), tuple(map(bits, floats)), r.rows_read, r.clamped_count, r.gaps_filled
 
 
-@given(case=csv_files())
-@settings(max_examples=400, deadline=None)
-def test_ingest_matches_reference_bitwise(case):
-    text, fields = case
+def assert_ingest_matches_reference(text, fields):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "pv.csv"
         path.write_text(text, encoding="utf-8", newline="")
@@ -408,6 +407,104 @@ def test_ingest_matches_reference_bitwise(case):
         assert new[0] == "rejected" and any(e.endswith(": unparseable time None") for e in new[1]), new
         return
     assert new == old
+
+
+@given(case=csv_files())
+@settings(max_examples=400, deadline=None)
+def test_ingest_matches_reference_bitwise(case):
+    assert_ingest_matches_reference(*case)
+
+
+# rows that a chunk of good rows must read as the reference does, next to a chunk boundary;
+# the first four leave the file readable (a negative power when clamp_negative is set)
+SPECIAL_ROWS = ("blank", "multi_line", "other_stamp", "negative", "bad_time", "bad_power", "non_finite", "short")
+NEAR_MISS_TIMES = ("2024-06-31T00:00:00Z", "2100-02-29T00:00:00Z", "2024-06-01T24:00:00Z", "abc", "", "1e400x")
+
+
+@st.composite
+def chunked_csv_files(draw):
+    """A CSV text of at least three ingest chunks and the IngestSpec fields
+    to read it with: a drawn pattern of rows repeated, and special rows
+    placed on both sides of chunk boundaries. Stamps are whole seconds, so
+    ISO-8601 chunks of good rows go through the stamp kernel."""
+    fmt = draw(st.sampled_from(["epoch_s", "iso8601"]))
+    suffix = draw(st.sampled_from(["Z", "+00:00", ""]))
+    period = draw(st.sampled_from([1.0, 5.0]))
+    t0 = draw(st.sampled_from([1717243200.0, 951782399.0, 4107542395.0]))  # into 29 Feb 2000; into 1 Mar 2100
+    powers = draw(st.lists(st.one_of(st.sampled_from(GOOD_POWER_CELLS), st.floats(0.0, 3000.0).map(repr)),
+                           min_size=1, max_size=7))
+    dropped = [False] + draw(st.lists(st.booleans(), max_size=4))  # which rows of each cycle are left out
+    n = draw(st.integers(3 * CHUNK_ROWS + 3, 3 * CHUNK_ROWS + 200))
+    header = draw(st.permutations(["t", "p", "x"]))
+
+    def stamp(t):
+        if fmt == "epoch_s":
+            return repr(t)
+        return datetime.fromtimestamp(t, tz=timezone.utc).replace(tzinfo=None).isoformat() + suffix
+
+    rows = []
+    for i in count():
+        if len(rows) == n:
+            break
+        if i and dropped[i % len(dropped)]:
+            continue
+        cells = {"t": stamp(t0 + i * period), "p": powers[i % len(powers)], "x": "x"}
+        rows.append([cells[name] for name in header])
+    kinds = SPECIAL_ROWS if draw(st.booleans()) else SPECIAL_ROWS[:4]
+    specials = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(-3, 2), st.sampled_from(kinds)),
+                             min_size=1, max_size=8, unique_by=lambda special: special[:2]))
+    # from the last position back, so that an inserted blank row moves no later one
+    for boundary, offset, kind in sorted(specials, reverse=True):
+        at = boundary * CHUNK_ROWS + offset
+        row = rows[at]
+        t, p = header.index("t"), header.index("p")
+        if kind == "bad_time":
+            row[t] = draw(st.sampled_from(NEAR_MISS_TIMES))
+        elif kind == "bad_power":
+            row[p] = draw(st.sampled_from(["abc", "", "1_0_", "--1"]))
+        elif kind == "negative":
+            row[p] = draw(st.sampled_from(["-3.5", "-5e-324"]))
+        elif kind == "non_finite":
+            row[p] = draw(st.sampled_from(["inf", "nan", "-1e400"]))
+        elif kind == "blank":
+            rows.insert(at, [])
+        elif kind == "short":
+            rows[at] = row[: draw(st.integers(0, 2))]
+        elif kind == "multi_line":
+            row[header.index("x")] = draw(st.sampled_from(["two\nlines", "a\r\nb", "c\rd", "\n\r\n"]))
+            if draw(st.booleans()):
+                row[t] += "\n"  # a stamp still, once stripped
+        elif fmt == "iso8601":  # other_stamp: the same time, but not in the kernel's form
+            row[t] = row[t].replace("T", " ") if draw(st.booleans()) else " " + row[t]
+        else:
+            row[t] = f" {row[t]} "
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows([header] + rows)
+    resample = draw(st.sampled_from(["none", "zero_order_hold"]))
+    return buf.getvalue(), {
+        "time_column": "t",
+        "power_column": "p",
+        "timestamp_format": fmt,
+        "resample": resample,
+        "sample_period_s": period if resample == "zero_order_hold" else None,
+        "clamp_negative": draw(st.booleans()),
+        "rated_power_w": 3000.0,
+    }
+
+
+@pytest.mark.parametrize(
+    "text", ['t,p\n0,"1\n2\n', 't,p\n0,"x\n', 't,p\n"0\n', 't,p\n0,1\n5,"2\n3', 't,p\n0,1\n5,"2\r\n\r\n']
+)
+def test_ingest_of_a_quote_left_open_at_the_end_matches_reference(text):
+    # the open quote holds the file's last line break, so the last row spans
+    # one line fewer than its cells say
+    assert_ingest_matches_reference(text, {"time_column": "t", "power_column": "p"})
+
+
+@given(case=chunked_csv_files())
+@settings(max_examples=60, deadline=None)
+def test_ingest_across_chunk_boundaries_matches_reference_bitwise(case):
+    assert_ingest_matches_reference(*case)
 
 
 @given(

@@ -3,8 +3,18 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pvsmooth.ingest import IngestError, IngestSpec, ingest_csv, write_series_csv
+from pvsmooth.ingest import (
+    IngestError,
+    IngestSpec,
+    _canonical_seconds,
+    _iso_seconds,
+    _parse_iso,
+    ingest_csv,
+    write_series_csv,
+)
 from pvsmooth.series import PowerSeries
 
 
@@ -166,3 +176,81 @@ def test_iso8601_zero_order_hold_peak_is_under_50_bytes_per_row(tmp_path):
         tracemalloc.stop()
     assert len(r.series) == rows and r.gaps_filled > 0
     assert peak / r.rows_read < 50, peak / r.rows_read
+
+
+@pytest.mark.parametrize("delimiter", [";;", "", "\t\t"])
+def test_a_delimiter_of_other_than_one_character_is_rejected(tmp_path, delimiter):
+    path = write(tmp_path, "t_s,power_w\n0,1\n")
+    with pytest.raises(IngestError) as exc:
+        ingest_csv(IngestSpec(path=path, delimiter=delimiter))
+    assert exc.value.errors == [f"delimiter {delimiter!r}: must be one character"]
+
+
+def test_a_cell_past_the_field_limit_is_an_ingest_error(tmp_path):
+    path = write(tmp_path, "t_s,power_w\n0,1\n5," + "1" * 200_000 + "\n10,3\n")
+    with pytest.raises(IngestError) as exc:
+        ingest_csv(IngestSpec(path=path))
+    assert exc.value.errors == ["line 3: field larger than field limit (131072)"]
+
+
+def test_an_unclosed_quote_in_a_large_file_is_an_ingest_error(tmp_path):
+    # the quoted cell runs on to the end of the file, past the field limit
+    rows = "".join(f"{10 + 5 * i},3\n" for i in range(20_000))
+    path = write(tmp_path, f't_s,power_w\n0,1\n5,"2\n{rows}')
+    with pytest.raises(IngestError) as exc:
+        ingest_csv(IngestSpec(path=path))
+    [error] = exc.value.errors
+    assert error.endswith(": field larger than field limit (131072)") and error.startswith("line ")
+
+
+def test_a_byte_order_mark_ingests_as_the_same_file_without_one(tmp_path):
+    text = "timestamp,pv_w\n2024-06-01T12:00:00Z,100\n2024-06-01T12:00:05Z,200.5\n2024-06-01T12:00:10Z,300\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+    fields = {"time_column": "timestamp", "power_column": "pv_w", "timestamp_format": "iso8601"}
+    a, b = (ingest_csv(IngestSpec(path=str(p), **fields)) for p in (plain, marked))
+    assert a.series == b.series and a.series.samples.tobytes() == b.series.samples.tobytes()
+    assert (a.rows_read, a.clamped_count, a.gaps_filled) == (b.rows_read, b.clamped_count, b.gaps_filled)
+
+
+@given(
+    stamps=st.lists(st.datetimes(max_value=datetime(9999, 12, 31, 23, 59, 59)), min_size=1, max_size=40),
+    suffix=st.sampled_from(["", "Z", "+00:00"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_the_stamp_kernel_matches_parse_iso_bitwise(stamps, suffix):
+    # years 1-9999 at whole seconds; the kernel must vouch for every stamp
+    cells = [d.replace(microsecond=0).isoformat() + suffix for d in stamps]
+    seconds = _canonical_seconds(cells)
+    assert seconds is not None
+    assert seconds.tobytes() == np.array([_parse_iso(c) for c in cells]).tobytes()
+
+
+NEAR_MISS_STAMPS = [
+    "2024-00-10T00:00:00Z", "2024-13-10T00:00:00Z", "2024-06-00T00:00:00Z", "2024-06-32T00:00:00Z",
+    "2024-04-31T00:00:00Z", "1900-02-29T00:00:00Z", "2000-02-29T00:00:00Z", "2100-02-29T00:00:00Z",
+    "2024-02-29T00:00:00", "2023-02-29T00:00:00+00:00", "2024-06-01T24:00:00Z", "2024-06-01T23:60:00Z",
+    "2024-06-01T23:59:60Z", "0000-06-01T00:00:00Z", "\uff12\uff10\uff12\uff14-06-01T00:00:00Z",
+    "2024-06-01T00:00:0\u0663Z", "2024-06-01T00:00:00\uff3a", "2024-06-01 00:00:00Z", "2024-06-01T00:00:00z",
+    "2024-06-01T00:00:00-00:00", "2024-06-01T00:00:00+01:00", "+024-06-01T00:00:00Z", " 2024-06-01T00:00:00",
+    "2024-06-01T00:00:00 ", "2024/06/01T00:00:00Z", "2024-06-01T00:00:00.000Z", "9999-12-31T23:59:59Z",
+    "0001-01-01T00:00:00", "1969-12-31T23:59:59+00:00",
+]
+
+
+def stamp_outcome(fn, *args):
+    try:
+        return "ok", np.asarray(fn(*args), dtype=np.float64).tobytes()
+    except Exception as exc:  # the class and text are what is compared
+        return "raised", type(exc), str(exc)
+
+
+@pytest.mark.parametrize("stamp", NEAR_MISS_STAMPS)
+def test_a_near_miss_stamp_reads_as_parse_iso_reads_it(stamp):
+    # alone, and among canonical stamps of its width, where the kernel sees it
+    neighbours = [c for c in ("2024-06-01T12:00:00", "2024-06-01T12:00:00Z", "2024-06-01T12:00:00+00:00")
+                  if len(c) == len(stamp)]
+    for cells in ([stamp], neighbours * 3 + [stamp] + neighbours * 2):
+        assert stamp_outcome(_iso_seconds, cells) == stamp_outcome(lambda cs: list(map(_parse_iso, cs)), cells)
