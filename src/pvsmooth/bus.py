@@ -47,7 +47,7 @@ from .frames import (
 )
 from .plant import PROTOCOL, PlantDriver, RunFault
 from .series import PowerSeries
-from .util import Columns, FloatTexts
+from .util import Records, float_texts
 
 # frame directions, as coded in the frame log, and their names in frame tags
 S2C = 0  # plant sensor -> controller
@@ -139,7 +139,7 @@ class DelayModel:
         return self.latency_ms + draw
 
 
-# frame log columns with their array typecodes (seq is the wire's u32);
+# frame log columns with their struct format codes (seq is the wire's u32);
 # wire_end is the offset in SessionLog.wire just past the frame's bytes
 FRAME_LOG_COLUMNS = {
     "direction": "b",
@@ -153,7 +153,7 @@ FRAME_LOG_COLUMNS = {
 
 
 class SessionLog:
-    """Every frame on the bus in transmission order: metadata columns in
+    """Every frame on the bus in transmission order: metadata records in
     `frames`, the bytes as sent concatenated in `wire`.
 
     With a sink, each full block of frames goes to sink(log) and is then
@@ -161,28 +161,28 @@ class SessionLog:
     """
 
     def __init__(self, sink: Callable[[SessionLog], None] | None = None):
-        self.frames = Columns(FRAME_LOG_COLUMNS, None if sink is None else self._hand_off)
+        self.frames = Records(FRAME_LOG_COLUMNS, None if sink is None else self._hand_off)
         self.wire = bytearray()
         self._sink = sink
 
-    def _hand_off(self, frames: Columns) -> None:
+    def _hand_off(self, frames: Records) -> None:
         self._sink(self)
         self.wire.clear()
 
     def tagged_hex(self) -> Iterator[tuple[str, str]]:
         """(tag, wire bytes as hex) per frame, the tag naming direction, seq
-        and times. The tags are built column by column, with each distinct
-        time formatted once (FloatTexts); the wire is hex-encoded once and
-        sliced per frame."""
-        frames = self.frames
+        and times. The tags are built column by column, the times formatted
+        in one float_texts call; the wire is hex-encoded once and sliced per
+        frame."""
+        frames = self.frames.view()
         n = len(frames)
-        times = FloatTexts()(np.concatenate((frames.numpy("t_send_ms"), frames.numpy("t_deliver_ms")))).tolist()
+        times = float_texts(np.concatenate((frames["t_send_ms"], frames["t_deliver_ms"])))
         tags = [
             f"{DIRECTION_NAMES[d]} seq={seq} send={t_send} recv={t_deliver}"
-            for d, seq, t_send, t_deliver in zip(frames.direction.tolist(), frames.seq.tolist(), times[:n], times[n:])
+            for d, seq, t_send, t_deliver in zip(frames["direction"].tolist(), frames["seq"].tolist(), times[:n], times[n:])
         ]
         hex_wire = self.wire.hex()
-        ends = (2 * frames.numpy("wire_end")).tolist()
+        ends = (2 * frames["wire_end"]).tolist()
         return zip(tags, map(hex_wire.__getitem__, map(slice, [0, *ends[:-1]], ends)))
 
 
@@ -200,33 +200,19 @@ class PlantBoundary:
         self.delays = DelayModel(t.latency_ms, t.jitter_ms, seed)
         self.quant = resolve_quantization(t.quantization, cfg, rated_power_w)
         self.log = SessionLog(sink)
-        self._append_row = self.log.frames.appenders()
+        self._wire = self.log.wire
+        self._rows = self.log.frames.rows  # a hand-off empties both in place
+        self._pack_row = self.log.frames.layout.pack
         self.corrupt_s2c = corrupt_s2c
         self._outbound_count = 0
-        self._last_deliver = [0.0, 0.0]  # by direction code
+        self._last_s2c = self._last_c2s = 0.0  # each direction's last delivery time
 
-    def _log(self, direction: int, frame: BusFrame, data: bytes, t_send_ms: float) -> float:
-        """Draw a frame's delay and log the frame; returns its delivery time."""
-        t = t_send_ms + self.delays.next_delay_ms()
-        last = self._last_deliver[direction]
-        if last > t:
-            t = last  # FIFO per direction
-        self._last_deliver[direction] = t
-        log = self.log
-        log.wire += data
-        direction_, seq, msg_type, t_send, t_deliver, draw, wire_end = self._append_row
-        direction_(direction)
-        seq(frame.seq)
-        msg_type(frame.msg_type)
-        t_send(t_send_ms)
-        t_deliver(t)
-        draw(self.delays.last_draw)
-        wire_end(len(log.wire))
-        log.frames.end_row()
-        return t
+    # outbound and inbound each draw their frame's delay, deliver it no
+    # earlier than the frame before it in the same direction (FIFO), and
+    # log it: its bytes to the wire, a record to the frames
 
     def outbound(self, frame: BusFrame, t_send_ms: float) -> tuple[bytes, float]:
-        """Quantize+encode a plant frame; returns (wire bytes, delivery time)."""
+        """Quantize+encode+log a plant frame; returns (wire bytes, delivery time)."""
         q = self.quant
         if q is not None and frame.msg_type == MSG_SENSOR:
             values = map(quantize, frame.values, (q.bits, q.bits), (q.power_range_w, q.voltage_range_v))
@@ -235,16 +221,37 @@ class PlantBoundary:
         if self.corrupt_s2c is not None:
             data = self.corrupt_s2c(self._outbound_count, data)
         self._outbound_count += 1
-        return data, self._log(S2C, frame, data, t_send_ms)
+        delays = self.delays
+        t = t_send_ms + delays.next_delay_ms()
+        last = self._last_s2c
+        if last > t:
+            t = last
+        self._last_s2c = t
+        wire, rows = self._wire, self._rows
+        wire += data
+        rows += self._pack_row(S2C, frame.seq, frame.msg_type, t_send_ms, t, delays.last_draw, len(wire))
+        if len(rows) >= self.log.frames.block_bytes:
+            self.log.frames.hand_off()
+        return data, t
 
     def inbound(self, data: bytes, t_send_ms: float) -> tuple[BusFrame, float]:
         """Decode+log a controller frame; quantizes setpoint current (DAC)."""
         frame = decode_frame(data)
-        t_deliver = self._log(C2S, frame, data, t_send_ms)
+        delays = self.delays
+        t = t_send_ms + delays.next_delay_ms()
+        last = self._last_c2s
+        if last > t:
+            t = last
+        self._last_c2s = t
+        wire, rows = self._wire, self._rows
+        wire += data
+        rows += self._pack_row(C2S, frame.seq, frame.msg_type, t_send_ms, t, delays.last_draw, len(wire))
+        if len(rows) >= self.log.frames.block_bytes:
+            self.log.frames.hand_off()
         q = self.quant
         if q is not None and frame.msg_type == MSG_SETPOINT:
             frame = setpoint_frame(frame.seq, frame.sim_time_ms, quantize(frame.values[0], q.bits, q.current_range_a))
-        return frame, t_deliver
+        return frame, t
 
 
 @dataclass
@@ -256,11 +263,11 @@ class SessionResult:
 
 @dataclass(frozen=True)
 class Sinks:
-    """Where a session's tables hand their full blocks (see util.Columns);
+    """Where a session's tables hand their full blocks (see util.Records);
     a table whose sink is None keeps every row."""
 
-    plant: Callable[[Columns], None] | None = None
-    controller: Callable[[Columns], None] | None = None
+    plant: Callable[[Records], None] | None = None
+    controller: Callable[[Records], None] | None = None
     frames: Callable[[SessionLog], None] | None = None
 
 
@@ -283,24 +290,32 @@ def drive(plant: PlantDriver, boundary: PlantBoundary, peer, free_running: bool)
 
     Before each tick, every queued frame due by the horizon is delivered:
     sensor frames to the peer, its replies to plant.hold. The horizon is the
-    tick's sample time when free-running and infinite in lockstep. A PROTOCOL
-    RunFault is reported to the peer with a FAULT frame before it propagates.
+    tick's sample time when free-running and infinite in lockstep, where no
+    frame waits: each one is delivered as it is sent, and no queue is kept.
+    A PROTOCOL RunFault is reported to the peer with a FAULT frame before it
+    propagates.
     """
     s2c: deque[tuple[bytes, float]] = deque()
     c2s: deque[tuple[BusFrame, float]] = deque()
     frame = plant.first_sensor()
     try:
         while True:
-            s2c.append(boundary.outbound(frame, float(frame.sim_time_ms)))
+            data, t_arrive = boundary.outbound(frame, float(frame.sim_time_ms))
             more = frame.msg_type == MSG_SENSOR
-            horizon = float(plant.sim_time_ms(plant.k + 1)) if more and free_running else math.inf
-            while s2c and s2c[0][1] <= horizon:
-                data, t_arrive = s2c.popleft()
+            if free_running:
+                s2c.append((data, t_arrive))
+                horizon = float(plant.sim_time_ms(plant.k + 1)) if more else math.inf
+                while s2c and s2c[0][1] <= horizon:
+                    data, t_arrive = s2c.popleft()
+                    reply = peer.exchange(data)
+                    if reply is not None:
+                        c2s.append(boundary.inbound(reply, t_arrive))
+                while c2s and c2s[0][1] <= horizon:
+                    plant.hold(c2s.popleft()[0])
+            else:
                 reply = peer.exchange(data)
                 if reply is not None:
-                    c2s.append(boundary.inbound(reply, t_arrive))
-            while c2s and c2s[0][1] <= horizon:
-                plant.hold(c2s.popleft()[0])
+                    plant.hold(boundary.inbound(reply, t_arrive)[0])
             if not more:
                 return
             frame = plant.tick()

@@ -18,8 +18,6 @@ from __future__ import annotations
 from array import array
 from math import fsum, isfinite, nan
 
-import numpy as np
-
 from .frames import (
     MSG_END,
     MSG_FAULT,
@@ -28,7 +26,7 @@ from .frames import (
     fault_frame,
     setpoint_frame,
 )
-from .util import Columns
+from .util import Records
 
 
 class SmoothingController:
@@ -74,15 +72,8 @@ class SmoothingController:
             return p_hat, p_batt, 0.0, True
         return p_hat, p_batt, p_batt / v_batt_v, False
 
-    def smooth_array(self, p_pv_w: np.ndarray) -> np.ndarray:
-        """Buffer means for a whole input array, one step per sample."""
-        out = np.empty(len(p_pv_w), dtype=np.float64)
-        for i, p in enumerate(p_pv_w):
-            out[i] = self.step(p, 1.0)[0]
-        return out
 
-
-# controller_log.csv columns, in file order, with their array typecodes
+# controller_log.csv columns, in file order, with their struct format codes
 CONTROLLER_LOG_COLUMNS = {
     "k": "q",
     "p_pv_w": "d",
@@ -106,13 +97,14 @@ class ControllerDriver:
     whose power is not finite, produces a safe zero-current setpoint (the
     sample is lost, as a corrupted analog read would be) and bumps the error
     counter. `sink`, if given, receives the log block by block (see
-    Columns).
+    Records).
     """
 
     def __init__(self, n: int, sink=None):
         self.controller = SmoothingController(n)
-        self.log = Columns(CONTROLLER_LOG_COLUMNS, sink)  # one row per sample, lost ones too
-        self._append_row = self.log.appenders()
+        self.log = Records(CONTROLLER_LOG_COLUMNS, sink)  # one row per sample, lost ones too
+        self._rows = self.log.rows  # a hand-off empties it in place
+        self._pack_row = self.log.layout.pack
         self.error_count = 0
         self.expected_seq = 1
         self.done = False
@@ -135,16 +127,10 @@ class ControllerDriver:
         c = self.controller
         p_hat, p_batt, i_set, fault = c.step(p_pv, v_batt)
         k = c.k - 1  # index of the step just taken
-        k_, p_pv_w, v_batt_v, p_hat_w, p_batt_w, i_set_a, warmup, fault_ = self._append_row
-        k_(k)
-        p_pv_w(p_pv)
-        v_batt_v(v_batt)
-        p_hat_w(p_hat)
-        p_batt_w(p_batt)
-        i_set_a(i_set)
-        warmup(k <= c.n)
-        fault_(fault)
-        self.log.end_row()
+        rows = self._rows
+        rows += self._pack_row(k, p_pv, v_batt, p_hat, p_batt, i_set, k <= c.n, fault)
+        if len(rows) >= self.log.block_bytes:
+            self.log.hand_off()
         return setpoint_frame(seq, sim_time_ms, i_set)
 
     def on_bad_frame(self) -> BusFrame:
@@ -152,7 +138,8 @@ class ControllerDriver:
         self.error_count += 1
         seq = self.expected_seq
         self.expected_seq = seq + 1
-        for append, value in zip(self._append_row, LOST_ROW):
-            append(value)
-        self.log.end_row()
+        rows = self._rows
+        rows += self._pack_row(*LOST_ROW)
+        if len(rows) >= self.log.block_bytes:
+            self.log.hand_off()
         return setpoint_frame(seq, 0, 0.0)

@@ -27,7 +27,6 @@ from __future__ import annotations
 import struct
 import zlib
 from collections.abc import Iterable
-from pathlib import Path
 from typing import NamedTuple
 
 from .util import AtomicWriter, chunked
@@ -47,12 +46,17 @@ PAYLOAD_COUNTS = {MSG_SENSOR: 2, MSG_SETPOINT: 1, MSG_END: 0, MSG_FAULT: 0}
 
 _HEADER = struct.Struct("<4sBBIQH")
 
-# One whole-frame layout (header and payload) per message type. A frame's
-# last 4 bytes are its crc, so zlib.crc32 of an intact frame is the residue.
-_LAYOUTS = {t: struct.Struct(f"<4sBBIQH{n}d") for t, n in PAYLOAD_COUNTS.items()}
-_FRAME_LENS = {t: s.size + CRC_LEN for t, s in _LAYOUTS.items()}
-_UNPACKERS = {_FRAME_LENS[t]: s.unpack_from for t, s in _LAYOUTS.items()}
+# One whole-frame layout (header and payload) per message type, its first
+# six bytes (magic, version, type) taken as one field; encode_frame packs
+# (layout, those six bytes, payload_len). A frame's last 4 bytes are its
+# crc, so zlib.crc32 of an intact frame is the residue.
+_LAYOUTS = {t: struct.Struct(f"<6sIQH{n}d") for t, n in PAYLOAD_COUNTS.items()}
+_ENCODERS = {t: (s.pack, MAGIC + bytes((VERSION, t)), 8 * PAYLOAD_COUNTS[t]) for t, s in _LAYOUTS.items()}
+_SENSOR_PREFIX, _SETPOINT_PREFIX = (_ENCODERS[t][1] for t in (MSG_SENSOR, MSG_SETPOINT))
+_SENSOR_LEN, _SETPOINT_LEN = (_LAYOUTS[t].size + CRC_LEN for t in (MSG_SENSOR, MSG_SETPOINT))
+_unpack_sensor, _unpack_setpoint = (_LAYOUTS[t].unpack_from for t in (MSG_SENSOR, MSG_SETPOINT))
 _CRC_RESIDUE = 0x2144DF1C
+_crc32 = zlib.crc32
 _pack_crc = struct.Struct("<I").pack
 _new_frame = tuple.__new__  # a BusFrame from one tuple, skipping NamedTuple's slower __new__
 
@@ -117,11 +121,12 @@ def fault_frame(seq: int, sim_time_ms: int) -> BusFrame:
 def encode_frame(frame: BusFrame) -> bytes:
     """Serialize to the wire layout. Deterministic: equal frames, equal bytes."""
     msg_type, seq, sim_time_ms, values = frame
-    layout = _LAYOUTS.get(msg_type)
-    if layout is None:
-        raise UnknownMessageType(f"cannot encode msg_type 0x{msg_type:02x}")
     try:
-        body = layout.pack(MAGIC, VERSION, msg_type, seq, sim_time_ms, layout.size - HEADER_LEN, *values)
+        pack, prefix, payload_len = _ENCODERS[msg_type]
+    except KeyError:
+        raise UnknownMessageType(f"cannot encode msg_type 0x{msg_type:02x}") from None
+    try:
+        body = pack(prefix, seq, sim_time_ms, payload_len, *values)
     except struct.error:
         # name the field at fault, checked in a fixed order
         expected = PAYLOAD_COUNTS[msg_type]
@@ -132,25 +137,23 @@ def encode_frame(frame: BusFrame) -> bytes:
         if not 0 <= sim_time_ms <= 0xFFFFFFFFFFFFFFFF:
             raise FrameError(f"sim_time_ms {sim_time_ms} outside u64 range") from None
         raise
-    return body + _pack_crc(zlib.crc32(body))
+    return body + _pack_crc(_crc32(body))
 
 
 def decode_frame(data: bytes) -> BusFrame:
     """Parse one frame from an exact byte buffer; inverse of encode_frame.
-    An intact frame passes all checks in one go (its layout picked by its
-    length); anything else goes through them in the documented order."""
+    An intact SENSOR or SETPOINT frame, the two of every step, passes all
+    checks in one go; anything else goes through them in the documented
+    order."""
     n = len(data)
-    unpack = _UNPACKERS.get(n)
-    if unpack is not None:
-        fields = unpack(data)
-        if (
-            fields[0] == MAGIC
-            and fields[1] == VERSION
-            and fields[5] == n - HEADER_LEN - CRC_LEN
-            and zlib.crc32(data) == _CRC_RESIDUE
-            and _FRAME_LENS.get(fields[2]) == n
-        ):
-            return _new_frame(BusFrame, (fields[2], fields[3], fields[4], fields[6:]))
+    if n == _SENSOR_LEN:
+        prefix, seq, sim_time_ms, payload_len, p_pv_w, v_batt_v = _unpack_sensor(data)
+        if prefix == _SENSOR_PREFIX and payload_len == 16 and _crc32(data) == _CRC_RESIDUE:
+            return _new_frame(BusFrame, (MSG_SENSOR, seq, sim_time_ms, (p_pv_w, v_batt_v)))
+    elif n == _SETPOINT_LEN:
+        prefix, seq, sim_time_ms, payload_len, i_set_a = _unpack_setpoint(data)
+        if prefix == _SETPOINT_PREFIX and payload_len == 8 and _crc32(data) == _CRC_RESIDUE:
+            return _new_frame(BusFrame, (MSG_SETPOINT, seq, sim_time_ms, (i_set_a,)))
     if n < HEADER_LEN:
         raise FrameTruncated(f"need {HEADER_LEN} header bytes, got {n}")
     magic, version, msg_type, seq, sim_time_ms, payload_len = _HEADER.unpack_from(data)
@@ -164,7 +167,7 @@ def decode_frame(data: bytes) -> BusFrame:
     if n > total:
         raise FrameTruncated(f"declared {total} bytes, got {n} (trailing bytes)")
     (crc_stored,) = struct.unpack_from("<I", data, total - CRC_LEN)
-    crc_actual = zlib.crc32(data[: total - CRC_LEN])
+    crc_actual = _crc32(data[: total - CRC_LEN])
     if crc_stored != crc_actual:
         raise BadCrc(f"crc mismatch: stored 0x{crc_stored:08x}, computed 0x{crc_actual:08x}")
     expected = PAYLOAD_COUNTS.get(msg_type)
@@ -188,12 +191,3 @@ def write_hexdump(tagged_hex: Iterable[tuple[str, str]], out: AtomicWriter) -> N
     text form of a frame log."""
     out.write(chunked(f"{tag} {hex_text}\n" for tag, hex_text in tagged_hex))
 
-
-def read_hexdump(path: str | Path) -> list[tuple[str, bytes]]:
-    out = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        tag, hexpart = line.rsplit(" ", 1)
-        out.append((tag, bytes.fromhex(hexpart)))
-    return out

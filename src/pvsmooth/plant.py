@@ -25,7 +25,7 @@ from .frames import (
     sensor_frame,
 )
 from .series import PowerSeries
-from .util import Columns
+from .util import Records
 
 
 # RunFault kinds, named as the command line reports them
@@ -98,7 +98,7 @@ def battery_step(
     return soc_new, v_terminal, i, clamps
 
 
-# plant_trace.csv columns, in file order, with their array typecodes
+# plant_trace.csv columns, in file order, with their struct format codes
 PLANT_TRACE_COLUMNS = {
     "k": "q",
     "p_pv_w": "d",
@@ -119,7 +119,7 @@ class PlantDriver:
     end-of-session marker). The session loop decides when a setpoint is held.
     The battery state is plain numbers: soc, v_terminal_v and clamp_events,
     the limit actions so far (see battery_step). `sink`, if given, receives
-    the trace block by block (see Columns).
+    the trace block by block (see Records).
     """
 
     def __init__(self, series: PowerSeries, cfg: ScenarioConfig, sink=None):
@@ -130,8 +130,9 @@ class PlantDriver:
         self.soc = b.soc_init
         self.v_terminal_v = open_circuit_voltage(b, b.soc_init)
         self.clamp_events = 0
-        self.trace = Columns(PLANT_TRACE_COLUMNS, sink)  # one row per applied sample
-        self._append_row = self.trace.appenders()
+        self.trace = Records(PLANT_TRACE_COLUMNS, sink)  # one row per applied sample
+        self._rows = self.trace.rows  # a hand-off empties it in place
+        self._pack_row = self.trace.layout.pack
         self.k = 0  # samples applied so far
         self.held_seq = 0  # sequence number of the held setpoint
         self.held_a = 0.0  # held current request; 0 A until the first setpoint
@@ -156,17 +157,11 @@ class PlantDriver:
         if clamps:
             self.clamp_events += clamps
         realized = i * v
-        k_, p_pv_w, i_request, i_applied, v_terminal, soc_, realized_w, p_grid_w = self._append_row
-        k_(k)
-        p_pv_w(p_pv)
-        i_request(i_request_a)
-        i_applied(i)
-        v_terminal(v)
-        soc_(soc)
-        realized_w(realized)
-        p_grid_w(p_pv - realized)
+        rows = self._rows
+        rows += self._pack_row(k, p_pv, i_request_a, i, v, soc, realized, p_pv - realized)
         self.k = k
-        self.trace.end_row()
+        if len(rows) >= self.trace.block_bytes:
+            self.trace.hand_off()
 
     def hold(self, frame: BusFrame) -> None:
         """Hold SETPOINT(seq=held_seq+1) for the coming intervals.

@@ -49,7 +49,7 @@ from .plant import INVARIANT, PLANT_TRACE_COLUMNS, RunFault
 from .ramp import RampReport, ramp_report, report_to_dict, write_rates_file
 from .series import PowerSeries, scale_series
 from .synth import synth_pv
-from .util import AtomicWriter, Columns, FloatTexts, atomic_write_text
+from .util import AtomicWriter, Records, atomic_write_text
 
 STREAMED_FILES = ("plant_trace.csv", "controller_log.csv", "frames.hex")
 PLANT, CONTROLLER, FRAMES = range(3)  # the streamed tables, in file order
@@ -83,12 +83,12 @@ class RunArtifacts:
     smoothed_series: PowerSeries
 
 
-def write_controller_log(log: Columns, out: AtomicWriter, texts: FloatTexts) -> None:
-    out.write(log.csv_chunks(texts))
+def write_controller_log(log: Records, out: AtomicWriter) -> None:
+    out.write(log.csv_chunks())
 
 
-def write_plant_trace(trace: Columns, out: AtomicWriter, texts: FloatTexts) -> None:
-    out.write(trace.csv_chunks(texts))
+def write_plant_trace(trace: Records, out: AtomicWriter) -> None:
+    out.write(trace.csv_chunks())
 
 
 def _write_histogram_csv(reports: dict[str, RampReport], out: AtomicWriter) -> None:
@@ -101,7 +101,7 @@ def _write_histogram_csv(reports: dict[str, RampReport], out: AtomicWriter) -> N
 
 
 def check_run_invariants(
-    cfg: ScenarioConfig, *, log: Columns | None = None, trace: Columns | None = None
+    cfg: ScenarioConfig, *, log: Records | None = None, trace: Records | None = None
 ) -> None:
     """Conservation over controller-log rows, then SOC bounds over plant-trace
     rows; raises on the first breach, naming its step.
@@ -115,11 +115,12 @@ def check_run_invariants(
         _check_controller_rows(log)
     b = cfg.battery
     if trace is not None and b.enforce_soc_limits:
-        soc = trace.numpy("soc")
+        rows = trace.view()
+        soc = rows["soc"]
         bad = np.flatnonzero(~((b.soc_min <= soc) & (soc <= b.soc_max)))
         if bad.size:
             i = bad[0]
-            step = int(trace.k[i])
+            step = int(rows["k"][i])
             raise RunFault(
                 INVARIANT,
                 f"soc {float(soc[i])} outside [{b.soc_min}, {b.soc_max}] at plant step {step}",
@@ -127,14 +128,15 @@ def check_run_invariants(
             )
 
 
-def _check_controller_rows(log: Columns) -> None:
-    k = log.numpy("k")
-    p_pv, p_hat, p_batt = log.numpy("p_pv_w"), log.numpy("p_hat_w"), log.numpy("p_batt_w")
+def _check_controller_rows(log: Records) -> None:
+    rows = log.view()
+    k = rows["k"]
+    p_pv, p_hat, p_batt = rows["p_pv_w"], rows["p_hat_w"], rows["p_batt_w"]
     live = k != 0  # k=0 marks a lost sample (corrupt frame); no arithmetic to check
     breach = live & (p_batt != p_pv - p_hat)
     with np.errstate(divide="ignore", invalid="ignore"):  # faulted rows may have v <= 0
-        i_set = p_batt / log.numpy("v_batt_v")
-    skew = live & (log.numpy("fault") == 0) & (log.numpy("i_set_a") != i_set)
+        i_set = p_batt / rows["v_batt_v"]
+    skew = live & (rows["fault"] == 0) & (rows["i_set_a"] != i_set)
     bad = np.flatnonzero(breach | skew)
     if bad.size:
         i = bad[0]
@@ -149,9 +151,10 @@ def _check_controller_rows(log: Columns) -> None:
         raise RunFault(INVARIANT, f"setpoint identity breach at controller step {step}", step=step)
 
 
-def live_p_hat(log: Columns) -> np.ndarray:
+def live_p_hat(log: Records) -> np.ndarray:
     """p_hat of the controller-log rows that carry a sample (k > 0)."""
-    return log.numpy("p_hat_w")[log.numpy("k") > 0]
+    rows = log.view()
+    return rows["p_hat_w"][rows["k"] > 0]
 
 
 def smoothed_series_from(p_hat: np.ndarray, series: PowerSeries) -> PowerSeries:
@@ -167,7 +170,7 @@ def smoothed_series_from(p_hat: np.ndarray, series: PowerSeries) -> PowerSeries:
 
 # The writer process's stream: each block is a header (the table, the rows,
 # the index in the whole table of the first row, the bytes that follow),
-# then its columns' bytes and, for a frame block, its wire bytes.
+# then its packed records and, for a frame block, its wire bytes.
 _HEADER = struct.Struct("<Bqqq")
 _END = 255  # header: no more blocks
 # both ends' socket buffer: the blocks the session may send ahead of the
@@ -177,17 +180,13 @@ STREAM_BUFFER_BYTES = 1 << 20
 
 
 def _format_blocks(stream: BinaryIO, files: Sequence[AtomicWriter]) -> None:
-    """The writer process's loop: rebuild each block read from stream and
-    append its text to the table's file. Returns once every file is closed
-    at the run's end; a stream that ends early raises EOFError before any of
-    the unfinished block is formatted.
-
-    The two CSV logs share one FloatTexts, so a value that a plant block and
-    the controller block of the same steps both hold is formatted once."""
+    """The writer process's loop: take each block read from stream into its
+    table and append its text to the table's file. Returns once every file
+    is closed at the run's end; a stream that ends early raises EOFError
+    before any of the unfinished block is formatted."""
     plant_csv, ctrl_csv, frames_hex = files
     frame_log = SessionLog()
-    tables = (Columns(PLANT_TRACE_COLUMNS), Columns(CONTROLLER_LOG_COLUMNS), frame_log.frames)
-    texts = FloatTexts()
+    tables = (Records(PLANT_TRACE_COLUMNS), Records(CONTROLLER_LOG_COLUMNS), frame_log.frames)
     while True:
         header = stream.read(_HEADER.size)
         if len(header) < _HEADER.size:
@@ -202,20 +201,15 @@ def _format_blocks(stream: BinaryIO, files: Sequence[AtomicWriter]) -> None:
             raise EOFError("the run ended in the middle of a block")
         view = memoryview(data)
         table = tables[table_id]
-        offset = 0
-        for name in table.names:
-            col = getattr(table, name)
-            del col[:]
-            end = offset + rows * col.itemsize
-            col.frombytes(view[offset:end])
-            offset = end
+        end = rows * table.layout.size
+        table.rows[:] = view[:end]
         table.start = start
         if table_id == PLANT:
-            write_plant_trace(table, plant_csv, texts)
+            write_plant_trace(table, plant_csv)
         elif table_id == CONTROLLER:
-            write_controller_log(table, ctrl_csv, texts)
+            write_controller_log(table, ctrl_csv)
         else:
-            frame_log.wire[:] = view[offset:]
+            frame_log.wire[:] = view[end:]
             write_hexdump(frame_log.tagged_hex(), frames_hex)
 
 
@@ -227,10 +221,10 @@ class LogWriter:
     """A forked writer process that formats the streamed tables into their
     files (STREAMED_FILES order), so formatting overlaps the session.
 
-    send writes a block's header, its columns' bytes and a frame block's
+    send writes a block's header, its packed records and a frame block's
     wire bytes to one end of a socket pair; the child reads them from the
-    other end, rebuilds the block and runs the table's formatter into the
-    file. The socket buffers hold STREAM_BUFFER_BYTES, so the parent waits
+    other end into the table and runs the table's formatter into the file.
+    The socket buffers hold STREAM_BUFFER_BYTES, so the parent waits
     only when the child falls that far behind, and never more than
     bus.SOCKET_TIMEOUT_S. A child that fails sends back its error message;
     one that exits 0 has closed every file. A child that fails, dies or
@@ -262,14 +256,12 @@ class LogWriter:
         child.close()
         self._sock.settimeout(bus.SOCKET_TIMEOUT_S)
 
-    def send(self, table_id: int, table: Columns, wire: bytes | None = None) -> None:
-        """Hand the rows `table` holds to the writer in one block; a frame
-        log comes with its wire bytes, which its wire_end counts from."""
-        data = [getattr(table, name) for name in table.names]
-        if wire is not None:
-            data.append(wire)
-        size = sum(memoryview(d).nbytes for d in data)
-        self._send(_HEADER.pack(table_id, len(table), table.start, size), *data)
+    def send(self, table_id: int, table: Records, wire: bytes | None = None) -> None:
+        """Hand the rows `table` holds to the writer in one block, its
+        records as one buffer; a frame log comes with its wire bytes, which
+        its wire_end counts from."""
+        data = (table.rows,) if wire is None else (table.rows, wire)
+        self._send(_HEADER.pack(table_id, len(table), table.start, sum(map(len, data))), *data)
 
     def close(self) -> None:
         """End the blocks; return once the child has flushed and closed
@@ -342,16 +334,16 @@ class RunLogs:
         self.soc_min, self.soc_max, self.soc_final = math.inf, -math.inf, math.nan
         self.sinks = Sinks(plant=self.plant_block, controller=self.controller_block, frames=self.frame_block)
 
-    def controller_block(self, log: Columns) -> None:
+    def controller_block(self, log: Records) -> None:
         check_run_invariants(self.cfg, log=log)
         p_hat = live_p_hat(log)
         self._p_hat[self._n_live : self._n_live + p_hat.size] = p_hat
         self._n_live += p_hat.size
         self.writer.send(CONTROLLER, log)
 
-    def plant_block(self, trace: Columns) -> None:
+    def plant_block(self, trace: Records) -> None:
         check_run_invariants(self.cfg, trace=trace)
-        soc = trace.numpy("soc")
+        soc = trace.soc
         self.soc_min = min(self.soc_min, float(soc.min()))
         self.soc_max = max(self.soc_max, float(soc.max()))
         self.soc_final = float(soc[-1])

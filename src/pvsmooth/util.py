@@ -1,10 +1,11 @@
-"""Small shared helpers: atomic file writes and columnar step logs."""
+"""Small shared helpers: atomic file writes, packed step logs and their text."""
 
 from __future__ import annotations
 
 import os
+import struct
+import sys
 import threading
-from array import array
 from collections.abc import Callable, Iterable, Iterator
 from itertools import islice
 from pathlib import Path
@@ -67,98 +68,96 @@ def chunked(lines: Iterable[str], size: int = FORMAT_ROWS) -> Iterator[str]:
         yield chunk
 
 
-class FloatTexts:
-    """repr of float64 values, formatted once per distinct bit pattern.
+# orjson writes a float64 as repr does (the shortest text that reads back
+# bitwise) when it is zero or its magnitude lies in [1e-4, 1e16); outside
+# that window it writes 1e16 where repr writes 1e+16, 0.00001 for 1e-05,
+# and null for NaN and inf
+TEXT_WINDOW = (1e-4, 1e16)
 
-    Calling it with a block of values returns an object array of their repr
-    strings. Each distinct bit pattern in the block is formatted once, or not
-    at all when the previous block held it: only that block's sorted bits and
-    texts are kept. So blocks of two tables for the same steps, such as the
-    plant trace's and the controller log's, share the values they both hold.
-    Keys are bit patterns, never float values (0.0 == -0.0 and NaN != NaN),
-    and a key's text is repr of its own value, so the text equals repr of
-    each value it stands for.
+
+def float_texts(values: np.ndarray) -> list[str]:
+    """repr of each value of a float64 array, in order.
+
+    One orjson call, a shortest round-trip formatter in compiled code,
+    writes every value; repr rewrites the few outside TEXT_WINDOW, so each
+    text equals repr of its value (-0.0, NaN and inf included).
+    """
+    import orjson  # only a writer formats: the session's process never loads it
+
+    if not values.size:
+        return []
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    texts = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    size = np.abs(values)
+    lo, hi = TEXT_WINDOW
+    odd = np.flatnonzero(~(((lo <= size) & (size < hi)) | (values == 0.0)))
+    for i, value in zip(odd.tolist(), values[odd].tolist()):
+        texts[i] = repr(value)
+    return texts
+
+
+class Records:
+    """A table kept as packed little-endian records, one per row, in one bytearray.
+
+    `spec` maps column names to struct format codes, in record order ('d'
+    float64, 'q' int64, 'I' uint32, 'b' int8 for flags). `layout`, a
+    struct.Struct without padding, packs a row; `dtype`, a numpy structured
+    dtype with the same offsets, views the rows by column name (`view`, or
+    the column's name as an attribute: a numpy view, so the table must not
+    grow while it is held). Owners pack their rows into `rows` themselves,
+    in their own code, so tracemalloc charges the memory to the owner's
+    module:
+
+        rows += pack(...)
+        if len(rows) >= table.block_bytes:
+            table.hand_off()
+
+    A table with a sink holds one block of BLOCK_ROWS rows at a time:
+    hand_off calls sink(table) and drops the rows, and `start` counts the
+    rows dropped so far. A table without a sink keeps every row; its
+    block_bytes is never reached.
     """
 
-    def __init__(self):
-        self.bits = np.empty(0, np.int64)  # the last block's distinct bits, sorted
-        self.texts = np.empty(0, object)  # repr of each, in the same order
-
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        bits, where = np.unique(values.view(np.int64), return_inverse=True)
-        pos = np.searchsorted(self.bits, bits)
-        hit = pos < self.bits.size
-        hit[hit] = self.bits[pos[hit]] == bits[hit]
-        texts = np.empty(bits.size, object)
-        texts[hit] = self.texts[pos[hit]]
-        miss = ~hit
-        texts[miss] = np.fromiter(map(repr, bits[miss].view(np.float64).tolist()), object, np.count_nonzero(miss))
-        self.bits, self.texts = bits, texts
-        return texts[where]
-
-
-class Columns:
-    """A table kept as one stdlib array per column, appended once per row.
-
-    `spec` maps column names to array typecodes (such as 'd' float64, 'q'
-    int64, 'b' int8 for flags); each column is an attribute of that name.
-    Owners append to every column of a row themselves, in their own code
-    (through `appenders`), so the columns stay equally long and tracemalloc
-    charges the memory to the owner's module, and then call end_row.
-
-    A table with a sink holds one block at a time: every BLOCK_ROWS rows it
-    calls sink(table) and drops the rows, and `start` counts the rows
-    dropped so far. A table without a sink keeps every row.
-    """
-
-    def __init__(self, spec: dict[str, str], sink: Callable[[Columns], None] | None = None):
+    def __init__(self, spec: dict[str, str], sink: Callable[[Records], None] | None = None):
         self.names = tuple(spec)
-        for name, typecode in spec.items():
-            setattr(self, name, array(typecode))
+        self.layout = struct.Struct("<" + "".join(spec.values()))
+        self.dtype = np.dtype([(name, "<" + code) for name, code in spec.items()])
+        self.rows = bytearray()
         self.sink = sink
         self.start = 0  # index in the whole table of the first row held
-        self._room = BLOCK_ROWS  # rows until the block is full
+        self.block_bytes = BLOCK_ROWS * self.layout.size if sink is not None else sys.maxsize
 
     def __len__(self) -> int:
-        return len(getattr(self, self.names[0]))
+        return len(self.rows) // self.layout.size
 
-    def appenders(self) -> tuple[Callable[[float], None], ...]:
-        """The columns' bound append methods, in column order; a block
-        hand-off empties the columns in place, so they stay valid."""
-        return tuple(getattr(self, name).append for name in self.names)
+    def __getattr__(self, name: str) -> np.ndarray:
+        if name in self.__dict__.get("names", ()):
+            return self.view()[name]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
-    def end_row(self) -> None:
-        """Close the row just appended; hand a full block to the sink."""
-        if self.sink is not None:
-            self._room -= 1
-            if not self._room:
-                self.sink(self)
-                self.start += len(self)
-                for name in self.names:
-                    del getattr(self, name)[:]
-                self._room = BLOCK_ROWS
+    def view(self) -> np.ndarray:
+        """The rows held, as a numpy structured array over `rows`."""
+        return np.frombuffer(self.rows, dtype=self.dtype)
 
-    def numpy(self, name: str) -> np.ndarray:
-        """A view of one column; the table must not grow while it is held."""
-        col = getattr(self, name)
-        return np.frombuffer(col, dtype=col.typecode)
+    def hand_off(self) -> None:
+        """Hand the full block to the sink and drop its rows."""
+        self.sink(self)
+        self.start += len(self)
+        del self.rows[:]
 
-    def csv_chunks(self, texts: FloatTexts) -> Iterator[str]:
+    def csv_chunks(self) -> Iterator[str]:
         """The rows held as CSV text, after the header when they start the
         table, so a table's blocks in order make up its whole file. Floats
-        are written with repr, so each reads back bitwise with float(), and
-        formatted through `texts`, which may carry the previous block's
-        texts; flags and integers as decimal integers."""
+        are written as repr writes them (float_texts, one call for all of
+        the block's floats), so each reads back bitwise with float(); flags
+        and integers as decimal integers."""
         if self.start == 0:
             yield ",".join(self.names) + "\n"
-        n = len(self)
-        floats = [name for name in self.names if getattr(self, name).typecode == "d"]
-        values = np.concatenate([self.numpy(name) for name in floats])
-        float_cells = dict(zip(floats, texts(values).reshape(len(floats), n)))
-        for i in range(0, n, FORMAT_ROWS):  # texts column by column, then join rows
-            cells = [
-                float_cells[name][i : i + FORMAT_ROWS].tolist() if name in float_cells
-                else map(repr, getattr(self, name)[i : i + FORMAT_ROWS].tolist())
-                for name in self.names
-            ]
-            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+        recs = self.view()
+        n = len(recs)
+        floats = [name for name in self.names if self.dtype[name].kind == "f"]
+        texts = float_texts(np.stack([recs[name] for name in floats]).ravel()) if n else []
+        float_cells = {name: texts[j * n : (j + 1) * n] for j, name in enumerate(floats)}
+        cols = [float_cells[name] if name in float_cells else list(map(str, recs[name].tolist())) for name in self.names]
+        for i in range(0, n, FORMAT_ROWS):  # join rows a chunk at a time
+            yield "\n".join(map(",".join, zip(*(col[i : i + FORMAT_ROWS] for col in cols)))) + "\n"

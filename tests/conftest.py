@@ -9,6 +9,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from pvsmooth.config import BatteryParams, ScenarioConfig, validate_scenario
+from pvsmooth.controller import SmoothingController
 from pvsmooth.series import PowerSeries
 
 
@@ -20,6 +21,25 @@ def naive_zero_padded_mean(x: np.ndarray, n: int) -> np.ndarray:
     """
     z = np.concatenate([np.zeros(n - 1, dtype=np.float64), np.asarray(x, dtype=np.float64)])
     return sliding_window_view(z, n).sum(axis=1) / n
+
+
+def smooth_array(controller: SmoothingController, p_pv_w: np.ndarray) -> np.ndarray:
+    """Buffer means for a whole input array, one controller.step per sample."""
+    out = np.empty(len(p_pv_w), dtype=np.float64)
+    for i, p in enumerate(p_pv_w):
+        out[i] = controller.step(p, 1.0)[0]
+    return out
+
+
+def read_hexdump(path: str | Path) -> list[tuple[str, bytes]]:
+    """The (tag, frame bytes) pairs of a hex dump (frames.write_hexdump)."""
+    out = []
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        if not line.strip():
+            continue
+        tag, hexpart = line.rsplit(" ", 1)
+        out.append((tag, bytes.fromhex(hexpart)))
+    return out
 
 
 def direct_ramp_rates(samples: np.ndarray, stride: int, interval_s: float, rated_w: float) -> np.ndarray:

@@ -10,8 +10,11 @@ them:
   arrays (csv.DictReader, float lists). Here a row of an ISO-8601 file that
   lacks its time cell still crashes with AttributeError;
 - write_series_csv before it streamed its lines in chunks;
-- the CSV logs' and the hex dump's formatters before each distinct float of
-  a block was formatted once (FloatTexts): one repr per value.
+- the CSV logs' and the hex dump's formatters before their floats were
+  formatted a block at a time (once per distinct value, then in one orjson
+  call): one repr per value;
+- decode_frame before its per-type fast path, when one whole-frame layout
+  was picked by the frame's length.
 
 tests/test_differential.py checks the package against these bitwise. They
 share the package's error classes and parameter types, so an error is the
@@ -32,6 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from pvsmooth import frames
 from pvsmooth.bus import DIRECTION_NAMES, SessionLog
 from pvsmooth.config import SUPPLY_HARD_LIMIT_A, BatteryParams
 from pvsmooth.frames import (
@@ -52,7 +56,7 @@ from pvsmooth.frames import (
 from pvsmooth.ingest import RESAMPLE_MODES, TIMESTAMP_FORMATS, IngestError, IngestResult, IngestSpec
 from pvsmooth.plant import INVARIANT, RunFault
 from pvsmooth.series import PowerSeries
-from pvsmooth.util import FORMAT_ROWS, Columns, atomic_write_text
+from pvsmooth.util import FORMAT_ROWS, Records, atomic_write_text
 
 _HEADER = struct.Struct("<4sBBIQH")
 
@@ -117,6 +121,54 @@ def decode_frame(data: bytes) -> BusFrame:
         )
     values = struct.unpack_from(f"<{expected}d", data, HEADER_LEN)
     return BusFrame(msg_type, seq, sim_time_ms, tuple(values))
+
+
+# decode_frame as it was before its per-type fast path: one whole-frame
+# layout per message type, picked by the frame's length
+_WHOLE_LAYOUTS = {t: struct.Struct(f"<4sBBIQH{n}d") for t, n in PAYLOAD_COUNTS.items()}
+_WHOLE_LENS = {t: s.size + CRC_LEN for t, s in _WHOLE_LAYOUTS.items()}
+_WHOLE_UNPACKERS = {_WHOLE_LENS[t]: s.unpack_from for t, s in _WHOLE_LAYOUTS.items()}
+
+
+def decode_frame_by_length(data: bytes) -> frames.BusFrame:
+    """The package's decode_frame before its per-type fast path."""
+    n = len(data)
+    unpack = _WHOLE_UNPACKERS.get(n)
+    if unpack is not None:
+        fields = unpack(data)
+        if (
+            fields[0] == MAGIC
+            and fields[1] == VERSION
+            and fields[5] == n - HEADER_LEN - CRC_LEN
+            and zlib.crc32(data) == 0x2144DF1C
+            and _WHOLE_LENS.get(fields[2]) == n
+        ):
+            return tuple.__new__(frames.BusFrame, (fields[2], fields[3], fields[4], fields[6:]))
+    if n < HEADER_LEN:
+        raise FrameTruncated(f"need {HEADER_LEN} header bytes, got {n}")
+    magic, version, msg_type, seq, sim_time_ms, payload_len = _HEADER.unpack_from(data)
+    if magic != MAGIC:
+        raise BadMagic(f"bad magic {magic!r}")
+    if version != VERSION:
+        raise BadVersion(f"unsupported version 0x{version:02x}")
+    total = HEADER_LEN + payload_len + CRC_LEN
+    if n < total:
+        raise FrameTruncated(f"declared {total} bytes, got {n}")
+    if n > total:
+        raise FrameTruncated(f"declared {total} bytes, got {n} (trailing bytes)")
+    (crc_stored,) = struct.unpack_from("<I", data, total - CRC_LEN)
+    crc_actual = zlib.crc32(data[: total - CRC_LEN])
+    if crc_stored != crc_actual:
+        raise BadCrc(f"crc mismatch: stored 0x{crc_stored:08x}, computed 0x{crc_actual:08x}")
+    expected = PAYLOAD_COUNTS.get(msg_type)
+    if expected is None:
+        raise UnknownMessageType(f"unknown msg_type 0x{msg_type:02x}")
+    if payload_len != expected * 8:
+        raise PayloadMismatch(
+            f"{MSG_NAMES[msg_type]} payload must be {expected * 8} bytes, got {payload_len}"
+        )
+    values = struct.unpack_from(f"<{expected}d", data, HEADER_LEN)
+    return frames.BusFrame(msg_type, seq, sim_time_ms, tuple(values))
 
 
 @dataclass(frozen=True)
@@ -417,13 +469,13 @@ def write_series_csv(series: PowerSeries, path: str | Path) -> None:
 # --- log formatters: one repr per value ----------------------------------------
 
 
-def csv_chunks(table: Columns) -> Iterator[str]:
-    """Columns.csv_chunks with every cell formatted by its own repr."""
+def csv_chunks(table: Records) -> Iterator[str]:
+    """Records.csv_chunks with every cell formatted by its own repr."""
     if table.start == 0:
         yield ",".join(table.names) + "\n"
-    cols = [getattr(table, name) for name in table.names]
+    cols = [getattr(table, name).tolist() for name in table.names]
     for i in range(0, len(table), FORMAT_ROWS):
-        cells = [map(repr, col[i : i + FORMAT_ROWS].tolist()) for col in cols]
+        cells = [map(repr, col[i : i + FORMAT_ROWS]) for col in cols]
         yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
@@ -432,7 +484,8 @@ def tagged_hex(log: SessionLog) -> Iterator[tuple[str, str]]:
     hex_wire = log.wire.hex()
     start = 0
     f = log.frames
-    for d, seq, t_send, t_deliver, end in zip(f.direction, f.seq, f.t_send_ms, f.t_deliver_ms, f.wire_end):
+    names = ("direction", "seq", "t_send_ms", "t_deliver_ms", "wire_end")
+    for d, seq, t_send, t_deliver, end in zip(*(getattr(f, name).tolist() for name in names)):
         tag = f"{DIRECTION_NAMES[d]} seq={seq} send={t_send!r} recv={t_deliver!r}"
         end *= 2
         yield tag, hex_wire[start:end]

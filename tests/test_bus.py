@@ -178,14 +178,14 @@ def test_controller_in_separate_process_matches_inproc(tmp_path):
 
     from pvsmooth.bus import SocketEndpoint
     from pvsmooth.run import write_controller_log
-    from pvsmooth.util import AtomicWriter, FloatTexts
+    from pvsmooth.util import AtomicWriter
 
     series = synth_pv("cloud_random", 600, 5, 3000.0, seed=17)
     cfg = validate_scenario(ScenarioConfig(window_s=60.0, seed=17))
     inproc = run_lockstep_inproc(series, cfg)
     log_inproc = tmp_path / "ctrl_inproc.csv"
     with AtomicWriter(log_inproc) as out:
-        write_controller_log(inproc.controller.log, out, FloatTexts())
+        write_controller_log(inproc.controller.log, out)
 
     conn, controller_end = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
     log_remote = tmp_path / "ctrl_remote.csv"
@@ -193,12 +193,12 @@ def test_controller_in_separate_process_matches_inproc(tmp_path):
         "import socket\n"
         "from pvsmooth.bus import ControllerPeer, SocketEndpoint\n"
         "from pvsmooth.run import write_controller_log\n"
-        "from pvsmooth.util import AtomicWriter, FloatTexts\n"
+        "from pvsmooth.util import AtomicWriter\n"
         f"conn = socket.socket(fileno={controller_end.fileno()})\n"
         f"peer = ControllerPeer({cfg.n_window})\n"
         "SocketEndpoint(conn).serve(peer)\n"
         f"with AtomicWriter(r'{log_remote}') as out:\n"
-        "    write_controller_log(peer.driver.log, out, FloatTexts())\n"
+        "    write_controller_log(peer.driver.log, out)\n"
     )
     with controller_end:  # the child holds its own copy
         proc = subprocess.Popen([sys.executable, "-c", script], pass_fds=(controller_end.fileno(),))
@@ -228,7 +228,7 @@ def test_lockstep_latency_shifts_timestamps_only():
     # identical bytes in identical order, different recorded delivery times
     assert [data for _, data in a.log.tagged_hex()] == [data for _, data in b.log.tagged_hex()]
     fa, fb = a.log.frames, b.log.frames
-    assert fa.t_deliver_ms == fa.t_send_ms
+    assert fa.t_deliver_ms.tolist() == fa.t_send_ms.tolist()
     assert all(t_deliver >= t_send + 150.0 for t_send, t_deliver in zip(fb.t_send_ms, fb.t_deliver_ms))
 
 
@@ -247,8 +247,8 @@ def test_loop_equals_direct_function_composition():
         v = plant.v_terminal_v
         assert result.controller.log.p_hat_w[k] == p_hat
         assert result.controller.log.i_set_a[k] == i_set
-    assert plant.trace.soc == result.plant.trace.soc
-    assert plant.trace.p_grid_w == result.plant.trace.p_grid_w
+    assert plant.trace.soc.tolist() == result.plant.trace.soc.tolist()
+    assert plant.trace.p_grid_w.tolist() == result.plant.trace.p_grid_w.tolist()
 
 
 ENGINES = {

@@ -42,7 +42,7 @@ from pvsmooth.plant import PLANT_TRACE_COLUMNS, battery_step, supply_apply
 from pvsmooth.ramp import warmup_skip_count
 from pvsmooth.run import write_controller_log, write_plant_trace
 from pvsmooth.series import PowerSeries
-from pvsmooth.util import AtomicWriter, Columns, FloatTexts
+from pvsmooth.util import AtomicWriter, Records
 
 SUBNORMALS = (5e-324, -5e-324, 2.2250738585072009e-308, -1e-310)
 
@@ -127,6 +127,39 @@ def test_decode_of_a_bit_flip_matches_reference(frame, bit):
     assume(bit < len(data) * 8)
     data[bit // 8] ^= 1 << (bit % 8)
     same_decode(bytes(data))
+
+
+@pytest.mark.parametrize("kind", [MSG_SENSOR, MSG_SETPOINT, MSG_END, MSG_FAULT])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_decode_matches_the_decode_by_length_on_every_flip_and_cut(kind, data):
+    # the per-type fast path against the decode it replaced, on one frame of
+    # the type intact, with each single bit flipped, with each header bit
+    # flipped under a recomputed crc, and cut at each length: the same
+    # BusFrame (values bitwise), or the same error class and text
+    values = tuple(data.draw(doubles) for _ in range(PAYLOAD_COUNTS[kind]))
+    frame = BusFrame(kind, data.draw(seqs), data.draw(times), values)
+    intact = encode_frame(frame)
+    flips = []
+    for bit in range(len(intact) * 8):
+        flipped = bytearray(intact)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        flips.append(bytes(flipped))
+        if bit < 20 * 8:
+            body = flipped[:-4]
+            flips.append(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+    for wire in [intact, *flips, *(intact[:cut] for cut in range(len(intact)))]:
+        got, want = decode_or_error(decode_frame, wire), decode_or_error(ref.decode_frame_by_length, wire)
+        assert got == want, wire.hex()
+
+
+def decode_or_error(decode, data: bytes) -> tuple:
+    """A decoded frame's type, fields and value bits, or its error's class and text."""
+    try:
+        frame = decode(data)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(frame), frame_fields(frame)
 
 
 @given(frame=frames(), cut=st.integers(0, 40), tail=st.binary(max_size=8))
@@ -537,14 +570,13 @@ def repeating_doubles(data):
 @settings(max_examples=100, deadline=None)
 def test_csv_logs_sharing_float_texts_match_a_repr_per_cell(tmp_path_factory, data):
     # a plant block and a controller block in turn, as the writer process
-    # gets them, through one FloatTexts
+    # gets them
     cell = repeating_doubles(data)
     tmp = tmp_path_factory.mktemp("logs")
     logs = ((PLANT_TRACE_COLUMNS, write_plant_trace), (CONTROLLER_LOG_COLUMNS, write_controller_log))
-    texts = FloatTexts()
     with ExitStack() as stack:
         tables = [
-            (Columns(spec), write, stack.enter_context(AtomicWriter(tmp / f"{i}.csv")), [])
+            (Records(spec), write, stack.enter_context(AtomicWriter(tmp / f"{i}.csv")), [])
             for i, (spec, write) in enumerate(logs)
         ]
         start = 0
@@ -552,17 +584,17 @@ def test_csv_logs_sharing_float_texts_match_a_repr_per_cell(tmp_path_factory, da
             rows = data.draw(st.integers(0, 8), label="rows")
             repeat = data.draw(st.integers(1, 40), label="repeat")  # up to 320 rows: two format chunks
             for table, write, out, want in tables:
-                for name in table.names:
-                    col = getattr(table, name)
-                    del col[:]
+                columns = []
+                for name, code in zip(table.names, table.layout.format[1:]):
                     if name == "k":
-                        col.extend(range(start + 1, start + 1 + rows * repeat))
-                    elif col.typecode == "d":
-                        col.extend(data.draw(st.lists(cell, min_size=rows, max_size=rows)) * repeat)
+                        columns.append(range(start + 1, start + 1 + rows * repeat))
+                    elif code == "d":
+                        columns.append(data.draw(st.lists(cell, min_size=rows, max_size=rows)) * repeat)
                     else:
-                        col.extend(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)) * repeat)
+                        columns.append(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)) * repeat)
+                table.rows[:] = b"".join(table.layout.pack(*row) for row in zip(*columns))
                 table.start = start
-                write(table, out, texts)
+                write(table, out)
                 want.extend(ref.csv_chunks(table))
             start += rows * repeat
     for i, (*_, want) in enumerate(tables):
@@ -577,7 +609,5 @@ def test_hex_dump_tags_match_a_repr_per_time(data):
     for _ in range(data.draw(st.integers(0, 30), label="frames")):
         log.wire += data.draw(st.binary(max_size=40))
         direction, seq, t_send, t_deliver = data.draw(st.tuples(st.integers(0, 1), seqs, cell, cell))
-        row = (direction, seq, MSG_SENSOR, t_send, t_deliver, 0.0, len(log.wire))
-        for append, value in zip(log.frames.appenders(), row):
-            append(value)
+        log.frames.rows += log.frames.layout.pack(direction, seq, MSG_SENSOR, t_send, t_deliver, 0.0, len(log.wire))
     assert list(log.tagged_hex()) == list(ref.tagged_hex(log))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import read_hexdump
 from pvsmooth.frames import (
     MAGIC,
     MSG_END,
@@ -22,7 +23,7 @@ from pvsmooth.frames import (
     decode_frame,
     encode_frame,
     end_frame,
-    read_hexdump,
+    fault_frame,
     sensor_frame,
     setpoint_frame,
     write_hexdump,
@@ -63,12 +64,14 @@ def test_layout_fields():
 
 
 def test_every_single_bit_flip_is_rejected():
-    data = encode_frame(sensor_frame(2, 5000, 1234.5678, 52.91))
-    for bit in range(len(data) * 8):
-        corrupted = bytearray(data)
-        corrupted[bit // 8] ^= 1 << (bit % 8)
-        with pytest.raises(FrameError):
-            decode_frame(bytes(corrupted))
+    kinds = (sensor_frame(2, 5000, 1234.5678, 52.91), setpoint_frame(2, 5000, -3.25), end_frame(3, 10000), fault_frame(3, 10000))
+    for frame in kinds:
+        data = encode_frame(frame)
+        for bit in range(len(data) * 8):
+            corrupted = bytearray(data)
+            corrupted[bit // 8] ^= 1 << (bit % 8)
+            with pytest.raises(FrameError):
+                decode_frame(bytes(corrupted))
 
 
 def test_empty_input_is_truncation():

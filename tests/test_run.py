@@ -224,9 +224,8 @@ def loop_invariant_check(session, cfg):
     """The per-row reference the vectorised check must agree with: the
     (step, message) of the first breach, or None."""
     log = session.controller.log
-    for k, p_pv, v_batt, p_hat, p_batt, i_set, fault in zip(
-        log.k, log.p_pv_w, log.v_batt_v, log.p_hat_w, log.p_batt_w, log.i_set_a, log.fault
-    ):
+    names = ("k", "p_pv_w", "v_batt_v", "p_hat_w", "p_batt_w", "i_set_a", "fault")
+    for k, p_pv, v_batt, p_hat, p_batt, i_set, fault in zip(*(getattr(log, name).tolist() for name in names)):
         if k == 0:
             continue
         if p_batt != p_pv - p_hat:
@@ -235,7 +234,7 @@ def loop_invariant_check(session, cfg):
             return k, f"setpoint identity breach at controller step {k}"
     b = cfg.battery
     if b.enforce_soc_limits:
-        for k, soc in zip(session.plant.trace.k, session.plant.trace.soc):
+        for k, soc in zip(session.plant.trace.k.tolist(), session.plant.trace.soc.tolist()):
             if not (b.soc_min <= soc <= b.soc_max):
                 return k, f"soc {soc} outside [{b.soc_min}, {b.soc_max}] at plant step {k}"
     return None
@@ -263,7 +262,7 @@ def short_session():
 def test_invariant_check_agrees_with_the_row_loop(short_session, edits):
     session, cfg = short_session
     log, trace = session.controller.log, session.plant.trace
-    saved = {name: getattr(t, name)[:] for t in (log, trace) for name in t.names}
+    saved = {name: getattr(t, name).copy() for t in (log, trace) for name in t.names}
     try:
         for name, i, value in edits:
             table = trace if name == "soc" else log

@@ -13,8 +13,11 @@ import io
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +36,7 @@ from pvsmooth.run import (
     write_plant_trace,
 )
 from pvsmooth.synth import synth_pv
-from pvsmooth.util import BLOCK_ROWS, AtomicWriter, Columns, FloatTexts
+from pvsmooth.util import BLOCK_ROWS, AtomicWriter, Records
 
 B = BLOCK_ROWS
 
@@ -71,9 +74,9 @@ def whole_table_files(session, out_dir):
     whose tables kept every row."""
     out_dir.mkdir()
     with AtomicWriter(out_dir / "plant_trace.csv") as out:
-        write_plant_trace(session.plant.trace, out, FloatTexts())
+        write_plant_trace(session.plant.trace, out)
     with AtomicWriter(out_dir / "controller_log.csv") as out:
-        write_controller_log(session.controller.log, out, FloatTexts())
+        write_controller_log(session.controller.log, out)
     with AtomicWriter(out_dir / "frames.hex") as out:
         write_hexdump(session.log.tagged_hex(), out)
 
@@ -324,23 +327,40 @@ def test_run_scenario_peak_grows_at_most_40_bytes_per_step(tmp_path):
     assert per_step <= 40, (small, large, per_step)
 
 
+def test_only_the_writer_process_loads_the_float_formatter(tmp_path):
+    # orjson formats the logs in the writer process; the session's process,
+    # whose peak RSS the benchmark reports, never imports it
+    script = (
+        "import sys\n"
+        "from pvsmooth.config import ScenarioConfig\n"
+        "from pvsmooth.run import run_scenario\n"
+        "from pvsmooth.synth import synth_pv\n"
+        f"run_scenario(ScenarioConfig(seed=1), synth_pv('cloud_random', {3 * B} * 5.0, 5.0, 3000.0, seed=1), r'{tmp_path / 'out'}')\n"
+        "print('orjson' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(pvrun.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+    assert (tmp_path / "out" / "plant_trace.csv").read_text().count("\n") == 3 * B + 1
+
+
 def block_bytes(table_id, table):
-    """A block as LogWriter.send puts it on the stream: header, then columns."""
-    data = b"".join(getattr(table, name).tobytes() for name in table.names)
-    return pvrun._HEADER.pack(table_id, len(table), table.start, len(data)) + data
+    """A block as LogWriter.send puts it on the stream: header, then records."""
+    return pvrun._HEADER.pack(table_id, len(table), table.start, len(table.rows)) + table.rows
 
 
 def test_the_writer_formats_nothing_of_a_truncated_block(tmp_path):
     # a whole controller block, then a stream that ends 80 bytes into a plant block
     tables = {
-        pvrun.CONTROLLER: Columns(controller.CONTROLLER_LOG_COLUMNS),
-        pvrun.PLANT: Columns(PLANT_TRACE_COLUMNS),
+        pvrun.CONTROLLER: Records(controller.CONTROLLER_LOG_COLUMNS),
+        pvrun.PLANT: Records(PLANT_TRACE_COLUMNS),
     }
     values = {"q": range(1, 21), "b": [i % 2 for i in range(20)], "d": [i / 3 for i in range(20)]}
     for table in tables.values():
-        for name in table.names:
-            col = getattr(table, name)
-            col.extend(values[col.typecode])
+        columns = [values[table.dtype[name].char] for name in table.names]
+        for row in zip(*columns):
+            table.rows += table.layout.pack(*row)
     stream = block_bytes(pvrun.CONTROLLER, tables[pvrun.CONTROLLER])
     stream += block_bytes(pvrun.PLANT, tables[pvrun.PLANT])[: pvrun._HEADER.size + 80]
     files = [AtomicWriter(tmp_path / name) for name in STREAMED_FILES]
@@ -349,5 +369,5 @@ def test_the_writer_formats_nothing_of_a_truncated_block(tmp_path):
     for out in files:
         out.close()
     plant_csv, ctrl_csv, frames_hex = (out.tmp.read_text(encoding="utf-8") for out in files)
-    assert ctrl_csv == "".join(tables[pvrun.CONTROLLER].csv_chunks(FloatTexts()))
+    assert ctrl_csv == "".join(tables[pvrun.CONTROLLER].csv_chunks())
     assert plant_csv == frames_hex == ""  # not even the plant trace's header

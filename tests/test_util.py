@@ -9,9 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pvsmooth.bus import FRAME_LOG_COLUMNS
 from pvsmooth.controller import CONTROLLER_LOG_COLUMNS
+from pvsmooth.plant import PLANT_TRACE_COLUMNS
 from pvsmooth.run import write_controller_log
-from pvsmooth.util import AtomicWriter, Columns, FloatTexts, atomic_write_text, chunked
+from pvsmooth.util import BLOCK_ROWS, TEXT_WINDOW, AtomicWriter, Records, atomic_write_text, chunked, float_texts
 
 # --- atomic writes ------------------------------------------------------------
 
@@ -81,17 +83,112 @@ def test_chunked_joins_lines_in_blocks():
     assert list(chunked([], 4)) == []
 
 
-# --- columnar tables ------------------------------------------------------------
+# --- packed tables ---------------------------------------------------------------
+
+TABLES = {"plant": PLANT_TRACE_COLUMNS, "controller": CONTROLLER_LOG_COLUMNS, "frames": FRAME_LOG_COLUMNS}
 
 
-def test_columns_views():
-    t = Columns({"k": "q", "x": "d", "flag": "b"})
+def test_records_views():
+    t = Records({"k": "q", "x": "d", "flag": "b"})
     for i in range(5000):
-        t.k.append(i)
-        t.x.append(i / 4)
-        t.flag.append(i % 2 == 0)
+        t.rows += t.layout.pack(i, i / 4, i % 2 == 0)
     assert len(t) == 5000
-    assert t.numpy("x")[-1] == 4999 / 4
+    assert t.x[-1] == 4999 / 4
+    assert t.view()["flag"][:3].tolist() == [1, 0, 1]
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_record_layout_matches_the_numpy_view(name):
+    # a padding byte in either would shift every column after it
+    table = Records(TABLES[name])
+    fmt = table.layout.format
+    assert table.layout.size == table.dtype.itemsize == sum(struct.calcsize("<" + c) for c in TABLES[name].values())
+    offsets = [struct.calcsize(fmt[: 1 + i]) for i in range(len(table.names))]
+    assert [table.dtype.fields[n][1] for n in table.names] == offsets
+    assert [table.dtype[n].char for n in table.names] == list(TABLES[name].values())
+    assert table.dtype.names == table.names
+
+
+def float_from_bits(bits: int) -> float:
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+
+
+SIGN = 1 << 63
+EXPONENT = 0x7FF << 52
+MANTISSA = (1 << 52) - 1
+float_bits = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.sampled_from([0, SIGN, EXPONENT, SIGN | EXPONENT, EXPONENT - 1, SIGN | (EXPONENT - 1)]),  # +-0, +-inf, +-max
+    st.tuples(st.sampled_from([0, SIGN]), st.integers(1, MANTISSA)).map(sum),  # subnormals
+    st.tuples(st.sampled_from([EXPONENT, SIGN | EXPONENT]), st.integers(1, MANTISSA)).map(sum),  # NaN payloads
+)
+
+
+def cells_of(spec: dict[str, str]):
+    """A strategy for one row of a table: each cell drawn across its type's
+    edges (floats as bit patterns, so NaN payloads and -0.0 come up)."""
+    by_code = {
+        "d": float_bits.map(float_from_bits),
+        "q": st.one_of(st.sampled_from([0, 1, 2**62, 2**63 - 1]), st.integers(0, 2**63 - 1)),
+        "I": st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1)),
+        "b": st.one_of(st.booleans(), st.integers(0, 4)),
+    }
+    return st.tuples(*(by_code[code] for code in spec.values()))
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_rows_round_trip_bitwise_through_block_hand_offs(data):
+    # rows packed as their owners pack them, handed off every BLOCK_ROWS
+    # rows, then taken into a fresh table as the writer process takes a block
+    spec = TABLES[data.draw(st.sampled_from(list(TABLES)), label="table")]
+    pattern = data.draw(st.lists(cells_of(spec), min_size=1, max_size=8), label="rows")
+    n = data.draw(st.sampled_from([0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3]), label="n")
+    rows = [pattern[i % len(pattern)] for i in range(n)]
+    blocks = []
+    table = Records(spec, sink=lambda t: blocks.append((t.start, bytes(t.rows))))
+    packed, pack = table.rows, table.layout.pack
+    for row in rows:
+        packed += pack(*row)
+        if len(packed) >= table.block_bytes:
+            table.hand_off()
+    blocks.append((table.start, bytes(table.rows)))
+    assert [start for start, _ in blocks] == list(range(0, n + 1, BLOCK_ROWS))
+    writer_side = Records(spec)
+    got = {name: b"" for name in spec}
+    for _, block in blocks:
+        writer_side.rows[:] = block
+        for name in spec:
+            got[name] += writer_side.view()[name].tobytes()
+    for j, (name, code) in enumerate(spec.items()):
+        assert got[name] == b"".join(struct.pack("<" + code, row[j]) for row in rows), name
+        if code == "d":  # the bits drawn, not only equal values
+            want = [struct.unpack("<Q", struct.pack("<d", row[j]))[0] for row in rows]
+            assert np.frombuffer(got[name], np.uint64).tolist() == want
+
+
+# --- float texts ------------------------------------------------------------------
+
+
+def ulps_from(x: float, k: int) -> float:
+    (bits,) = struct.unpack("<q", struct.pack("<d", x))
+    return struct.unpack("<d", struct.pack("<q", bits + k))[0]
+
+
+edge_doubles = st.one_of(
+    st.builds(lambda edge, k, sign: sign * ulps_from(edge, k), st.sampled_from(TEXT_WINDOW),
+              st.integers(-64, 64), st.sampled_from([1.0, -1.0])),
+    float_bits.map(float_from_bits),
+    st.floats(),
+)
+
+
+@given(values=st.lists(edge_doubles, max_size=50))
+@example(values=[])
+@example(values=[1e-4, ulps_from(1e-4, -1), 1e16, ulps_from(1e16, -1), -0.0, 0.0, math.nan, -math.inf])
+@settings(max_examples=300, deadline=None)
+def test_float_texts_equal_repr_around_the_window_edges(values):
+    assert float_texts(np.array(values, dtype=np.float64)) == [repr(v) for v in values]
 
 
 def bits(x: float) -> bytes:
@@ -109,13 +206,12 @@ step_row = st.tuples(
 @example(rows=[(1, -0.0, 5e-324, 1.7976931348623157e308, -2.2250738585072014e-308, 1e-300, True, False), LOST_ROW])
 @settings(max_examples=150, deadline=None)
 def test_controller_log_floats_read_back_bitwise(tmp_path_factory, rows):
-    log = Columns(CONTROLLER_LOG_COLUMNS)
+    log = Records(CONTROLLER_LOG_COLUMNS)
     for row in rows:
-        for name, value in zip(log.names, row):
-            getattr(log, name).append(value)
+        log.rows += log.layout.pack(*row)
     path = tmp_path_factory.mktemp("log") / "controller_log.csv"
     with AtomicWriter(path) as out:
-        write_controller_log(log, out, FloatTexts())
+        write_controller_log(log, out)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == ",".join(CONTROLLER_LOG_COLUMNS)
     assert len(lines) == len(rows) + 1
@@ -123,16 +219,3 @@ def test_controller_log_floats_read_back_bitwise(tmp_path_factory, rows):
         cells = line.split(",")
         assert [int(c) for c in (cells[0], cells[6], cells[7])] == [row[0], row[6], row[7]]
         assert [bits(float(c)) for c in cells[1:6]] == [bits(v) for v in row[1:6]]
-
-
-def test_float_texts_keep_only_the_last_blocks_values():
-    texts = FloatTexts()
-    first = texts(np.array([1.5, 2.0, 2.0, -0.0]))
-    second = texts(np.array([3.0, 0.0, 1.5, 3.0]))
-    assert first.tolist() == ["1.5", "2.0", "2.0", "-0.0"]
-    assert second.tolist() == ["3.0", "0.0", "1.5", "3.0"]
-    # the distinct bits of the second block, sorted, with their texts;
-    # 2.0 and -0.0 are gone, and 0.0 is a key of its own
-    assert texts.bits.tolist() == sorted(np.array([3.0, 0.0, 1.5]).view(np.int64).tolist())
-    assert texts.texts.tolist() == [repr(v) for v in texts.bits.view(np.float64).tolist()]
-    assert second[2] is first[0]  # 1.5 was taken from the first block, not formatted again
