@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Ingest time and memory on a year-long, high-resolution PV trace.
 
-    PYTHONPATH=src python3 scripts/ingest_scale.py [--days 365] [--period 5] [--format iso8601|epoch_s]
+    PYTHONPATH=src python3 scripts/ingest_scale.py [--days 365] [--period 5] [--format iso8601|epoch_s] [--repeat 1]
 
 Writes a CSV of stamps every --period seconds for --days days (6,307,200
 rows for the defaults, daily PV bells with seeded cloud dips and 2 % of rows
 dropped) into a temporary directory, then ingests it with zero-order hold as
 a scenario's csv source would. The stamps are ISO-8601 with a `Z` suffix
 (about 230 MB for the defaults) or, with --format epoch_s, epoch seconds.
-Prints the ingest time per file and per row, and the process's peak RSS
-before and after the ingest. The file is written in blocks, so the peak
+With --repeat N the file is ingested N times in a row. Prints the median
+ingest time per file and per row, and the process's peak RSS before the
+first ingest and after the last. The file is written in blocks, so the peak
 before the ingest is the interpreter and numpy alone. The directory is
 removed at the end.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import resource
+import statistics
 import tempfile
 import time
 from pathlib import Path
@@ -64,21 +66,30 @@ def main() -> None:
     parser.add_argument("--days", type=float, default=365.0)
     parser.add_argument("--period", type=int, default=5, help="sample period [s]")
     parser.add_argument("--format", choices=TIMESTAMP_FORMATS, default="iso8601", help="how the stamps are written")
+    parser.add_argument("--repeat", type=int, default=1, help="ingests of the one file; the median is reported")
     args = parser.parse_args()
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
     with tempfile.TemporaryDirectory(prefix="ingest_scale-") as tmp:
         path = Path(tmp) / "pv.csv"
         rows = write_trace(path, args.days, args.period, args.format)
         size_mb = path.stat().st_size / 1e6
-        before = peak_rss_mib()
-        t0 = time.perf_counter()
-        result = ingest_csv(IngestSpec(
+        spec = IngestSpec(
             path=str(path), time_column="timestamp", power_column="pv_w", timestamp_format=args.format,
             resample="zero_order_hold", sample_period_s=float(args.period), rated_power_w=3000.0,
-        ))
-        seconds = time.perf_counter() - t0
+        )
+        before = peak_rss_mib()
+        times = []
+        for _ in range(args.repeat):
+            t0 = time.perf_counter()
+            result = ingest_csv(spec)
+            times.append(time.perf_counter() - t0)
+            samples, gaps_filled = len(result.series), result.gaps_filled
+            del result  # no two runs' grids are alive at once
+        seconds = statistics.median(times)
         after = peak_rss_mib()
-    print(f"rows          {rows} ({size_mb:.0f} MB), {len(result.series)} samples, {result.gaps_filled} gaps filled")
-    print(f"ingest        {seconds:.2f} s ({1e6 * seconds / rows:.2f} us/row)")
+    print(f"rows          {rows} ({size_mb:.0f} MB), {samples} samples, {gaps_filled} gaps filled")
+    print(f"ingest        {seconds:.2f} s ({1e6 * seconds / rows:.2f} us/row), median of {args.repeat}")
     print(f"peak RSS      {before:.1f} MiB before ingest, {after:.1f} MiB after "
           f"({(after - before) * 2**20 / rows:.0f} B/row)")
 

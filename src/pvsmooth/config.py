@@ -53,7 +53,7 @@ class BatteryParams:
     voltage_model: str = "constant"
     enforce_soc_limits: bool = True
 
-    @property
+    @functools.cached_property  # kept in the instance's __dict__, outside the fields
     def capacity_ah(self) -> float:
         return self.capacity_wh / self.nominal_voltage_v
 

@@ -10,6 +10,7 @@ clamp_negative is set, in which case they are zeroed and counted.
 
 from __future__ import annotations
 
+import codecs
 import csv
 from array import array
 from collections.abc import Callable
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .series import PowerSeries
-from .util import atomic_write_text, chunked
+from .util import BLOCK_ROWS, atomic_write_text, float_texts
 
 TIMESTAMP_FORMATS = ("epoch_s", "iso8601")
 RESAMPLE_MODES = ("none", "zero_order_hold")
@@ -59,8 +60,11 @@ class IngestResult:
     gaps_filled: int
 
 
-# a chunk's row lists are ingest's largest transient; small chunks keep its peak near the grid's
+# a chunk's rows, or a block's cells, are ingest's largest transient; small ones keep its peak near the grid's
 CHUNK_ROWS = 1024
+BLOCK_BYTES = 32 << 10  # some 800 lines of stamps and 17-digit powers
+# a column's shape: its text with each digit as "0", and as "x" each byte that is neither a digit nor ".eE+- ,"
+_NUMBER_SHAPE = bytes(48 if chr(b) in "0123456789" else b if chr(b) in ".eE+- ," else 120 for b in range(256))
 
 
 def _stamp_template(suffix: str) -> tuple[np.ndarray, np.ndarray]:
@@ -136,6 +140,24 @@ def _canonical_seconds(cells: list[str]) -> np.ndarray | None:
 
 
 def _floats(cells: list[str]) -> np.ndarray:
+    """float() of each cell, bitwise; raises as float() does (a TypeError on None).
+    One orjson.loads, a correctly rounded parser in compiled code, reads a
+    column of digits, ".", "e", "E", "+", "-" and spaces if it reads one
+    number per cell; but not a "-" save after an "e" (orjson reads "-0" as
+    the int 0), nor 300 digits in a row (it misrounds a tie written with
+    over 768). float() reads any other column ("+5", ".5", "1e400")."""
+    import orjson  # only an ingest parses numbers: a run over a synthetic trace never loads it
+
+    text = ",".join(cells).encode("utf-8", "replace")
+    shape = text.translate(_NUMBER_SHAPE)
+    minus = b"-" in text and text.count(b"-") != text.count(b"e-") + text.count(b"E-")
+    if not (minus or b"x" in shape or b"0" * 300 in shape):
+        try:
+            values = orjson.loads(b"[" + text + b"]")
+        except orjson.JSONDecodeError:
+            values = ()
+        if len(values) == len(cells):
+            return np.array(values, dtype=np.float64)
     return np.fromiter(map(float, cells), np.float64, len(cells))
 
 
@@ -148,12 +170,12 @@ def _cells(rows: list[list[str]], i: int) -> list[str | None]:
 
 
 def _parse_chunk(
-    rows: list[list[str]], ti: int, pi: int, parse_times: Callable[[list], np.ndarray], clamp_negative: bool
+    time_cells: list, power_cells: list, parse_times: Callable[[list], np.ndarray], clamp_negative: bool
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """A chunk's (times, powers) and how many powers were clamped; raises
     AttributeError, TypeError or ValueError if any row is in error."""
-    t = parse_times(_cells(rows, ti))
-    p = _floats(_cells(rows, pi))
+    t = parse_times(time_cells)
+    p = _floats(power_cells)
     if not np.isfinite(p).all():
         raise ValueError("non-finite power")
     negative = p < 0.0
@@ -215,16 +237,69 @@ def _parse_rows(
     return np.array(times, dtype=np.float64), np.array(powers, dtype=np.float64), clamped, errors
 
 
+def _read_plain(spec: IngestSpec, path: Path, parse_times: Callable[[list], np.ndarray]) -> tuple | None:
+    """What _read_rows returns, for a file that csv.reader would split by its
+    delimiter alone; else None, as for a row in error or no rows at all. Past
+    the header, each block of some BLOCK_BYTES, cut at a line end, must be
+    ASCII and shorter than csv.field_size_limit(), with no quote, no "\r" but
+    in "\r\n", no blank line, and ncols - 1 delimiters a line: every ncols-th
+    break (a delimiter or a line end) is a line end, and there are no more.
+    One split gives its cells, and stride slices its columns."""
+    if not spec.delimiter.isascii() or spec.delimiter in '"\r\n':
+        return None
+    times, powers, clamped = array("d"), array("d"), 0
+    with open(path, "rb") as fh:
+        line = fh.readline().removeprefix(codecs.BOM_UTF8)
+        if b'"' in line or line.count(b"\r") != line.count(b"\r\n"):
+            return None
+        try:
+            header = next(csv.reader([line.decode()], delimiter=spec.delimiter))
+        except (UnicodeDecodeError, csv.Error):
+            return None
+        column = {name: i for i, name in enumerate(header)}  # a name's last column wins
+        if not {spec.time_column, spec.power_column} <= column.keys() or len(header) < 2:
+            return None  # with two columns or more, a blank line fails the delimiter count
+        ti, pi, ncols = column[spec.time_column], column[spec.power_column], len(header)
+        while block := fh.read(BLOCK_BYTES):
+            block += fh.readline()  # on to the end of the line the read cut
+            if b"\r" in block:
+                block = block.replace(b"\r\n", b"\n")
+            block += b"" if block.endswith(b"\n") else b"\n"  # the file's last line
+            data = np.frombuffer(block, np.uint8)
+            ends = data == 10
+            breaks = np.flatnonzero(ends | (data == ord(spec.delimiter)))
+            if not (block.isascii() and len(block) < csv.field_size_limit() and b'"' not in block and b"\r" not in block
+                    and len(breaks) == ncols * np.count_nonzero(ends) and ends[breaks[ncols - 1 :: ncols]].all()):
+                return None
+            cells = block.decode("ascii").replace("\n", spec.delimiter).split(spec.delimiter)
+            cells.pop()  # after the last line end
+            try:
+                t, p, n_clamped = _parse_chunk(cells[ti::ncols], cells[pi::ncols], parse_times, spec.clamp_negative)
+            except (TypeError, ValueError):
+                return None
+            times.frombytes(t.view(np.uint8))
+            powers.frombytes(p.view(np.uint8))
+            clamped += n_clamped
+            del block, data, ends, breaks, cells, t, p
+    if not times:
+        return None
+    return np.frombuffer(times, dtype=np.float64), np.frombuffer(powers, dtype=np.float64), clamped
+
+
 def _read_rows(spec: IngestSpec, path: Path) -> tuple[np.ndarray, np.ndarray, int]:
     """The accepted rows as (times, powers) float arrays, and how many were clamped.
 
-    csv.reader splits the rows; they are parsed column by column, CHUNK_ROWS
-    at a time. A chunk with any row in error is read again row by row, so
+    A file of plain blocks is read by _read_plain. Any other file is read
+    whole by csv.reader, whose rows are parsed column by column, CHUNK_ROWS
+    at a time; a chunk with any row in error is read again row by row, so
     the errors come in row order with the line each row ends on.
     """
-    times, powers = array("d"), array("d")
     epoch = spec.timestamp_format == "epoch_s"
     parse_times, parse_time = (_floats, float) if epoch else (_iso_seconds, _parse_iso)
+    plain = _read_plain(spec, path, parse_times)
+    if plain is not None:
+        return plain
+    times, powers = array("d"), array("d")
     errors, clamped = [], 0
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -241,7 +316,7 @@ def _read_rows(spec: IngestSpec, path: Path) -> tuple[np.ndarray, np.ndarray, in
             line = reader.line_num
             while rows := list(islice(reader, CHUNK_ROWS)):
                 try:
-                    t, p, n_clamped = _parse_chunk(rows, ti, pi, parse_times, spec.clamp_negative)
+                    t, p, n_clamped = _parse_chunk(_cells(rows, ti), _cells(rows, pi), parse_times, spec.clamp_negative)
                 except (AttributeError, TypeError, ValueError):
                     t, p, n_clamped, row_errors = _parse_rows(
                         rows, line, reader.line_num, ti, pi, parse_time, spec.clamp_negative
@@ -340,6 +415,11 @@ def ingest_csv(spec: IngestSpec) -> IngestResult:
 
 
 def write_series_csv(series: PowerSeries, path: str | Path) -> None:
-    """Canonical two-column form: epoch seconds and watts, full precision."""
-    rows = zip(map(float, series.times_s()), map(float, series.samples))
-    atomic_write_text(path, chunked(chain(["t_s,power_w\n"], (f"{t!r},{p!r}\n" for t, p in rows))))
+    """Canonical two-column form: epoch seconds and watts, each as repr writes
+    it (float_texts, one call a column a block of BLOCK_ROWS rows)."""
+    times, samples = series.times_s(), series.samples
+    blocks = (
+        zip(float_texts(times[i : i + BLOCK_ROWS]), float_texts(samples[i : i + BLOCK_ROWS]))
+        for i in range(0, len(samples), BLOCK_ROWS)
+    )
+    atomic_write_text(path, chain(["t_s,power_w\n"], ("\n".join(map(",".join, rows)) + "\n" for rows in blocks)))

@@ -15,10 +15,15 @@ import struct
 import tempfile
 import zlib
 from contextlib import ExitStack
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
+from decimal import Decimal, localcontext
 from itertools import count
+from math import nextafter
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -37,7 +42,8 @@ from pvsmooth.frames import (
     decode_frame,
     encode_frame,
 )
-from pvsmooth.ingest import CHUNK_ROWS, IngestError, IngestSpec, ingest_csv, write_series_csv
+from pvsmooth import ingest
+from pvsmooth.ingest import CHUNK_ROWS, IngestError, IngestSpec, _floats, ingest_csv, write_series_csv
 from pvsmooth.plant import PLANT_TRACE_COLUMNS, battery_step, supply_apply
 from pvsmooth.ramp import warmup_skip_count
 from pvsmooth.run import write_controller_log, write_plant_trace
@@ -329,9 +335,13 @@ def test_warmup_skip_count_matches_the_point_loop(n_rates, period, stride, slidi
     assert warmup_skip_count(*args, sliding=sliding) == ref.warmup_skip_count(*args, sliding=sliding)
 
 
-JUNK_CELLS = ("", "abc", " ", "a,b;c", 'say "hi"', "two\nlines", "nan", "-")
-GOOD_POWER_CELLS = ("0", "-0.0", "1500", " 7.25 ", "7.5\n", "5e-324", "2.2250738585072009e-308", "3000")
-BAD_POWER_CELLS = ("-3.5", "-5e-324", "1e400", "-1e400", "1_000", "inf", "-inf", "nan", "3000.0000000000005", "", "abc")
+JUNK_CELLS = ("", "abc", " ", "a,b;c", 'say "hi"', "two\nlines", "nan", "-", "\u00e9t\u00e9")
+GOOD_POWER_CELLS = (
+    "0", "-0.0", "1500", " 7.25 ", "7.5\n", "5e-324", "2.2250738585072009e-308", "3000", "\uff17\uff15", "+5", ".5"
+)
+BAD_POWER_CELLS = (
+    "-3.5", "-5e-324", "1e400", "-1e400", "1_000", "inf", "-inf", "nan", "3000.0000000000005", "", "abc", "1,5"
+)
 UTC_PLUS_2, UTC_MINUS_530 = timezone(timedelta(hours=2)), timezone(-timedelta(hours=5, minutes=30))
 
 
@@ -359,8 +369,11 @@ def csv_files(draw):
     have blank and long rows, duplicate header names, quoted cells with
     newlines and delimiters, gaps in time, signed zeros and subnormals. A
     messy file adds junk and missing cells, a missing column, repeats and
-    disorder in time, and bad or negative powers."""
+    disorder in time, and bad or negative powers. A plain file keeps to
+    plain cells and full rows, so the byte path reads it."""
     messy = draw(st.booleans())
+    plain = not messy and draw(st.booleans())
+    cells = (lambda strategy: strategy.filter(plain_cell)) if plain else (lambda strategy: strategy)
     fmt = draw(st.sampled_from(["epoch_s", "iso8601"]))
     delimiter = draw(st.sampled_from([",", ";"]))
     period = draw(st.sampled_from([1.0, 5.0, 0.5]))
@@ -386,10 +399,10 @@ def csv_files(draw):
         row = []
         for name in header:
             if name == "t":
-                row.append(draw(time_cells(t0 + k * period, fmt, messy)))
+                row.append(draw(cells(time_cells(t0 + k * period, fmt, messy))))
             else:
-                row.append(draw(powers if name == "p" else st.sampled_from(JUNK_CELLS)))
-        shape = draw(st.sampled_from(["full", "full", "full", "long", "blank_before"] + ["short"] * messy))
+                row.append(draw(cells(powers if name == "p" else st.sampled_from(JUNK_CELLS))))
+        shape = "full" if plain else draw(st.sampled_from(["full", "full", "full", "long", "blank_before"] + ["short"] * messy))
         if shape == "short":
             row = row[: draw(st.integers(0, len(row)))]
         elif shape == "long":
@@ -398,7 +411,9 @@ def csv_files(draw):
             rows.append([])
         rows.append(row)
     buf = io.StringIO()
-    csv.writer(buf, delimiter=delimiter, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows(rows)
+    line_ends = ["\n", "\r\n"] + ["\r"] * (not plain)
+    csv.writer(buf, delimiter=delimiter, lineterminator=draw(st.sampled_from(line_ends))).writerows(rows)
+    text = draw(file_endings(buf.getvalue()))
     empty = messy and draw(st.booleans()) and draw(st.booleans()) and draw(st.booleans())
     resample = draw(st.sampled_from(["none", "zero_order_hold"]))
     spec = {
@@ -411,7 +426,20 @@ def csv_files(draw):
         "rated_power_w": draw(st.sampled_from([None, 3000.0])),
         "delimiter": delimiter,
     }
-    return "" if empty else buf.getvalue(), spec
+    return "" if empty else text, spec
+
+
+def plain_cell(cell: str) -> bool:
+    """A cell that csv.writer writes as it is, which the byte path splits."""
+    return cell.isascii() and not any(c in cell for c in '"\r\n,;')
+
+
+@st.composite
+def file_endings(draw, text):
+    """The text as written, or without its last line end, or after a byte order mark."""
+    if draw(st.booleans()):
+        text = text.removesuffix("\n").removesuffix("\r")
+    return "\ufeff" + text if draw(st.booleans()) else text
 
 
 def ingest_outcome(ingest, spec):
@@ -429,11 +457,16 @@ def ingest_outcome(ingest, spec):
 
 
 def assert_ingest_matches_reference(text, fields):
+    """The package reads the text as the reference reads it; a file after a
+    byte order mark as the reference reads the file without one."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "pv.csv"
+        path, plain = Path(tmp) / "pv.csv", Path(tmp) / "plain.csv"
         path.write_text(text, encoding="utf-8", newline="")
+        plain.write_text(text.removeprefix("\ufeff"), encoding="utf-8", newline="")
         spec = IngestSpec(path=str(path), **fields)
-        new, old = ingest_outcome(ingest_csv, spec), ingest_outcome(ref.ingest_csv, spec)
+        new, old = ingest_outcome(ingest_csv, spec), ingest_outcome(ref.ingest_csv, replace(spec, path=str(plain)))
+        if old[0] == "rejected":  # the messages name the file read
+            old = (old[0], [e.replace(str(plain), str(path)) for e in old[1]])
     if old[:2] == ("raised", AttributeError):
         # the reference crashes on an ISO-8601 row lacking its time cell;
         # the package reports the row (test_a_row_lacking_its_time_cell_is_a_row_error)
@@ -449,8 +482,10 @@ def test_ingest_matches_reference_bitwise(case):
 
 
 # rows that a chunk of good rows must read as the reference does, next to a chunk boundary;
-# the first four leave the file readable (a negative power when clamp_negative is set)
-SPECIAL_ROWS = ("blank", "multi_line", "other_stamp", "negative", "bad_time", "bad_power", "non_finite", "short")
+# the first six leave the file readable (a negative power when clamp_negative is set)
+SPECIAL_ROWS = (
+    "blank", "multi_line", "other_stamp", "negative", "quoted", "non_ascii", "bad_time", "bad_power", "non_finite", "short"
+)
 NEAR_MISS_TIMES = ("2024-06-31T00:00:00Z", "2100-02-29T00:00:00Z", "2024-06-01T24:00:00Z", "abc", "", "1e400x")
 
 
@@ -459,13 +494,16 @@ def chunked_csv_files(draw):
     """A CSV text of at least three ingest chunks and the IngestSpec fields
     to read it with: a drawn pattern of rows repeated, and special rows
     placed on both sides of chunk boundaries. Stamps are whole seconds, so
-    ISO-8601 chunks of good rows go through the stamp kernel."""
+    ISO-8601 chunks of good rows go through the stamp kernel. A plain file
+    keeps to plain cells and special rows, so the byte path reads it unless
+    a power is negative without clamp_negative."""
     fmt = draw(st.sampled_from(["epoch_s", "iso8601"]))
     suffix = draw(st.sampled_from(["Z", "+00:00", ""]))
     period = draw(st.sampled_from([1.0, 5.0]))
     t0 = draw(st.sampled_from([1717243200.0, 951782399.0, 4107542395.0]))  # into 29 Feb 2000; into 1 Mar 2100
-    powers = draw(st.lists(st.one_of(st.sampled_from(GOOD_POWER_CELLS), st.floats(0.0, 3000.0).map(repr)),
-                           min_size=1, max_size=7))
+    plain = draw(st.booleans())  # plain cells, and special rows that keep the file plain
+    power_cells = st.one_of(st.sampled_from(GOOD_POWER_CELLS), st.floats(0.0, 3000.0).map(repr))
+    powers = draw(st.lists(power_cells.filter(plain_cell) if plain else power_cells, min_size=1, max_size=7))
     dropped = [False] + draw(st.lists(st.booleans(), max_size=4))  # which rows of each cycle are left out
     n = draw(st.integers(3 * CHUNK_ROWS + 3, 3 * CHUNK_ROWS + 200))
     header = draw(st.permutations(["t", "p", "x"]))
@@ -483,7 +521,7 @@ def chunked_csv_files(draw):
             continue
         cells = {"t": stamp(t0 + i * period), "p": powers[i % len(powers)], "x": "x"}
         rows.append([cells[name] for name in header])
-    kinds = SPECIAL_ROWS if draw(st.booleans()) else SPECIAL_ROWS[:4]
+    kinds = ("other_stamp", "negative") if plain else SPECIAL_ROWS if draw(st.booleans()) else SPECIAL_ROWS[:6]
     specials = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(-3, 2), st.sampled_from(kinds)),
                              min_size=1, max_size=8, unique_by=lambda special: special[:2]))
     # from the last position back, so that an inserted blank row moves no later one
@@ -503,6 +541,10 @@ def chunked_csv_files(draw):
             rows.insert(at, [])
         elif kind == "short":
             rows[at] = row[: draw(st.integers(0, 2))]
+        elif kind == "quoted":
+            row[header.index("x")] = draw(st.sampled_from(['say "hi"', "a,b"]))
+        elif kind == "non_ascii":
+            row[header.index("x")] = draw(st.sampled_from(["\u00e9", "\u2014", "\U0001f600"]))
         elif kind == "multi_line":
             row[header.index("x")] = draw(st.sampled_from(["two\nlines", "a\r\nb", "c\rd", "\n\r\n"]))
             if draw(st.booleans()):
@@ -514,7 +556,7 @@ def chunked_csv_files(draw):
     buf = io.StringIO()
     csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows([header] + rows)
     resample = draw(st.sampled_from(["none", "zero_order_hold"]))
-    return buf.getvalue(), {
+    return draw(file_endings(buf.getvalue())), {
         "time_column": "t",
         "power_column": "p",
         "timestamp_format": fmt,
@@ -538,6 +580,83 @@ def test_ingest_of_a_quote_left_open_at_the_end_matches_reference(text):
 @settings(max_examples=60, deadline=None)
 def test_ingest_across_chunk_boundaries_matches_reference_bitwise(case):
     assert_ingest_matches_reference(*case)
+
+
+@given(case=st.one_of(
+    st.tuples(csv_files(), st.sampled_from([1, 8, 40])),
+    st.tuples(chunked_csv_files(), st.sampled_from([600, 5000])),
+))
+@settings(max_examples=150, deadline=None)
+def test_ingest_in_blocks_of_a_few_lines_matches_reference_bitwise(case):
+    # every file spans many blocks of the byte path, so a block that is not
+    # plain, or holds a row in error, may come after plain ones
+    (text, fields), block_bytes = case
+    with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes):
+        assert_ingest_matches_reference(text, fields)
+
+
+# --- number columns --------------------------------------------------------------
+
+NUMBER_EDGES = (
+    "-0", "-0.0", " -0", "-0 ", "0e0", "-0e0", "0e-0", "+5", ".5", "5.", "1_0", "0x10", "true", "null", "nan",
+    "1e999", "1e-999", "-", "e5", "1e", "1.e5", "01", "1 2", "", " ", "1e+308", "1.7976931348623159e308",
+    *map(str, (2**53 - 1, 2**53, 2**53 + 1, 2**63 - 1, 2**63, 2**64 - 1, 2**64, 10**25, 18446744073709551616 * 3)),
+)
+
+
+@st.composite
+def midpoints(draw):
+    """The decimal halfway between a double and the next one up, exactly or
+    moved by a relative 1e-60 either way, and maybe with 400 zeros more:
+    where rounding is hardest."""
+    x = draw(st.floats(min_value=0.0, max_value=1.7e308))
+    with localcontext() as ctx:
+        ctx.prec = 1200
+        mid = (Decimal(x) + Decimal(nextafter(x, float("inf")))) / 2
+        mid = (mid + mid * draw(st.sampled_from([0, 1, -1])) * Decimal("1e-60")).normalize()
+    _, digits, exponent = mid.as_tuple()
+    exponent += len(digits) - 1
+    digits = "".join(map(str, digits)) + draw(st.sampled_from(["", "0" * 400]))
+    return f"{digits[0]}.{digits[1:]}e{exponent}"
+
+
+def long_decimals(digits):
+    """A decimal of 400 digits, with a point among them or an exponent after."""
+    return st.builds(
+        lambda d, cut, exp: f"{d[:cut]}.{d[cut:]}" if exp is None else f"{d}e{exp}",
+        digits.map(str), st.integers(0, 400), st.one_of(st.none(), st.integers(-760, 30)),
+    )
+
+
+number_cells = st.one_of(
+    st.text(alphabet="0123456789.eE+- ", max_size=24),
+    st.sampled_from(NUMBER_EDGES),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    midpoints(),
+    long_decimals(st.integers(10**399, 10**400 - 1)),
+)
+
+
+def outcome_text(fn, *args):
+    """("ok", result) or ("raised", exception class, message)."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # the class and text are what is compared
+        return "raised", type(exc), str(exc)
+
+
+@given(cells=st.lists(number_cells, max_size=8))
+@settings(max_examples=1500, deadline=None)
+def test_a_number_column_reads_as_float_reads_each_cell(cells):
+    # orjson reads a column only where it gives float()'s bits; anywhere else
+    # the column goes through float(), errors included
+    def each(cells):
+        return np.array([float(c) for c in cells], dtype=np.float64).tobytes()
+
+    def parsed(cells):
+        return _floats(cells).tobytes()
+
+    assert outcome_text(parsed, cells) == outcome_text(each, cells)
 
 
 @given(

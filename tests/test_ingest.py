@@ -6,12 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathlib import Path
+
 from pvsmooth.ingest import (
     IngestError,
     IngestSpec,
     _canonical_seconds,
+    _floats,
     _iso_seconds,
     _parse_iso,
+    _read_plain,
     ingest_csv,
     write_series_csv,
 )
@@ -176,6 +180,105 @@ def test_iso8601_zero_order_hold_peak_is_under_50_bytes_per_row(tmp_path):
         tracemalloc.stop()
     assert len(r.series) == rows and r.gaps_filled > 0
     assert peak / r.rows_read < 50, peak / r.rows_read
+
+
+def test_epoch_seconds_zero_order_hold_peak_is_under_50_bytes_per_row(tmp_path):
+    # the same file with epoch-second stamps: both columns go through _floats
+    rows = 20_000
+    t0 = 1_717_200_000
+    keep = np.random.default_rng(7).random(rows) >= 0.02
+    keep[0] = keep[-1] = True
+    lines = [f"{float(t0 + 5 * i)!r},{1000.0 + i % 7}" for i in range(rows) if keep[i]]
+    path = write(tmp_path, "timestamp,pv_w\n" + "\n".join(lines) + "\n")
+    spec = IngestSpec(path=path, time_column="timestamp", power_column="pv_w", timestamp_format="epoch_s",
+                      resample="zero_order_hold", sample_period_s=5.0)
+    ingest_csv(spec)  # imports orjson outside the traced call
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        r = ingest_csv(spec)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(r.series) == rows and r.gaps_filled > 0
+    assert peak / r.rows_read < 50, peak / r.rows_read
+
+
+PLAIN_BODY = "2024-06-01T12:00:00Z,100\n2024-06-01T12:00:05Z,200.5\n2024-06-01T12:00:10Z,300\n"
+
+
+@pytest.mark.parametrize(
+    "text, plain",
+    [
+        ("timestamp,pv_w\n" + PLAIN_BODY, True),
+        ("timestamp,pv_w\r\n" + PLAIN_BODY.replace("\n", "\r\n"), True),
+        ("\ufefftimestamp,pv_w\n" + PLAIN_BODY, True),
+        ("timestamp,pv_w\n" + PLAIN_BODY.rstrip("\n"), True),
+        ("pv_w,x,timestamp\n" + "".join(f"{p},\u00e9,{t}\n" for t, p in (r.split(",") for r in PLAIN_BODY.split())), False),
+        ("pv_w,x,timestamp\n" + "".join(f"{p},y,{t}\n" for t, p in (r.split(",") for r in PLAIN_BODY.split())), True),
+        ('"timestamp",pv_w\n' + PLAIN_BODY, False),
+        ("timestamp,pv_w\n" + PLAIN_BODY.replace(",100", ',"100"'), False),
+        ("timestamp,pv_w\n" + PLAIN_BODY.replace("\n", "\r", 1), False),
+        ("timestamp,pv_w\n" + PLAIN_BODY.replace("\n", "\n\n", 1), False),
+        ("timestamp,pv_w\n" + PLAIN_BODY.replace(",100", ",100,7"), False),
+        ("timestamp,pv_w\n" + PLAIN_BODY.replace("12:00:05Z", "12:00:05+00:00"), True),
+    ],
+)
+def test_only_a_file_that_csv_would_split_by_its_delimiter_alone_is_read_as_bytes(tmp_path, text, plain):
+    # plain files skip csv.reader: an accent, a quote, a lone "\r", a blank
+    # line, a short or a long row, or a row in error sends the file to it
+    path = tmp_path / "pv.csv"
+    path.write_bytes(text.encode())
+    spec = IngestSpec(path=str(path), time_column="timestamp", power_column="pv_w", timestamp_format="iso8601")
+    assert (_read_plain(spec, Path(spec.path), _iso_seconds) is not None) == plain
+    r = ingest_csv(spec)
+    assert r.rows_read == 3 and r.series.samples.tolist() == [100.0, 200.5, 300.0]
+
+
+@pytest.mark.parametrize(
+    "delimiter, row",
+    [(",", "2024-06-01T12:00:05Z"), (",", "2024-06-01T12:00:05Z,-3"), (";", "2024-06-01T12:00:05Z;1,5")],
+)
+def test_a_row_in_error_sends_the_file_to_csv_reader_for_its_line(tmp_path, delimiter, row):
+    # a short row, a negative power, and a decimal comma
+    body = PLAIN_BODY.replace(",", delimiter).split("\n")
+    body[1] = row
+    path = tmp_path / "pv.csv"
+    path.write_text(f"timestamp{delimiter}pv_w\n" + "\n".join(body))
+    spec = IngestSpec(path=str(path), time_column="timestamp", power_column="pv_w", timestamp_format="iso8601",
+                      delimiter=delimiter)
+    assert _read_plain(spec, path, _iso_seconds) is None
+    with pytest.raises(IngestError) as exc:
+        ingest_csv(spec)
+    assert len(exc.value.errors) == 1 and exc.value.errors[0].startswith("line 3: ")
+
+
+def test_a_short_row_and_a_long_row_in_one_block_are_not_plain(tmp_path):
+    # the block holds the right number of delimiters, but its lines do not;
+    # split as one list, its cells would read as the rows (0, 5) and (2, 7)
+    path = write(tmp_path, "t_s,power_w\n0\n5,2,7\n")
+    spec = IngestSpec(path=path, resample="zero_order_hold", sample_period_s=1.0)
+    assert _read_plain(spec, Path(path), _floats) is None
+    with pytest.raises(IngestError) as exc:
+        ingest_csv(spec)
+    assert exc.value.errors == ["line 2: unparseable power None"]
+
+
+def test_a_one_column_file_is_read_by_csv_reader(tmp_path):
+    # without a delimiter on its lines, a blank line would pass the byte path's count
+    path = write(tmp_path, "t\n0\n\n5\n10\n")
+    spec = IngestSpec(path=path, time_column="t", power_column="t")
+    assert _read_plain(spec, Path(path), _floats) is None
+    r = ingest_csv(spec)
+    assert r.rows_read == 3 and r.series.samples.tolist() == [0.0, 5.0, 10.0]
+
+
+@pytest.mark.parametrize("delimiter", [";", "\t", " ", "|"])
+def test_a_plain_file_reads_as_bytes_with_any_delimiter(tmp_path, delimiter):
+    path = write(tmp_path, f"t_s{delimiter}power_w\n0{delimiter}1\n5{delimiter}2.5\n10{delimiter}1e3\n")
+    spec = IngestSpec(path=path, delimiter=delimiter)
+    t, p, clamped = _read_plain(spec, Path(path), _floats)
+    assert t.tolist() == [0.0, 5.0, 10.0] and p.tolist() == [1.0, 2.5, 1000.0] and clamped == 0
 
 
 @pytest.mark.parametrize("delimiter", [";;", "", "\t\t"])
