@@ -12,10 +12,12 @@ frame log and plant trace give the inputs of every call: the sensor frames
 and their bytes, the setpoint bytes, the requested currents. Each boundary
 is then called once per step's worth of inputs, in order, on a fresh object
 (a plant, a controller, a boundary) per repeat, and the best repeat is
-reported in ns per call, less the bare loop around the calls. The last line
-is the whole sink-less session: the best of --repeat runs of
-bus.run_lockstep_inproc, in µs per simulated step. The pvsmooth that
-PYTHONPATH names is the one measured.
+reported in ns per call, less the bare loop around the calls. The last two
+lines are whole sink-less sessions, the best of --repeat runs each, in µs
+per simulated step: bus.run_lockstep_inproc, and bus.run_free_running on the
+same series with the csv_free_running workload's transport (4,000 ms
+latency, 1,500 ms jitter). The pvsmooth that PYTHONPATH names is the one
+measured.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import time
 from math import inf
 
 from pvsmooth import bus, plant
-from pvsmooth.config import ScenarioConfig, validate_scenario
+from pvsmooth.config import ScenarioConfig, TransportConfig, validate_scenario
 from pvsmooth.controller import ControllerDriver, SmoothingController
 from pvsmooth.frames import MSG_SENSOR, decode_frame, encode_frame
 from pvsmooth.synth import synth_pv
@@ -94,12 +96,18 @@ def main(argv: list[str] | None = None) -> int:
     for name, per_step, make_call, inputs in rows:
         print(f"{name:30s} {best_ns(make_call, inputs, args.repeat):8.0f} ({per_step})")
 
-    best = inf
-    for _ in range(args.repeat):
-        t0 = time.perf_counter()
-        bus.run_lockstep_inproc(series, cfg)
-        best = min(best, time.perf_counter() - t0)
-    print(f"sink-less in-process session: {1e6 * best / steps:.2f} us/step")
+    free = TransportConfig(mode="free_running", latency_ms=4000.0, jitter_ms=1500.0)
+    sessions = [
+        ("sink-less in-process session", bus.run_lockstep_inproc, cfg),
+        ("sink-less free-running session", bus.run_free_running, validate_scenario(ScenarioConfig(seed=1, transport=free))),
+    ]
+    for name, engine, engine_cfg in sessions:
+        best = inf
+        for _ in range(args.repeat):
+            t0 = time.perf_counter()
+            engine(series, engine_cfg)
+            best = min(best, time.perf_counter() - t0)
+        print(f"{name}: {1e6 * best / steps:.2f} us/step")
     return 0
 
 

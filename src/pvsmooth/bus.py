@@ -26,8 +26,9 @@ from collections import deque
 from collections.abc import Callable, Iterator
 from contextlib import suppress
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -254,15 +255,13 @@ class PlantBoundary:
         return frame, t
 
 
-@dataclass
-class SessionResult:
+class SessionResult(NamedTuple):
     plant: PlantDriver
     controller: ControllerDriver
     log: SessionLog
 
 
-@dataclass(frozen=True)
-class Sinks:
+class Sinks(NamedTuple):
     """Where a session's tables hand their full blocks (see util.Records);
     a table whose sink is None keeps every row."""
 
@@ -273,10 +272,9 @@ class Sinks:
 
 NO_SINKS = Sinks()
 
-# The sinks of the sessions run_session starts in this context. run_scenario
-# sets them around its call, so run_session keeps the (series, cfg,
-# transport) signature that perfbench/test_checks.py replaces with a
-# corrupted sink-less session.
+# The sinks of every session started in this context, by whichever engine.
+# run_scenario sets them around its session, so a session started in place
+# of run_session (perfbench/test_checks.py's corrupted one) streams as well.
 SESSION_SINKS: ContextVar[Sinks] = ContextVar("SESSION_SINKS", default=NO_SINKS)
 
 
@@ -446,10 +444,9 @@ class SocketLink(SocketEndpoint):
         self.controller.close()
 
 
-def _run(
-    series: PowerSeries, cfg: ScenarioConfig, corrupt_s2c, sinks: Sinks, free_running: bool, over_socket: bool
-) -> SessionResult:
-    """Build one session and drive it, the controller in this thread or behind a socket."""
+def _run(series: PowerSeries, cfg: ScenarioConfig, corrupt_s2c, free_running: bool, over_socket: bool) -> SessionResult:
+    """Build one session on SESSION_SINKS and drive it, the controller in this thread or behind a socket."""
+    sinks = SESSION_SINKS.get()
     plant = PlantDriver(series, cfg, sinks.plant)
     peer = ControllerPeer(cfg.n_window, sinks.controller)
     boundary = PlantBoundary(cfg, series.rated_power_w, corrupt_s2c=corrupt_s2c, sink=sinks.frames)
@@ -457,33 +454,27 @@ def _run(
     return SessionResult(plant, peer.driver, boundary.log)
 
 
-def run_lockstep_inproc(
-    series: PowerSeries, cfg: ScenarioConfig, corrupt_s2c=None, sinks: Sinks = NO_SINKS
-) -> SessionResult:
+def run_lockstep_inproc(series: PowerSeries, cfg: ScenarioConfig, corrupt_s2c=None) -> SessionResult:
     """Lockstep session in one thread, through the full codec path."""
-    return _run(series, cfg, corrupt_s2c, sinks, free_running=False, over_socket=False)
+    return _run(series, cfg, corrupt_s2c, free_running=False, over_socket=False)
 
 
-def run_free_running(
-    series: PowerSeries, cfg: ScenarioConfig, corrupt_s2c=None, sinks: Sinks = NO_SINKS
-) -> SessionResult:
+def run_free_running(series: PowerSeries, cfg: ScenarioConfig, corrupt_s2c=None) -> SessionResult:
     """Free-running session in one thread: each tick integrates under the last
     setpoint delivered by the tick's sample time (zero-order hold)."""
-    return _run(series, cfg, corrupt_s2c, sinks, free_running=True, over_socket=False)
+    return _run(series, cfg, corrupt_s2c, free_running=True, over_socket=False)
 
 
-def run_lockstep_socket(
-    series: PowerSeries, cfg: ScenarioConfig, corrupt_s2c=None, sinks: Sinks = NO_SINKS
-) -> SessionResult:
+def run_lockstep_socket(series: PowerSeries, cfg: ScenarioConfig, corrupt_s2c=None) -> SessionResult:
     """Lockstep session with the controller served over a socket (SocketLink)."""
-    return _run(series, cfg, corrupt_s2c, sinks, free_running=False, over_socket=True)
+    return _run(series, cfg, corrupt_s2c, free_running=False, over_socket=True)
 
 
 def run_session(series: PowerSeries, cfg: ScenarioConfig, transport: str = "inproc") -> SessionResult:
-    """Run the scenario's session mode over transport, with the sinks set in SESSION_SINKS."""
+    """Run the scenario's session mode over transport."""
     free_running = cfg.transport.mode == "free_running"
     if transport == "inproc":
-        return (run_free_running if free_running else run_lockstep_inproc)(series, cfg, sinks=SESSION_SINKS.get())
+        return (run_free_running if free_running else run_lockstep_inproc)(series, cfg)
     if transport == "socket":
-        return _run(series, cfg, None, SESSION_SINKS.get(), free_running, over_socket=True)
+        return _run(series, cfg, None, free_running, over_socket=True)
     raise ValueError(f"unknown transport {transport!r} (expected one of {TRANSPORTS})")

@@ -3,7 +3,8 @@
 Subcommands: run, ingest, synth, metrics, protocol-check.
 Exit codes: 0 success, 2 invariant breach, 3 input error, 4 protocol fault,
 5 output error. A RunFault's kind picks 2 or 4 (EXIT_CODES); an undecodable
-frame is a protocol fault. A missing input file is an input error; any other
+frame is a protocol fault. An InputError (a bad scenario, input file, series,
+profile or ramp metric) and a missing input file are input errors; any other
 OSError, such as a full disk while writing, and a failed log writer process
 (OutputError) are output errors.
 """
@@ -16,7 +17,7 @@ from dataclasses import replace
 import click
 import numpy as np
 
-from .config import SYNTH_PROFILES, ConfigError, load_scenario, validate_scenario
+from .config import SYNTH_PROFILES, InputError, load_scenario, validate_scenario
 from .frames import (
     FrameError,
     decode_frame,
@@ -27,12 +28,11 @@ from .frames import (
     setpoint_frame,
     write_hexdump,
 )
-from .ingest import RESAMPLE_MODES, TIMESTAMP_FORMATS, IngestError, IngestSpec, ingest_csv, write_series_csv
+from .ingest import RESAMPLE_MODES, TIMESTAMP_FORMATS, IngestSpec, ingest_csv, write_series_csv
 from .plant import INVARIANT, PROTOCOL, RunFault
-from .ramp import RampMetricError, ramp_report, write_rates_file, write_report_json
+from .ramp import ramp_report, write_rates_file, write_report_json
 from .run import TRANSPORTS, OutputError, resolve_source, run_scenario
-from .series import SeriesError
-from .synth import SynthError, synth_pv
+from .synth import synth_pv
 from .util import AtomicWriter
 
 EXIT_OK = 0
@@ -66,6 +66,7 @@ def cmd_run(scenario_path: str, out_dir: str, input_csv: str | None, transport: 
 
     raw, smooth = artifacts.raw_report, artifacts.smoothed_report
     post = artifacts.smoothed_report_postwarmup
+    click.echo(f"config             {artifacts.config_digest[:12]}")
     click.echo(f"samples            {len(series)} @ {series.sample_period_s} s, rated {series.rated_power_w} W")
     click.echo(f"raw max |RR|       {raw.max_abs_rr:.3f} %/min ({raw.violation_count} over {raw.limit_pct_per_min} %/min)")
     click.echo(f"smoothed max |RR|  {smooth.max_abs_rr:.3f} %/min ({smooth.violation_count} violations)")
@@ -237,14 +238,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cli.main(args=argv, standalone_mode=False)
         return EXIT_OK
-    except (ConfigError, IngestError, SeriesError, SynthError, RampMetricError) as exc:
+    except (InputError, FileNotFoundError) as exc:
         click.echo(f"input error: {exc}", err=True)
         return EXIT_INPUT
     except click.UsageError as exc:
         click.echo(f"usage error: {exc.format_message()}", err=True)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
-        click.echo(f"input error: {exc}", err=True)
         return EXIT_INPUT
     except (OSError, OutputError) as exc:
         click.echo(f"output error: {exc}", err=True)

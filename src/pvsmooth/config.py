@@ -28,12 +28,21 @@ TRANSPORT_MODES = ("lockstep", "free_running")
 SYNTH_PROFILES = ("clear", "cloud_square", "cloud_random")
 
 
-class ConfigError(ValueError):
+class InputError(ValueError):
+    """Bad input, exit 3 on the command line: one message or a list of them,
+    kept in errors and joined with "; " after the class's prefix."""
+
+    prefix = ""
+
+    def __init__(self, errors: str | list[str]):
+        self.errors = [errors] if isinstance(errors, str) else list(errors)
+        super().__init__(self.prefix + "; ".join(self.errors))
+
+
+class ConfigError(InputError):
     """Validation failure; carries one message per violated field."""
 
-    def __init__(self, errors: list[str]):
-        self.errors = list(errors)
-        super().__init__("invalid scenario: " + "; ".join(self.errors))
+    prefix = "invalid scenario: "
 
 
 @dataclass(frozen=True)

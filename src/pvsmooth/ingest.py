@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import InputError
 from .series import PowerSeries
 from .util import BLOCK_ROWS, atomic_write_text, float_texts
 
@@ -29,12 +30,8 @@ TIMESTAMP_FORMATS = ("epoch_s", "iso8601")
 RESAMPLE_MODES = ("none", "zero_order_hold")
 
 
-class IngestError(ValueError):
+class IngestError(InputError):
     """Input-file problem; messages carry 1-based line numbers where known."""
-
-    def __init__(self, errors: list[str]):
-        self.errors = list(errors)
-        super().__init__("; ".join(self.errors))
 
 
 @dataclass(frozen=True)

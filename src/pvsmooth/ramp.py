@@ -19,12 +19,13 @@ from typing import Any
 
 import numpy as np
 
+from .config import InputError
 from .series import PowerSeries
 from .util import AtomicWriter, atomic_write_text, chunked
 
 
-class RampMetricError(ValueError):
-    pass
+class RampMetricError(InputError):
+    """A ramp metric asked of a series it cannot be computed on."""
 
 
 @dataclass(frozen=True, eq=False)

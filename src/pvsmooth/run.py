@@ -40,7 +40,7 @@ from typing import Any, BinaryIO
 import numpy as np
 
 from . import __version__, bus, synth
-from .bus import FRAME_LOG_COLUMNS, SESSION_SINKS, TRANSPORTS, SessionLog, SessionResult, Sinks, run_session
+from .bus import SESSION_SINKS, TRANSPORTS, SessionLog, SessionResult, Sinks, run_session
 from .config import ConfigError, ScenarioConfig, checked_kwargs, config_hash, validate_scenario
 from .controller import CONTROLLER_LOG_COLUMNS
 from .frames import write_hexdump

@@ -12,8 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import InputError
 
-class SeriesError(ValueError):
+
+class SeriesError(InputError):
     """Raised when a power trace violates its construction invariants."""
 
 

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import InputError
 from .series import PowerSeries
 
 
-class SynthError(ValueError):
-    pass
+class SynthError(InputError):
+    """A profile that cannot be generated as asked."""
 
 
 def _grid(duration_s: float, sample_period_s: float) -> np.ndarray:

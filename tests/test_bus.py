@@ -611,7 +611,7 @@ def test_free_running_over_the_socket_matches_inproc(
         field, value = corruption
         corrupt, lost = resign_sensor_frame(index, field, value), field == 0 and not math.isfinite(value)
     inproc, over_socket = (
-        bus._run(series, cfg, corrupt, bus.NO_SINKS, free_running=free_running, over_socket=over)
+        bus._run(series, cfg, corrupt, free_running=free_running, over_socket=over)
         for over in (False, True)
     )
     assert session_bytes(over_socket) == session_bytes(inproc)

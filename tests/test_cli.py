@@ -232,6 +232,26 @@ def test_exit_code_of_a_cell_past_the_field_limit(tmp_path, capsys):
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize(
+    ("command", "message"),
+    [
+        (["synth", "--profile", "cloud_random"], "cloud_random requires a seed"),
+        (["metrics", "--bin-width", "0"], "bin_width must be > 0, got 0.0"),
+        (["ingest", "--rated", "1"], "samples: maximum 3000.0 above rated 1.0"),
+    ],
+    ids=["synth_without_seed", "metrics_zero_bin_width", "ingest_rated_below_max"],
+)
+def test_exit_code_of_each_kind_of_input_error(tmp_path, capsys, command, message):
+    # SynthError, RampMetricError and SeriesError: each an InputError, exit 3
+    pv = tmp_path / "pv.csv"
+    pv.write_text("t_s,power_w\n" + "".join(f"{5 * i},{3000.0 if i % 2 else 1500.0}\n" for i in range(30)))
+    args = command if command[0] == "synth" else [*command, "--input", str(pv)]
+    out = tmp_path / ("report.json" if command[0] == "metrics" else "out.csv")
+    assert main([*args, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not out.exists()
+
+
 def test_exit_code_usage_error(capsys):
     assert main(["run"]) == 3  # missing required options
     assert "usage error" in capsys.readouterr().err

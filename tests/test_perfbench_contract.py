@@ -80,8 +80,9 @@ def test_every_per_step_wrap_records_one_span_per_call():
 
 def test_run_scenario_takes_a_three_argument_session_stub(tmp_path, monkeypatch):
     # perfbench/test_checks.py swaps run.run_session for a lambda of (series,
-    # cfg, transport) that starts a sink-less session; the run must still
-    # write every artifact, with the bytes of a run that streamed its blocks
+    # cfg, transport) that starts an engine itself; that session streams
+    # through the run's sinks too (bus.SESSION_SINKS), and the run must still
+    # write every artifact, with the bytes of the run's own session
     from pvsmooth import bus
     from pvsmooth import run as pvrun
     from pvsmooth.config import ScenarioConfig

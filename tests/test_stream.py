@@ -138,6 +138,51 @@ def test_streamed_files_keep_signed_zero_subnormal_and_rated_samples(engine, tmp
     assert [trace[1 + i].split(",")[1] for i in (0, B - 1, B, n - 1)] == ["-0.0", "5e-324", "3000.0", "5e-324"]
 
 
+@pytest.mark.parametrize(
+    ("run_engine", "transport"),
+    [(bus.run_lockstep_inproc, TransportConfig()), (bus.run_free_running, FREE_RUNNING),
+     (bus.run_lockstep_socket, TransportConfig())],
+    ids=["inproc", "free_running", "socket"],
+)
+def test_every_engine_streams_through_the_session_sinks(run_engine, transport):
+    # an engine started where SESSION_SINKS is set, as inside run_scenario,
+    # hands its full blocks to those sinks, whoever starts it; the blocks and
+    # the rows left in the tables make up the sink-less session's tables
+    n = 2 * B + 10
+    cfg = validate_scenario(ScenarioConfig(seed=6, transport=transport))
+    series = synth_pv("cloud_random", n * 5.0, 5.0, 3000.0, seed=6)
+    whole = run_engine(series, cfg)
+    blocks = {"plant": [], "controller": [], "frames": []}
+    sinks = bus.Sinks(
+        plant=lambda trace: blocks["plant"].append(bytes(trace.rows)),
+        controller=lambda log: blocks["controller"].append(bytes(log.rows)),
+        frames=lambda log: blocks["frames"].append((bytes(log.frames.rows), bytes(log.wire))),
+    )
+    token = bus.SESSION_SINKS.set(sinks)
+    try:
+        streamed = run_engine(series, cfg)
+    finally:
+        bus.SESSION_SINKS.reset(token)
+
+    tables = {
+        "plant": (streamed.plant.trace, whole.plant.trace),
+        "controller": (streamed.controller.log, whole.controller.log),
+    }
+    for name, (table, whole_table) in tables.items():
+        assert blocks[name] and all(len(b) == B * table.layout.size for b in blocks[name]), name
+        assert b"".join(blocks[name]) + table.rows == whole_table.rows, name
+    assert blocks["frames"] and all(len(rows) == B * streamed.log.frames.layout.size for rows, _ in blocks["frames"])
+    # a block's wire_end counts from the block's first wire byte
+    dtype, offset, frames = streamed.log.frames.dtype, 0, []
+    for rows, wire in [*blocks["frames"], (bytes(streamed.log.frames.rows), bytes(streamed.log.wire))]:
+        records = np.frombuffer(rows, dtype=dtype).copy()
+        records["wire_end"] += offset
+        frames.append(records)
+        offset += len(wire)
+    assert np.concatenate(frames).tobytes() == bytes(whole.log.frames.rows)
+    assert b"".join(wire for _, wire in blocks["frames"]) + streamed.log.wire == whole.log.wire
+
+
 def capture_writers(monkeypatch):
     """Record every LogWriter that run_scenario makes, with the pid of its
     writer process."""
