@@ -5,10 +5,13 @@
 
 The parent is exported with bench_pairs.export_commit into a temporary
 directory. Then `pvsmooth run` runs every scenarios/*.json of the working
-tree and the scenario of each benchmark workload at seed 1 (its input files
+tree, the scenario of each benchmark workload at seed 1 (its input files
 made by perfbench's `workloads.prepare`: CSV ingest, free-running with
-jitter, two-day runs), once with each tree's source, and the two artifact
-sets of each run are compared file by file. Each scenario runs on the
+jitter, two-day runs) and two synth scenarios written here (the
+cloud_square and clear profiles, with delay jitter, SYNTH_STEPS long: a
+multiple of neither the 12-step ramp evaluation interval nor BLOCK_ROWS),
+once with each tree's source, and the two artifact sets of each run are
+compared file by file. Each scenario runs on the
 inproc and the socket transport. Exits 0 when every file is byte-identical,
 and 1 naming the first file that differs or exists on one side only, or the
 first run that fails.
@@ -17,6 +20,7 @@ first run that fails.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -31,6 +35,23 @@ import workloads  # noqa: E402  (perfbench's input files, unchanged)
 
 TRANSPORTS = ("inproc", "socket")
 WORKLOAD_SEED = 1
+SYNTH_STEPS = 3 * 1024 + 7  # 5 s steps
+# profile: the scenario's transport section
+SYNTH_TRANSPORTS = {
+    "cloud_square": {"mode": "free_running", "latency_ms": 4000.0, "jitter_ms": 1500.0},
+    "clear": {"mode": "lockstep", "latency_ms": 50.0, "jitter_ms": 20.0},
+}
+
+
+def write_synth_scenarios(workdir: Path) -> dict[str, Path]:
+    """The synth scenarios, one file per profile in workdir, by name."""
+    workdir.mkdir(parents=True)
+    paths = {}
+    for profile, transport in SYNTH_TRANSPORTS.items():
+        source = {"kind": "synth", "profile": profile, "duration_s": SYNTH_STEPS * 5.0}
+        path = paths[f"synth_{profile}"] = workdir / f"synth_{profile}.json"
+        path.write_text(json.dumps({"sample_period_s": 5.0, "seed": 3, "transport": transport, "source": source}))
+    return paths
 
 
 def run_scenario(tree: Path, scenario: Path, transport: str, out: Path) -> None:
@@ -64,6 +85,7 @@ def main(argv: list[str] | None = None) -> int:
         scenarios = {path.stem: path for path in sorted((ROOT / "scenarios").glob("*.json"))}
         for name in workloads.WORKLOADS:
             scenarios[name] = workloads.prepare(name, WORKLOAD_SEED, Path(tmp) / "inputs" / name).scenario_path
+        scenarios.update(write_synth_scenarios(Path(tmp) / "inputs" / "synth"))
         runs = 0
         for stem, scenario in scenarios.items():
             for transport in TRANSPORTS:

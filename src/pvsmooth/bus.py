@@ -131,8 +131,7 @@ class DelayModel:
 
     def __init__(self, latency_ms: float, jitter_ms: float, seed: int):
         self.latency_ms = latency_ms
-        rng = np.random.default_rng(seed)
-        self._draws = _jitter_draws(rng, jitter_ms) if jitter_ms > 0.0 else repeat(0.0)
+        self._draws = _jitter_draws(np.random.default_rng(seed), jitter_ms) if jitter_ms > 0.0 else repeat(0.0)
         self.last_draw = 0.0
 
     def next_delay_ms(self) -> float:
@@ -236,8 +235,13 @@ class PlantBoundary:
         return data, t
 
     def inbound(self, data: bytes, t_send_ms: float) -> tuple[BusFrame, float]:
-        """Decode+log a controller frame; quantizes setpoint current (DAC)."""
-        frame = decode_frame(data)
+        """Decode+log a controller frame; quantizes setpoint current (DAC).
+        An undecodable one is a PROTOCOL fault at the setpoint it stands for."""
+        try:
+            frame = decode_frame(data)
+        except FrameError as exc:  # the replies so far: every frame logged but the outbound ones
+            seq = self.log.frames.start + len(self.log.frames) - self._outbound_count + 1
+            raise RunFault(PROTOCOL, f"undecodable reply in place of setpoint {seq}: {exc}", step=seq) from exc
         delays = self.delays
         t = t_send_ms + delays.next_delay_ms()
         last = self._last_c2s

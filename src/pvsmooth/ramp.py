@@ -60,17 +60,19 @@ class RampReport:
         return self.violation_count == 0
 
 
-def _stride_for(series: PowerSeries, rr_interval_s: float) -> int:
-    ratio = rr_interval_s / series.sample_period_s
+def stride_for(n_samples: int, sample_period_s: float, rr_interval_s: float) -> int:
+    """Samples per evaluation interval of a series of n_samples; raises
+    unless the interval is a whole number of samples and the series covers it."""
+    ratio = rr_interval_s / sample_period_s
     stride = round(ratio)
     if stride < 1 or abs(ratio - stride) > 1e-9:
         raise RampMetricError(
             f"rr_interval_s {rr_interval_s} is not a positive multiple of the "
-            f"sample period {series.sample_period_s}"
+            f"sample period {sample_period_s}"
         )
-    if len(series) <= stride:
+    if n_samples <= stride:
         raise RampMetricError(
-            f"series of {len(series)} samples does not cover one "
+            f"series of {n_samples} samples does not cover one "
             f"{rr_interval_s} s evaluation interval"
         )
     return stride
@@ -85,7 +87,7 @@ def ramp_rate_series(
     every sample from the first full interval onward. Sign is preserved:
     drops are negative.
     """
-    stride = _stride_for(series, rr_interval_s)
+    stride = stride_for(len(series), series.sample_period_s, rr_interval_s)
     x = series.samples
     if sliding:
         head, tail = x[stride:], x[:-stride]

@@ -46,7 +46,7 @@ from .controller import CONTROLLER_LOG_COLUMNS
 from .frames import write_hexdump
 from .ingest import IngestSpec, ingest_csv
 from .plant import INVARIANT, PLANT_TRACE_COLUMNS, RunFault
-from .ramp import RampReport, ramp_report, report_to_dict, write_rates_file
+from .ramp import RampReport, ramp_report, report_to_dict, stride_for, write_rates_file
 from .series import PowerSeries, scale_series
 from .synth import synth_pv
 from .util import AtomicWriter, Records, atomic_write_text
@@ -80,7 +80,6 @@ class RunArtifacts:
     smoothed_report_postwarmup: RampReport
     soc: SocSummary
     config_digest: str
-    smoothed_series: PowerSeries
 
 
 def write_controller_log(log: Records, out: AtomicWriter) -> None:
@@ -155,17 +154,6 @@ def live_p_hat(log: Records) -> np.ndarray:
     """p_hat of the controller-log rows that carry a sample (k > 0)."""
     rows = log.view()
     return rows["p_hat_w"][rows["k"] > 0]
-
-
-def smoothed_series_from(p_hat: np.ndarray, series: PowerSeries) -> PowerSeries:
-    """Controller output p_hat as a trace on the same grid and rating."""
-    return PowerSeries(
-        samples=p_hat,
-        sample_period_s=series.sample_period_s,
-        rated_power_w=series.rated_power_w,
-        start_time_s=series.start_time_s,
-        _skip_validation=True,  # quantized inputs may nudge p_hat past rated
-    )
 
 
 # The writer process's stream: each block is a header (the table, the rows,
@@ -321,15 +309,17 @@ class RunLogs:
 
     Each block of the controller log and of the plant trace is checked with
     check_run_invariants, and every block goes to the writer process. What
-    the run needs after the session stays here: the p_hat of live
-    controller rows (the smoothed series) and the SOC range and final
-    value.
+    the run needs after the session stays here: the SOC range and final
+    value, and the p_hat of the live controller rows (the smoothed series)
+    at its ramp evaluation points, every stride-th live row from the first,
+    which is all a non-overlapping ramp report reads of it.
     """
 
-    def __init__(self, cfg: ScenarioConfig, n_samples: int, writer: LogWriter):
+    def __init__(self, cfg: ScenarioConfig, writer: LogWriter):
         self.cfg = cfg
         self.writer = writer
-        self._p_hat = np.empty(n_samples)  # one live row per sample at most
+        self.stride = round(cfg.rr_interval_s / cfg.sample_period_s)
+        self._points: list[np.ndarray] = []  # each block's evaluation points
         self._n_live = 0
         self.soc_min, self.soc_max, self.soc_final = math.inf, -math.inf, math.nan
         self.sinks = Sinks(plant=self.plant_block, controller=self.controller_block, frames=self.frame_block)
@@ -337,7 +327,7 @@ class RunLogs:
     def controller_block(self, log: Records) -> None:
         check_run_invariants(self.cfg, log=log)
         p_hat = live_p_hat(log)
-        self._p_hat[self._n_live : self._n_live + p_hat.size] = p_hat
+        self._points.append(p_hat[-self._n_live % self.stride :: self.stride].copy())
         self._n_live += p_hat.size
         self.writer.send(CONTROLLER, log)
 
@@ -362,12 +352,18 @@ class RunLogs:
         if len(session.log.frames):
             self.frame_block(session.log)
 
-    def smoothed_series(self, series: PowerSeries) -> PowerSeries:
-        """The live p_hat as a trace on the input's grid. The series keeps a
-        copy of its own, so the buffer is let go."""
-        smoothed = smoothed_series_from(self._p_hat[: self._n_live], series)
-        self._p_hat = None
-        return smoothed
+    def smoothed_reports(self, series: PowerSeries) -> tuple[RampReport, RampReport]:
+        """The ramp reports of the live p_hat on the input's grid, whole and
+        past the warm-up (and its error if it is too short), as ramp_report
+        of its evaluation points, a trace sampled every rr_interval_s."""
+        cfg = self.cfg
+        stride_for(self._n_live, series.sample_period_s, cfg.rr_interval_s)
+        points = PowerSeries(np.concatenate(self._points), cfg.rr_interval_s, series.rated_power_w, series.start_time_s,
+                             _skip_validation=True)  # quantized inputs may nudge p_hat past rated
+        # the warm-up as whole intervals: the points the whole series' report skips
+        warmup_s = -(-cfg.n_window // self.stride) * cfg.rr_interval_s
+        limit = cfg.ramp_limit_pct_per_min
+        return ramp_report(points, cfg.rr_interval_s, limit), ramp_report(points, cfg.rr_interval_s, limit, warmup_s=warmup_s)
 
 
 def _ramp_summary(report: RampReport) -> dict[str, Any]:
@@ -431,7 +427,7 @@ def run_scenario(
     with ExitStack() as stack:
         files = [stack.enter_context(AtomicWriter(out / name)) for name in STREAMED_FILES]
         writer = stack.enter_context(LogWriter(files))
-        logs = RunLogs(cfg, len(series), writer)
+        logs = RunLogs(cfg, writer)
         token = SESSION_SINKS.set(logs.sinks)
         try:
             session = run_session(series, cfg, transport)
@@ -439,12 +435,10 @@ def run_scenario(
             SESSION_SINKS.reset(token)
         logs.finish(session)
 
-        smoothed = logs.smoothed_series(series)
         limit = cfg.ramp_limit_pct_per_min
         raw_rep = ramp_report(series, cfg.rr_interval_s, limit)
         raw_rep_post = ramp_report(series, cfg.rr_interval_s, limit, warmup_s=cfg.window_s)
-        smooth_rep = ramp_report(smoothed, cfg.rr_interval_s, limit)
-        smooth_rep_post = ramp_report(smoothed, cfg.rr_interval_s, limit, warmup_s=cfg.window_s)
+        smooth_rep, smooth_rep_post = logs.smoothed_reports(series)
         soc = SocSummary(
             soc_min=logs.soc_min,
             soc_max=logs.soc_max,
@@ -501,5 +495,4 @@ def run_scenario(
         smoothed_report_postwarmup=smooth_rep_post,
         soc=soc,
         config_digest=digest,
-        smoothed_series=smoothed,
     )

@@ -29,11 +29,7 @@ def _grid(duration_s: float, sample_period_s: float) -> np.ndarray:
         raise SynthError(
             f"duration_s {duration_s} must be a positive multiple of sample_period_s {sample_period_s}"
         )
-    return np.arange(n) * sample_period_s
-
-
-def _bell(t: np.ndarray, duration_s: float, rated_w: float) -> np.ndarray:
-    return rated_w * np.sin(np.pi * t / duration_s) ** 2
+    return np.arange(n, dtype=np.float64) * sample_period_s
 
 
 def synth_pv(
@@ -59,16 +55,13 @@ def synth_pv(
         raise SynthError(f"rated_w must be > 0, got {rated_w}")
     if not 0.0 <= depth <= 1.0:
         raise SynthError(f"depth must be in [0, 1], got {depth}")
-    t = _grid(duration_s, sample_period_s)
-    base = _bell(t, duration_s, rated_w)
-
+    samples = _grid(duration_s, sample_period_s)  # the time grid, then the bell in its place
     if profile == "clear":
-        samples = base
+        clouded = None
     elif profile == "cloud_square":
         if not cloud_period_s > 0:
             raise SynthError(f"cloud_period_s must be > 0, got {cloud_period_s}")
-        clouded = np.mod(t, cloud_period_s) >= cloud_period_s / 2.0
-        samples = base * np.where(clouded, 1.0 - depth, 1.0)
+        clouded = np.mod(samples, cloud_period_s) >= cloud_period_s / 2.0
     elif profile == "cloud_random":
         if seed is None:
             raise SynthError("cloud_random requires a seed")
@@ -76,12 +69,19 @@ def synth_pv(
         flip_p = sample_period_s / mean_dwell_s
         if not 0.0 < flip_p <= 1.0:
             raise SynthError(f"mean_dwell_s {mean_dwell_s} too short for period {sample_period_s}")
-        toggles = rng.random(len(t)) < flip_p
+        toggles = rng.random(len(samples)) < flip_p
         toggles[0] = False  # always start in full sun
-        clouded = np.logical_xor.accumulate(toggles)
-        samples = base * np.where(clouded, 1.0 - depth, 1.0)
+        clouded = np.logical_xor.accumulate(toggles, out=toggles)
     else:
         raise SynthError(f"unknown profile {profile!r} (expected clear, cloud_square, cloud_random)")
+    # the bell, rated_w * sin(pi * t / duration_s)**2, in the grid's buffer
+    samples *= np.pi
+    samples /= duration_s
+    np.sin(samples, out=samples)
+    np.square(samples, out=samples)
+    samples *= rated_w
+    if clouded is not None:
+        np.multiply(samples, 1.0 - depth, out=samples, where=clouded)
 
     return PowerSeries(
         samples=samples,

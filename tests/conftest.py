@@ -111,6 +111,14 @@ def session_bytes(result) -> tuple:
     )
 
 
+def report_bytes(report) -> tuple:
+    """A ramp report's fields, its arrays as raw bytes: equal only if
+    bitwise equal."""
+    hist = report.histogram
+    scalars = {k: v for k, v in vars(report).items() if k not in ("rr_pct_per_min", "histogram")}
+    return scalars, report.rr_pct_per_min.tobytes(), hist.bin_edges.tobytes(), hist.counts.tobytes()
+
+
 def read_csv_columns(path: str | Path) -> dict[str, np.ndarray]:
     """The columns of a CSV artifact, every cell parsed with float(). The
     run writes floats with repr, so the values read back bitwise (-0.0,

@@ -6,6 +6,8 @@ them:
   ring buffer);
 - the per-point warm-up count that ramp.warmup_skip_count replaced with a
   closed form;
+- the smoothed ramp reports before a run kept only p_hat's evaluation
+  points: ramp_report of the whole live p_hat on the input's grid;
 - CSV ingest before its row stage became one csv.reader pass into float
   arrays (csv.DictReader, float lists). Here a row of an ISO-8601 file that
   lacks its time cell still crashes with AttributeError;
@@ -55,6 +57,7 @@ from pvsmooth.frames import (
 )
 from pvsmooth.ingest import RESAMPLE_MODES, TIMESTAMP_FORMATS, IngestError, IngestResult, IngestSpec
 from pvsmooth.plant import INVARIANT, RunFault
+from pvsmooth.ramp import RampReport, ramp_report
 from pvsmooth.series import PowerSeries
 from pvsmooth.util import FORMAT_ROWS, Records, atomic_write_text
 
@@ -334,6 +337,23 @@ def warmup_skip_count(
         else:
             break
     return skipped
+
+
+def smoothed_reports(p_hat: np.ndarray, series: PowerSeries, cfg) -> tuple[RampReport, RampReport]:
+    """The ramp reports of the whole live p_hat as a trace on the input's
+    grid, whole and past the warm-up."""
+    smoothed = PowerSeries(
+        samples=p_hat,
+        sample_period_s=series.sample_period_s,
+        rated_power_w=series.rated_power_w,
+        start_time_s=series.start_time_s,
+        _skip_validation=True,  # quantized inputs may nudge p_hat past rated
+    )
+    limit = cfg.ramp_limit_pct_per_min
+    return (
+        ramp_report(smoothed, cfg.rr_interval_s, limit),
+        ramp_report(smoothed, cfg.rr_interval_s, limit, warmup_s=cfg.window_s),
+    )
 
 
 def _parse_time(raw: str, fmt: str) -> float:

@@ -1,3 +1,4 @@
+import json
 import math
 import socket
 import threading
@@ -45,7 +46,9 @@ from pvsmooth.frames import (
     sensor_frame,
     setpoint_frame,
 )
+from pvsmooth.cli import main
 from pvsmooth.plant import PROTOCOL, PlantDriver, RunFault
+from pvsmooth.run import run_scenario
 from pvsmooth.series import PowerSeries
 from pvsmooth.synth import synth_pv
 
@@ -316,6 +319,58 @@ def test_corrupted_frame_mid_run_recovers(engine):
     assert len(result.plant.trace) == 4
 
 
+def corrupt_reply_to(monkeypatch, seq: int) -> list[int]:
+    """Make every ControllerPeer flip a CRC bit of its reply to sensor frame
+    `seq`; returns the message types of the plant frames the peers are handed."""
+    real_exchange = ControllerPeer.exchange
+    seen = []
+
+    def exchange(self, data):
+        frame = decode_frame(data)
+        seen.append(frame.msg_type)
+        reply = real_exchange(self, data)
+        if frame.msg_type == MSG_SENSOR and frame.seq == seq:
+            reply = reply[:-1] + bytes([reply[-1] ^ 1])
+        return reply
+
+    monkeypatch.setattr(ControllerPeer, "exchange", exchange)
+    return seen
+
+
+# engine, run_scenario's transport, the scenario's transport section
+SETPOINT_FAULT_ENGINES = {
+    "inproc": (run_lockstep_inproc, "inproc", {}),
+    "socket": (run_lockstep_socket, "socket", {}),
+    "free_running": (run_free_running, "inproc", {"mode": "free_running", "latency_ms": 4000.0, "jitter_ms": 1500.0}),
+}
+
+
+@pytest.mark.parametrize("name", SETPOINT_FAULT_ENGINES)
+def test_corrupted_setpoint_ends_the_run_as_a_protocol_fault(name, monkeypatch, tmp_path, capsys):
+    # an undecodable setpoint is not a lost sample: the plant stops, tells
+    # the controller with a FAULT frame, and the run leaves nothing behind
+    engine, transport, section = SETPOINT_FAULT_ENGINES[name]
+    cfg = validate_scenario(ScenarioConfig(window_s=60.0, transport=TransportConfig(**section)))
+    series = synth_pv("cloud_random", 120 * 5.0, 5.0, 1000.0, seed=2)
+    seen = corrupt_reply_to(monkeypatch, 49)
+    with pytest.raises(RunFault, match="^undecodable reply in place of setpoint 49: ") as err:
+        engine(series, cfg)
+    assert (err.value.kind, err.value.step) == (PROTOCOL, 49)
+    assert seen[-1] == MSG_FAULT and seen.count(MSG_FAULT) == 1
+
+    with pytest.raises(RunFault, match="setpoint 49"):
+        run_scenario(cfg, series, tmp_path / "run", transport=transport)
+    assert list((tmp_path / "run").iterdir()) == []
+
+    scenario = tmp_path / "scenario.json"
+    source = {"kind": "synth", "profile": "cloud_random", "duration_s": 600.0, "rated_w": 1000.0}
+    scenario.write_text(json.dumps({"window_s": 60.0, "seed": 2, "transport": section, "source": source}))
+    args = ["run", "--scenario", str(scenario), "--out", str(tmp_path / "cli"), "--transport", transport]
+    assert main(args) == 4
+    assert "protocol fault: undecodable reply in place of setpoint 49" in capsys.readouterr().err
+    assert list((tmp_path / "cli").iterdir()) == []
+
+
 def flip_bit_of_frames(indices, byte: int, bit: int):
     def corrupt(idx: int, data: bytes) -> bytes:
         if idx in indices:
@@ -432,15 +487,17 @@ def test_controller_error_is_raised_on_the_plant_side(monkeypatch):
 @pytest.mark.parametrize(
     "cut, error", [(10, "need 20 header bytes, got 10"), (30, "declared 32 bytes, got 30")]
 )
-def test_controller_closing_mid_reply_is_a_frame_error(cut, error):
+def test_controller_closing_mid_reply_is_a_protocol_fault(cut, error):
     # the plant reads a reply cut short by a closing controller as the frame
-    # it is, which decode_frame rejects (the command line exits 4 for it)
+    # it is, which decode_frame rejects: the first setpoint never came
     conn, stub = stub_peer()
     with stub:
         stub.sendall(encode_frame(setpoint_frame(1, 0, 0.0))[:cut])
         stub.shutdown(socket.SHUT_WR)
-        with pytest.raises(FrameError, match=error):
+        with pytest.raises(RunFault, match=f"in place of setpoint 1: {error}") as err:
             drive_against(conn)
+        assert (err.value.kind, err.value.step) == (PROTOCOL, 1)
+        assert isinstance(err.value.__cause__, FrameError)
 
 
 def test_quantization_applies_on_the_wire():

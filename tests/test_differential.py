@@ -29,9 +29,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference as ref
+from conftest import report_bytes
 from pvsmooth.bus import SessionLog
-from pvsmooth.config import SUPPLY_HARD_LIMIT_A, BatteryParams
-from pvsmooth.controller import CONTROLLER_LOG_COLUMNS, SmoothingController
+from pvsmooth.config import SUPPLY_HARD_LIMIT_A, BatteryParams, ScenarioConfig, validate_scenario
+from pvsmooth.controller import CONTROLLER_LOG_COLUMNS, LOST_ROW, SmoothingController
 from pvsmooth.frames import (
     MSG_END,
     MSG_FAULT,
@@ -45,8 +46,8 @@ from pvsmooth.frames import (
 from pvsmooth import ingest
 from pvsmooth.ingest import CHUNK_ROWS, IngestError, IngestSpec, _floats, ingest_csv, write_series_csv
 from pvsmooth.plant import PLANT_TRACE_COLUMNS, battery_step, supply_apply
-from pvsmooth.ramp import warmup_skip_count
-from pvsmooth.run import write_controller_log, write_plant_trace
+from pvsmooth.ramp import RampMetricError, warmup_skip_count
+from pvsmooth.run import RunLogs, live_p_hat, write_controller_log, write_plant_trace
 from pvsmooth.series import PowerSeries
 from pvsmooth.util import AtomicWriter, Records
 
@@ -333,6 +334,87 @@ def test_warmup_skip_count_matches_the_point_loop(n_rates, period, stride, slidi
     interval = stride * period
     args = (n_rates, warmup_s, period, interval)
     assert warmup_skip_count(*args, sliding=sliding) == ref.warmup_skip_count(*args, sliding=sliding)
+
+
+class NoWriter:
+    """A LogWriter that takes every block and writes nothing."""
+
+    def send(self, table_id, table, wire=None):
+        pass
+
+
+def controller_log(p_hat: np.ndarray, lost: np.ndarray) -> Records:
+    """Controller-log rows that pass the run's checks: p_hat per sample,
+    and LOST_ROW (k=0) for each lost one."""
+    log = Records(CONTROLLER_LOG_COLUMNS)
+    k = 0
+    for p, is_lost in zip(p_hat.tolist(), lost.tolist()):
+        if is_lost:
+            log.rows += log.layout.pack(*LOST_ROW)
+            continue
+        k += 1
+        p_pv = p + 10.0 * (k % 7)
+        log.rows += log.layout.pack(k, p_pv, 48.0, p, p_pv - p, (p_pv - p) / 48.0, False, False)
+    return log
+
+
+def streamed_smoothed_reports(cfg, series, log: Records, block: int):
+    """RunLogs' smoothed reports of log, handed to it in blocks of `block` rows."""
+    logs = RunLogs(cfg, NoWriter())
+    rows, size = log.rows, log.layout.size
+    for start in range(0, len(log), block):
+        piece = Records(CONTROLLER_LOG_COLUMNS)
+        piece.rows += rows[start * size : (start + block) * size]
+        piece.start = start
+        logs.controller_block(piece)
+    return logs.smoothed_reports(series)
+
+
+@given(
+    period=st.sampled_from([0.1, 0.5, 1.0, 3.3, 5.0]),
+    stride=st.integers(1, 40),
+    n_window=st.integers(1, 400),
+    nudge=st.sampled_from([0.0, 0.9e-9, -0.9e-9]),
+    n=st.integers(1, 700),
+    lost_p=st.sampled_from([0.0, 0.05, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_smoothed_reports_from_evaluation_points_equal_the_whole_p_hat_reports(
+    period, stride, n_window, nudge, n, lost_p, seed, data
+):
+    # both intervals are whole multiples of the period, as a valid scenario
+    # needs, give or take the 1e-9 of the period that validation forgives
+    cfg = validate_scenario(
+        ScenarioConfig(sample_period_s=period, window_s=(n_window + nudge) * period, rr_interval_s=(stride - nudge) * period)
+    )
+    block = data.draw(st.integers(1, 3 * stride + 5).filter(lambda b: stride == 1 or b % stride), label="block")
+    rng = np.random.default_rng(seed)
+    log = controller_log(rng.uniform(0.0, 3000.0, n), rng.random(n) < lost_p)
+    series = PowerSeries(np.zeros(n), period, 3000.0, start_time_s=float(seed % 1000))
+    try:
+        want = ref.smoothed_reports(live_p_hat(log), series, cfg)
+    except RampMetricError as exc:
+        with pytest.raises(RampMetricError) as got:
+            streamed_smoothed_reports(cfg, series, log, block)
+        assert str(got.value) == str(exc)
+        return
+    got = streamed_smoothed_reports(cfg, series, log, block)
+    assert list(map(report_bytes, got)) == list(map(report_bytes, want))
+
+
+def test_smoothed_reports_of_too_few_live_samples_name_the_live_count():
+    # 13 rows, one lost: 12 live samples do not cover one 12-sample interval
+    cfg = validate_scenario(ScenarioConfig())
+    lost = np.zeros(13, dtype=bool)
+    lost[4] = True
+    log = controller_log(np.full(13, 500.0), lost)
+    series = PowerSeries(np.zeros(13), 5.0, 3000.0)
+    with pytest.raises(RampMetricError, match=r"^series of 12 samples does not cover one 60.0 s evaluation interval$"):
+        ref.smoothed_reports(live_p_hat(log), series, cfg)
+    with pytest.raises(RampMetricError, match=r"^series of 12 samples does not cover one 60.0 s evaluation interval$"):
+        streamed_smoothed_reports(cfg, series, log, 5)
 
 
 JUNK_CELLS = ("", "abc", " ", "a,b;c", 'say "hi"', "two\nlines", "nan", "-", "\u00e9t\u00e9")

@@ -22,6 +22,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference as ref
+from conftest import report_bytes
 from pvsmooth import bus, controller
 from pvsmooth import run as pvrun
 from pvsmooth.cli import main
@@ -100,7 +102,10 @@ def assert_streamed_equals_whole(engine, cfg, series, lost, tmp_path, monkeypatc
         assert streamed == (tmp_path / "whole" / name).read_bytes(), name
     metrics = json.loads((tmp_path / "streamed" / "metrics.json").read_text())
     assert metrics["controller"]["error_count"] == (lost is not None)
-    assert len(art.smoothed_series) == n - (lost is not None)
+    p_hat = pvrun.live_p_hat(whole.controller.log)
+    assert p_hat.size == n - (lost is not None)
+    streamed_reports = (art.smoothed_report, art.smoothed_report_postwarmup)
+    assert list(map(report_bytes, streamed_reports)) == list(map(report_bytes, ref.smoothed_reports(p_hat, series, cfg)))
 
 
 def boundary_cases(block):
@@ -363,13 +368,14 @@ def peak_bytes_of_run(n, tmp_path):
     return peak - base
 
 
-def test_run_scenario_peak_grows_at_most_40_bytes_per_step(tmp_path):
+def test_run_scenario_peak_grows_at_most_8_bytes_per_step(tmp_path):
     # the blocks in flight are fixed in size; what grows with the run is the
-    # live p_hat (the smoothed series) and the ramp-rate arrays
-    small = peak_bytes_of_run(2 * B, tmp_path)
-    large = peak_bytes_of_run(4 * B, tmp_path)
-    per_step = (large - small) / (2 * B)
-    assert per_step <= 40, (small, large, per_step)
+    # raw ramp-rate arrays and p_hat at the evaluation points, one value
+    # per evaluation interval. A whole p_hat alone would be 8 bytes per step
+    small = peak_bytes_of_run(16 * B, tmp_path)
+    large = peak_bytes_of_run(32 * B, tmp_path)
+    per_step = (large - small) / (16 * B)
+    assert per_step <= 8, (small, large, per_step)
 
 
 def test_only_the_writer_process_loads_the_float_formatter(tmp_path):
@@ -388,6 +394,25 @@ def test_only_the_writer_process_loads_the_float_formatter(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
     assert (tmp_path / "out" / "plant_trace.csv").read_text().count("\n") == 3 * B + 1
+
+
+def test_a_run_without_jitter_never_loads_numpy_random(tmp_path):
+    # nothing is drawn without jitter, so a CSV-fed run builds no generator
+    # and never imports numpy.random (some 1.7 MiB of RSS)
+    csv_path = tmp_path / "pv.csv"
+    csv_path.write_text("t_s,power_w\n" + "".join(f"{5 * i},{100.0 + i % 50}\n" for i in range(3 * B)))
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"source": {"kind": "csv", "path": str(csv_path), "rated_power_w": 3000.0}}))
+    script = (
+        "import sys\n"
+        "from pvsmooth.cli import main\n"
+        f"code = main(['run', '--scenario', r'{scenario}', '--out', r'{tmp_path / 'out'}'])\n"
+        "print(code, 'numpy.random' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(pvrun.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]
 
 
 def block_bytes(table_id, table):

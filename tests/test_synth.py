@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -77,3 +79,17 @@ def test_unknown_profile():
 def test_depth_bounds():
     with pytest.raises(SynthError, match="depth"):
         synth_pv("cloud_square", 600, 5, 1000.0, depth=1.5)
+
+
+@pytest.mark.parametrize("profile", ["clear", "cloud_square", "cloud_random"])
+def test_synth_peak_is_at_most_2_5_times_its_output(profile):
+    # the grid becomes the bell, and the clouds scale it, in one buffer;
+    # PowerSeries keeps a copy of its own, so 2x is the floor
+    synth_pv(profile, 600, 5, 1000.0, seed=1)  # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        s = synth_pv(profile, 2 * 86400, 5.0, 3000.0, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * s.samples.nbytes, peak / s.samples.nbytes
