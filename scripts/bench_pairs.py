@@ -10,11 +10,20 @@ The parent is exported with `git archive` into a temporary directory, so a
 killed run leaves nothing registered in the repository. Both sides run
 under the same interpreter and with the same --seed and --seconds.
 
+Before each pair a fixed pure-Python calibration loop (calibration_us:
+calls, attribute and tuple work and float arithmetic, the kind of work a
+session step does) is timed in this process, in µs per iteration, best of
+three passes. Each run's us_per_step divided by it is recorded as
+us_per_step_calibrated, the step's cost in loop iterations: a figure that
+can be compared across BENCH files, where the raw figures of one tree
+drift with the host.
+
 The result is written to BENCH_<pr>.json at the repository root: per
 workload and end-to-end metric, each side's runs, median and quartiles, how
-many pairs the change won (ties count for neither side), and the traced
-per-layer metrics of each side. `host` records the CPUs the runs could use,
-since a run's log writer process overlaps the session only on a second CPU.
+many pairs the change won (ties count for neither side), the calibration
+of each pair, and the traced per-layer metrics of each side. `host` records
+the CPUs the runs could use, since a run's log writer process overlaps the
+session only on a second CPU.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from io import BytesIO
 from pathlib import Path
 
@@ -44,6 +54,35 @@ def export_commit(rev: str, dest: Path) -> str:
     with tarfile.open(fileobj=BytesIO(archive.stdout)) as tar:
         tar.extractall(dest, filter="data")
     return commit
+
+
+class _Point:
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: float, y: float):
+        self.x, self.y = x, y
+
+
+def _calibration_pass(n: int) -> float:
+    def step(p: _Point, k: int) -> tuple[float, float]:
+        return p.x * 0.5 + k, p.y - k * 0.25
+
+    p, total = _Point(1.0, 2.0), 0.0
+    for k in range(n):
+        a, b = step(p, k)
+        p.x, p.y = b, a
+        total += a - b
+    return total
+
+
+def calibration_us(n: int = 200_000) -> float:
+    """µs per iteration of a fixed pure-Python loop, best of three passes."""
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        _calibration_pass(n)
+        best = min(best, time.perf_counter() - t0)
+    return best * 1e6 / n
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -111,16 +150,23 @@ def main(argv: list[str] | None = None) -> int:
         ).stdout.strip()
         sides = {"parent": parent_tree, "change": ROOT}
         for workload in workloads:
-            pairs = []
+            pairs, calibrations = [], []
             for i in range(args.pairs):
+                calibrations.append(calibration_us())
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 runs = {side: run_bench(sides[side], workload, args.seed, args.seconds, 0) for side in order}
+                for run in runs.values():
+                    us = run["metrics"].get("us_per_step")
+                    if us is not None:
+                        run["metrics"]["us_per_step_calibrated"] = {"value": us["value"] / calibrations[-1], "unit": "1"}
                 pairs.append((runs["parent"], runs["change"]))
                 us = {side: runs[side]["metrics"].get("us_per_step", {}).get("value") for side in order}
                 print(f"{workload} pair {i + 1}/{args.pairs} us_per_step {us}", file=sys.stderr)
             traced = {side: run_bench(tree, workload, args.seed, args.seconds, 1) for side, tree in sides.items()}
             report["workloads"][workload] = {
-                "end_to_end": {name: compare(pairs, name, lower) for name, lower in metrics.items()},
+                "end_to_end": {name: compare(pairs, name, lower)
+                               for name, lower in {**metrics, "us_per_step_calibrated": True}.items()},
+                "calibration_us": summary(calibrations),
                 "operations": {side: {"attempted": sum(r["attempted"] for r in runs),
                                       "failed": sum(r["failed"] for r in runs)}
                                for side, runs in zip(("parent", "change"), zip(*pairs))},

@@ -1,23 +1,27 @@
 #!/usr/bin/env python3
-"""What each traced boundary of a step costs per call, and what a sink-less
-session costs per step, without the tracer.
+"""What each per-step function of a session costs per call, and what a
+sink-less session costs per step, without the tracer.
 
     PYTHONPATH=src python3 scripts/hot_path.py [--days 2] [--repeat 5]
 
-perfbench's tracer times these boundaries too, but a span costs more than
-several of the calls it wraps, so its per-layer figures hide them. Here a
-sink-less in-process lockstep session of the benchmark's scenario (synthetic
-cloud_random PV, seed 1, 5 s samples, --days long) runs first, and its
-frame log and plant trace give the inputs of every call: the sensor frames
-and their bytes, the setpoint bytes, the requested currents. Each boundary
-is then called once per step's worth of inputs, in order, on a fresh object
-(a plant, a controller, a boundary) per repeat, and the best repeat is
-reported in ns per call, less the bare loop around the calls. The last two
-lines are whole sink-less sessions, the best of --repeat runs each, in µs
-per simulated step: bus.run_lockstep_inproc, and bus.run_free_running on the
-same series with the csv_free_running workload's transport (4,000 ms
-latency, 1,500 ms jitter). The pvsmooth that PYTHONPATH names is the one
-measured.
+perfbench's tracer times some of these functions too, but a span costs more
+than several of the calls it wraps, so its per-layer figures hide them.
+Here a sink-less in-process lockstep session of the benchmark's scenario
+(synthetic cloud_random PV, seed 1, 5 s samples, --days long) runs first,
+and its frame log and plant trace give the inputs of every call: the sensor
+and setpoint bytes and what they carry, the requested currents. Each
+function is then called once per step's worth of inputs, in order, on a
+fresh object (a controller coroutine, a plant) per repeat, and the best
+repeat is reported in ns per call, less the bare loop around the calls:
+the four per-type codec functions, one resume of the controller's
+coroutine (which decodes, steps and encodes), SmoothingController.step,
+PlantDriver.hold, one resume of the plant's coroutine (apply_interval,
+which integrates an interval and makes the next reading) and battery_step.
+The last two lines are whole sink-less sessions, the best of --repeat runs
+each, in µs per simulated step: bus.run_lockstep_inproc, and
+bus.run_free_running on the same series with the csv_free_running
+workload's transport (4,000 ms latency, 1,500 ms jitter). The pvsmooth that
+PYTHONPATH names is the one measured.
 """
 
 from __future__ import annotations
@@ -27,10 +31,9 @@ import sys
 import time
 from math import inf
 
-from pvsmooth import bus, plant
+from pvsmooth import bus, frames, plant
 from pvsmooth.config import ScenarioConfig, TransportConfig, validate_scenario
 from pvsmooth.controller import ControllerDriver, SmoothingController
-from pvsmooth.frames import MSG_SENSOR, decode_frame, encode_frame
 from pvsmooth.synth import synth_pv
 
 
@@ -61,35 +64,32 @@ def main(argv: list[str] | None = None) -> int:
     series = synth_pv("cloud_random", args.days * 86400.0, cfg.sample_period_s, 3000.0, seed=1)
     steps = len(series)
     session = bus.run_lockstep_inproc(series, cfg)
-    frames, wire = session.log.frames, bytes(session.log.wire)
-    ends, directions = frames.wire_end.tolist(), frames.direction.tolist()
+    log, wire = session.log.frames, bytes(session.log.wire)
+    ends, directions = log.wire_end.tolist(), log.direction.tolist()
     sent = [wire[a:b] for a, b in zip([0, *ends[:-1]], ends)]
-    sensor_bytes = [data for data, d, t in zip(sent, directions, frames.msg_type.tolist())
-                    if d == bus.S2C and t == MSG_SENSOR]
+    sensor_bytes = [(data,) for data, d in zip(sent, directions) if d == bus.S2C][:-1]  # END last
     setpoint_bytes = [(data,) for data, d in zip(sent, directions) if d == bus.C2S]
-    sensors = [decode_frame(data) for data in sensor_bytes]
-    setpoints = [decode_frame(data) for (data,) in setpoint_bytes]
-    t_sends = [float(f.sim_time_ms) for f in sensors]
+    sensors = [frames.decode_sensor(data) for (data,) in sensor_bytes]
+    setpoints = [frames.decode_setpoint(data) for (data,) in setpoint_bytes]
     requests = [(i,) for i in session.plant.trace.i_request_a.tolist()]
     battery = [(soc, cfg.battery, i, cfg.sample_period_s)
                for soc, (i,) in zip([cfg.battery.soc_init, *session.plant.trace.soc.tolist()[:-1]], requests)]
-    readings = [f.values for f in sensors]
 
-    def boundary():
-        return bus.PlantBoundary(cfg, series.rated_power_w)
+    def controller_resume():
+        replies = ControllerDriver(cfg.n_window).replies()
+        next(replies)
+        return replies.send
 
-    # (name as the tracer names it, calls per step, fresh callable, inputs)
+    # (what is timed, calls per step, fresh callable, inputs)
     rows = [
-        ("frames.encode_frame sensor", 1, lambda: encode_frame, [(f,) for f in sensors]),
-        ("frames.encode_frame setpoint", 1, lambda: encode_frame, [(f,) for f in setpoints]),
-        ("frames.decode_frame sensor", 1, lambda: decode_frame, [(data,) for data in sensor_bytes]),
-        ("frames.decode_frame setpoint", 1, lambda: decode_frame, setpoint_bytes),
-        ("bus.outbound", 1, lambda: boundary().outbound, list(zip(sensors, t_sends))),
-        ("bus.inbound", 1, lambda: boundary().inbound, [(data, t) for (data,), t in zip(setpoint_bytes, t_sends)]),
-        ("bus.next_delay_ms", 2, lambda: bus.PlantBoundary(cfg, 0.0).delays.next_delay_ms, [()] * steps),
-        ("controller.on_frame", 1, lambda: ControllerDriver(cfg.n_window).on_frame, [(f,) for f in sensors]),
-        ("controller.step", 1, lambda: SmoothingController(cfg.n_window).step, readings),
-        ("plant.apply_interval", 1, lambda: plant.PlantDriver(series, cfg).apply_interval, requests),
+        ("frames.encode_sensor", 1, lambda: frames.encode_sensor, sensors),
+        ("frames.encode_setpoint", 1, lambda: frames.encode_setpoint, setpoints),
+        ("frames.decode_sensor", 1, lambda: frames.decode_sensor, sensor_bytes),
+        ("frames.decode_setpoint", 1, lambda: frames.decode_setpoint, setpoint_bytes),
+        ("controller resume", 1, controller_resume, sensor_bytes),
+        ("controller.step", 1, lambda: SmoothingController(cfg.n_window).step, [s[2:] for s in sensors]),
+        ("plant.hold", 1, lambda: plant.PlantDriver(series, cfg).hold, [(s,) for s in setpoints]),
+        ("plant resume (apply_interval)", 1, lambda: plant.PlantDriver(series, cfg).apply_interval, requests),
         ("plant.battery_step", 1, lambda: plant.battery_step, battery),
     ]
     print(f"{steps} steps, best of {args.repeat}; ns per call (calls per step)")

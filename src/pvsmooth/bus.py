@@ -6,12 +6,11 @@ The plant-side bus boundary is where physics meets the wire:
   * inbound setpoint values are quantized (DAC emulation) after decoding,
   * every frame is logged with its raw bytes plus send/delivery times.
 
-One builder, _run, makes every session and one loop, drive, runs it; the
-controller sits behind a peer, called directly or served over a message
-socket pair (SocketLink: AF_UNIX SOCK_SEQPACKET, one frame per message) with
-the same bytes on the wire, in the session's own thread either way. The
-session mode is only a delivery rule, and either mode runs on either
-transport. In lockstep mode latency and jitter shift recorded timestamps
+One builder, _run, makes every session and drive runs it; the controller
+sits behind a peer, called directly or served over a message socket pair
+(SocketLink: AF_UNIX SOCK_SEQPACKET, one frame per message) with the same
+bytes on the wire, in the session's own thread either way. The session
+mode is only a delivery rule, and either mode runs on either transport. In lockstep mode latency and jitter shift recorded timestamps
 only, so a run is bitwise reproducible on either peer. In free-running mode
 delays decouple delivery from the plant's sample clock; identical seeds give
 identical logs. Delivery within one direction is FIFO: a frame never
@@ -39,14 +38,15 @@ from .frames import (
     MSG_FAULT,
     MSG_SENSOR,
     MSG_SETPOINT,
-    BusFrame,
     FrameError,
     decode_frame,
+    decode_setpoint,
     encode_frame,
-    sensor_frame,
-    setpoint_frame,
+    encode_sensor,
+    end_frame,
+    fault_frame,
 )
-from .plant import PROTOCOL, PlantDriver, RunFault
+from .plant import PROTOCOL, PlantDriver, Reading, RunFault, Setpoint
 from .series import PowerSeries
 from .util import Records, float_texts
 
@@ -131,7 +131,8 @@ class DelayModel:
 
     def __init__(self, latency_ms: float, jitter_ms: float, seed: int):
         self.latency_ms = latency_ms
-        self._draws = _jitter_draws(np.random.default_rng(seed), jitter_ms) if jitter_ms > 0.0 else repeat(0.0)
+        self.jittered = jitter_ms > 0.0  # without jitter every delay is latency_ms and every draw 0
+        self._draws = _jitter_draws(np.random.default_rng(seed), jitter_ms) if self.jittered else repeat(0.0)
         self.last_draw = 0.0
 
     def next_delay_ms(self) -> float:
@@ -189,6 +190,11 @@ class SessionLog:
 class PlantBoundary:
     """Plant-side bus boundary: quantization, codec, delays, frame log.
 
+    drive sends and logs the frames; outbound and inbound code the ones
+    that it does not: END, any frame through the converters (ADC on the
+    sensor values, DAC on the setpoint current), and a reply that is not an
+    intact setpoint.
+
     corrupt_s2c, when set, mutates outbound sensor bytes after encoding
     (fault injection for integrity tests); it receives the 0-based outbound
     frame index and the encoded bytes. sink is the frame log's (SessionLog).
@@ -200,63 +206,35 @@ class PlantBoundary:
         self.delays = DelayModel(t.latency_ms, t.jitter_ms, seed)
         self.quant = resolve_quantization(t.quantization, cfg, rated_power_w)
         self.log = SessionLog(sink)
-        self._wire = self.log.wire
-        self._rows = self.log.frames.rows  # a hand-off empties both in place
-        self._pack_row = self.log.frames.layout.pack
         self.corrupt_s2c = corrupt_s2c
-        self._outbound_count = 0
-        self._last_s2c = self._last_c2s = 0.0  # each direction's last delivery time
 
-    # outbound and inbound each draw their frame's delay, deliver it no
-    # earlier than the frame before it in the same direction (FIFO), and
-    # log it: its bytes to the wire, a record to the frames
-
-    def outbound(self, frame: BusFrame, t_send_ms: float) -> tuple[bytes, float]:
-        """Quantize+encode+log a plant frame; returns (wire bytes, delivery time)."""
+    def outbound(self, seq: int, sim_time_ms: int, p_pv_w: float | None, v_batt_v: float | None) -> tuple[bytes, int]:
+        """(bytes, msg_type) of the frame for a plant reading: END if p_pv_w
+        is None, else SENSOR with its values quantized (ADC)."""
+        if p_pv_w is None:
+            return encode_frame(end_frame(seq, sim_time_ms)), MSG_END
         q = self.quant
-        if q is not None and frame.msg_type == MSG_SENSOR:
-            values = map(quantize, frame.values, (q.bits, q.bits), (q.power_range_w, q.voltage_range_v))
-            frame = sensor_frame(frame.seq, frame.sim_time_ms, *values)
-        data = encode_frame(frame)
-        if self.corrupt_s2c is not None:
-            data = self.corrupt_s2c(self._outbound_count, data)
-        self._outbound_count += 1
-        delays = self.delays
-        t = t_send_ms + delays.next_delay_ms()
-        last = self._last_s2c
-        if last > t:
-            t = last
-        self._last_s2c = t
-        wire, rows = self._wire, self._rows
-        wire += data
-        rows += self._pack_row(S2C, frame.seq, frame.msg_type, t_send_ms, t, delays.last_draw, len(wire))
-        if len(rows) >= self.log.frames.block_bytes:
-            self.log.frames.hand_off()
-        return data, t
+        if q is not None:
+            p_pv_w, v_batt_v = quantize(p_pv_w, q.bits, q.power_range_w), quantize(v_batt_v, q.bits, q.voltage_range_v)
+        return encode_sensor(seq, sim_time_ms, p_pv_w, v_batt_v), MSG_SENSOR
 
-    def inbound(self, data: bytes, t_send_ms: float) -> tuple[BusFrame, float]:
-        """Decode+log a controller frame; quantizes setpoint current (DAC).
-        An undecodable one is a PROTOCOL fault at the setpoint it stands for."""
-        try:
-            frame = decode_frame(data)
-        except FrameError as exc:  # the replies so far: every frame logged but the outbound ones
-            seq = self.log.frames.start + len(self.log.frames) - self._outbound_count + 1
-            raise RunFault(PROTOCOL, f"undecodable reply in place of setpoint {seq}: {exc}", step=seq) from exc
-        delays = self.delays
-        t = t_send_ms + delays.next_delay_ms()
-        last = self._last_c2s
-        if last > t:
-            t = last
-        self._last_c2s = t
-        wire, rows = self._wire, self._rows
-        wire += data
-        rows += self._pack_row(C2S, frame.seq, frame.msg_type, t_send_ms, t, delays.last_draw, len(wire))
-        if len(rows) >= self.log.frames.block_bytes:
-            self.log.frames.hand_off()
+    def inbound(self, data: bytes, sent: int) -> tuple[Setpoint, int, int]:
+        """(setpoint for the plant, seq, msg_type) of a controller reply, its
+        current quantized (DAC), after `sent` outbound frames. An
+        undecodable one is a PROTOCOL fault at the setpoint it stands for."""
+        setpoint = decode_setpoint(data)
+        if setpoint is None:
+            try:
+                frame = decode_frame(data)
+            except FrameError as exc:  # the replies so far: every frame logged but the outbound ones
+                seq = self.log.frames.start + len(self.log.frames) - sent + 1
+                raise RunFault(PROTOCOL, f"undecodable reply in place of setpoint {seq}: {exc}", step=seq) from exc
+            return frame, frame.seq, frame.msg_type
+        seq, sim_time_ms, i_set_a = setpoint
         q = self.quant
-        if q is not None and frame.msg_type == MSG_SETPOINT:
-            frame = setpoint_frame(frame.seq, frame.sim_time_ms, quantize(frame.values[0], q.bits, q.current_range_a))
-        return frame, t
+        if q is not None:
+            setpoint = seq, sim_time_ms, quantize(i_set_a, q.bits, q.current_range_a)
+        return setpoint, seq, MSG_SETPOINT
 
 
 class SessionResult(NamedTuple):
@@ -290,41 +268,97 @@ SESSION_SINKS: ContextVar[Sinks] = ContextVar("SESSION_SINKS", default=NO_SINKS)
 def drive(plant: PlantDriver, boundary: PlantBoundary, peer, free_running: bool) -> None:
     """Run one session from the plant side until END has reached the peer.
 
-    Before each tick, every queued frame due by the horizon is delivered:
-    sensor frames to the peer, its replies to plant.hold. The horizon is the
-    tick's sample time when free-running and infinite in lockstep, where no
-    frame waits: each one is delivered as it is sent, and no queue is kept.
-    A PROTOCOL RunFault is reported to the peer with a FAULT frame before it
-    propagates.
+    Each plant reading goes out as a frame (send). Before each tick, every
+    queued frame due by the horizon is delivered: sensor frames to the peer,
+    its replies (receive) to plant.hold. The horizon is the tick's sample
+    time when free-running and infinite in lockstep, where no frame waits:
+    each one is delivered as it is sent, and no queue is kept. A PROTOCOL
+    RunFault is reported to the peer with a FAULT frame before it propagates.
     """
-    s2c: deque[tuple[bytes, float]] = deque()
-    c2s: deque[tuple[BusFrame, float]] = deque()
-    frame = plant.first_sensor()
+    hold, apply_interval, exchange = plant.hold, plant.apply_interval, peer.exchange
+    outbound, inbound, corrupt = boundary.outbound, boundary.inbound, boundary.corrupt_s2c
+    plain = boundary.quant is None  # no converter: readings and setpoints pass as they are
+    delays, wire, frames = boundary.delays, boundary.log.wire, boundary.log.frames
+    latency, next_delay = delays.latency_ms, delays.next_delay_ms if delays.jittered else None
+    rows, pack_row, block_bytes, hand_off = frames.rows, frames.layout.pack, frames.block_bytes, frames.hand_off
+    sent, last_s2c, last_c2s = 0, 0.0, 0.0  # frames sent; each direction's last delivery time
+
+    # send and receive each draw their frame's delay, deliver it no earlier
+    # than the frame before it in the same direction (FIFO), and log it: its
+    # bytes to the wire, a record to the frames (a hand-off empties both in
+    # place); the boundary's outbound and inbound code the frames they do not
+
+    def send(reading: Reading) -> tuple[bytes, float]:
+        """Encode a plant reading; returns (wire bytes, delivery time)."""
+        nonlocal sent, last_s2c, wire, rows
+        seq, sim_time_ms, p_pv, v_batt = reading
+        if plain and p_pv is not None:
+            data, msg_type = encode_sensor(seq, sim_time_ms, p_pv, v_batt), MSG_SENSOR
+        else:
+            data, msg_type = outbound(*reading)
+        if corrupt is not None:
+            data = corrupt(sent, data)
+        sent += 1
+        t_send = float(sim_time_ms)
+        t, draw = (t_send + latency, 0.0) if next_delay is None else (t_send + next_delay(), delays.last_draw)
+        if last_s2c > t:
+            t = last_s2c
+        last_s2c = t
+        wire += data
+        rows += pack_row(S2C, seq, msg_type, t_send, t, draw, len(wire))
+        if len(rows) >= block_bytes:
+            hand_off()
+        return data, t
+
+    def receive(data: bytes, t_send: float) -> tuple[Setpoint, float]:
+        """Decode a controller reply; returns (setpoint, delivery time)."""
+        nonlocal last_c2s, wire, rows
+        setpoint = decode_setpoint(data)
+        if plain and setpoint is not None:
+            seq, msg_type = setpoint[0], MSG_SETPOINT
+        else:
+            setpoint, seq, msg_type = inbound(data, sent)
+        t, draw = (t_send + latency, 0.0) if next_delay is None else (t_send + next_delay(), delays.last_draw)
+        if last_c2s > t:
+            t = last_c2s
+        last_c2s = t
+        wire += data
+        rows += pack_row(C2S, seq, msg_type, t_send, t, draw, len(wire))
+        if len(rows) >= block_bytes:
+            hand_off()
+        return setpoint, t
+
+    reading = plant.first_reading
+    i_held = 0.0  # the held setpoint's current; 0 A until the first
     try:
-        while True:
-            data, t_arrive = boundary.outbound(frame, float(frame.sim_time_ms))
-            more = frame.msg_type == MSG_SENSOR
-            if free_running:
-                s2c.append((data, t_arrive))
-                horizon = float(plant.sim_time_ms(plant.k + 1)) if more else math.inf
-                while s2c and s2c[0][1] <= horizon:
-                    data, t_arrive = s2c.popleft()
-                    reply = peer.exchange(data)
-                    if reply is not None:
-                        c2s.append(boundary.inbound(reply, t_arrive))
-                while c2s and c2s[0][1] <= horizon:
-                    plant.hold(c2s.popleft()[0])
-            else:
-                reply = peer.exchange(data)
+        if not free_running:
+            while True:
+                data, t_arrive = send(reading)
+                reply = exchange(data)
                 if reply is not None:
-                    plant.hold(boundary.inbound(reply, t_arrive)[0])
-            if not more:
+                    i_held = hold(receive(reply, t_arrive)[0])
+                if reading[2] is None:  # END
+                    return
+                reading = apply_interval(i_held)
+        s2c: deque[tuple[bytes, float]] = deque()
+        c2s: deque[tuple[Setpoint, float]] = deque()
+        while True:
+            s2c.append(send(reading))
+            horizon = math.inf if reading[2] is None else float(plant.sim_time_ms(reading[0]))  # the next tick's
+            while s2c and s2c[0][1] <= horizon:
+                data, t_arrive = s2c.popleft()
+                reply = exchange(data)
+                if reply is not None:
+                    c2s.append(receive(reply, t_arrive))
+            while c2s and c2s[0][1] <= horizon:
+                i_held = hold(c2s.popleft()[0])
+            if reading[2] is None:
                 return
-            frame = plant.tick()
+            reading = apply_interval(i_held)
     except RunFault as fault:
-        if fault.kind == PROTOCOL:
+        if fault.kind == PROTOCOL:  # FAULT carries the last reading's seq and time
             with suppress(RunFault):  # the peer may be gone already
-                peer.exchange(encode_frame(plant.gap_fault()))
+                peer.exchange(encode_frame(fault_frame(*reading[:2])))
         raise
     finally:
         peer.close()
@@ -332,18 +366,17 @@ def drive(plant: PlantDriver, boundary: PlantBoundary, peer, free_running: bool)
 
 class ControllerPeer:
     """The controller behind the full codec path: plant frame bytes in, reply
-    bytes out. drive calls it in-process; SocketEndpoint.serve feeds it from a
-    socket."""
+    bytes out, through its driver's coroutine (ControllerDriver.replies).
+    drive calls it in-process; SocketEndpoint.serve feeds it from a socket."""
 
     def __init__(self, n: int, sink=None):
         self.driver = ControllerDriver(n, sink)
+        replies = self.driver.replies()
+        next(replies)
+        self._send = replies.send
 
     def exchange(self, data: bytes) -> bytes | None:
-        try:
-            reply = self.driver.on_frame(decode_frame(data))
-        except FrameError:
-            reply = self.driver.on_bad_frame()
-        return None if reply is None else encode_frame(reply)
+        return self._send(data)
 
     def close(self) -> None:
         """Nothing to release; the driver stays readable."""

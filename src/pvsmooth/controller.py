@@ -16,6 +16,7 @@ rate limiting and no SOC feedback; safety limits belong to the plant.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Generator
 from math import fsum, isfinite, nan
 
 from .frames import (
@@ -23,8 +24,12 @@ from .frames import (
     MSG_FAULT,
     MSG_SENSOR,
     BusFrame,
+    FrameError,
+    decode_frame,
+    decode_sensor,
+    encode_frame,
+    encode_setpoint,
     fault_frame,
-    setpoint_frame,
 )
 from .util import Records
 
@@ -89,27 +94,62 @@ LOST_ROW = (0, nan, nan, nan, nan, 0.0, False, True)
 
 
 class ControllerDriver:
-    """Frame-level wrapper: sensor frames in, setpoint frames out.
+    """Frame-level wrapper: sensor frame bytes in, setpoint frame bytes out.
 
     Transport-agnostic; bus.ControllerPeer feeds it one frame at a time, in
-    process or from a socket. Every received frame gets exactly one response
-    carrying the same sequence number. Malformed input, or a sensor frame
-    whose power is not finite, produces a safe zero-current setpoint (the
-    sample is lost, as a corrupted analog read would be) and bumps the error
-    counter. `sink`, if given, receives the log block by block (see
-    Records).
+    process or from a socket, through the coroutine that replies() returns.
+    Every received frame gets exactly one response carrying the same
+    sequence number. Malformed input, or a sensor frame whose power is not
+    finite, produces a safe zero-current setpoint (the sample is lost, as a
+    corrupted analog read would be) and bumps the error counter. `sink`, if
+    given, receives the log block by block (see Records).
     """
 
     def __init__(self, n: int, sink=None):
         self.controller = SmoothingController(n)
         self.log = Records(CONTROLLER_LOG_COLUMNS, sink)  # one row per sample, lost ones too
-        self._rows = self.log.rows  # a hand-off empties it in place
-        self._pack_row = self.log.layout.pack
         self.error_count = 0
         self.expected_seq = 1
         self.done = False
 
-    def on_frame(self, frame: BusFrame) -> BusFrame | None:
+    def replies(self) -> Generator[bytes | None, bytes, None]:
+        """The controller's side of a session, one resume per frame: send it
+        a frame's bytes and it yields the reply's bytes, or None after an
+        intact END or FAULT. The next in-sequence sensor frame with a finite
+        power is stepped here (SmoothingController.step), in this one
+        frame; every other frame goes to on_frame or on_bad_frame. Start it
+        with next()."""
+        c = self.controller
+        step, n = c.step, c.n
+        log = self.log
+        rows, pack_row, block_bytes = log.rows, log.layout.pack, log.block_bytes  # a hand-off empties rows in place
+        expected, k = self.expected_seq, c.k - 1  # the next frame's seq, the steps taken
+        reply = None
+        while True:
+            data = yield reply
+            sensor = decode_sensor(data)
+            if sensor is not None:
+                seq, sim_time_ms, p_pv, v_batt = sensor
+                if seq == expected and isfinite(p_pv):
+                    expected = self.expected_seq = seq + 1
+                    p_hat, p_batt, i_set, fault = step(p_pv, v_batt)
+                    k += 1
+                    rows += pack_row(k, p_pv, v_batt, p_hat, p_batt, i_set, k <= n, fault)
+                    if len(rows) >= block_bytes:
+                        log.hand_off()
+                    reply = encode_setpoint(seq, sim_time_ms, i_set)
+                    continue
+            try:
+                reply = self.on_frame(decode_frame(data))
+            except FrameError:
+                reply = self.on_bad_frame()
+            expected = self.expected_seq
+
+    def on_frame(self, frame: BusFrame) -> bytes | None:
+        """A decoded frame that replies() does not step: END or FAULT (the
+        session is over, no reply), another type (lost), a sequence gap (a
+        FAULT reply, and the session is over) or a power that is not finite
+        (lost)."""
         msg_type, seq, sim_time_ms, values = frame
         if msg_type != MSG_SENSOR:
             if msg_type == MSG_END or msg_type == MSG_FAULT:
@@ -119,27 +159,16 @@ class ControllerDriver:
         if seq != self.expected_seq:
             # Lockstep sequence gap: report it and stop cleanly.
             self.done = True
-            return fault_frame(seq, sim_time_ms)
-        p_pv, v_batt = values
-        if not isfinite(p_pv):  # no sample to average: lost, as an undecodable frame's is
-            return self.on_bad_frame()
-        self.expected_seq = seq + 1
-        c = self.controller
-        p_hat, p_batt, i_set, fault = c.step(p_pv, v_batt)
-        k = c.k - 1  # index of the step just taken
-        rows = self._rows
-        rows += self._pack_row(k, p_pv, v_batt, p_hat, p_batt, i_set, k <= c.n, fault)
-        if len(rows) >= self.log.block_bytes:
-            self.log.hand_off()
-        return setpoint_frame(seq, sim_time_ms, i_set)
+            return encode_frame(fault_frame(seq, sim_time_ms))
+        return self.on_bad_frame()  # no sample to average: lost, as an undecodable frame's is
 
-    def on_bad_frame(self) -> BusFrame:
+    def on_bad_frame(self) -> bytes:
         """Undecodable input: respond with a flagged zero setpoint."""
         self.error_count += 1
         seq = self.expected_seq
         self.expected_seq = seq + 1
-        rows = self._rows
-        rows += self._pack_row(*LOST_ROW)
+        rows = self.log.rows
+        rows += self.log.layout.pack(*LOST_ROW)
         if len(rows) >= self.log.block_bytes:
             self.log.hand_off()
-        return setpoint_frame(seq, 0, 0.0)
+        return encode_setpoint(seq, 0, 0.0)

@@ -47,14 +47,15 @@ PAYLOAD_COUNTS = {MSG_SENSOR: 2, MSG_SETPOINT: 1, MSG_END: 0, MSG_FAULT: 0}
 _HEADER = struct.Struct("<4sBBIQH")
 
 # One whole-frame layout (header and payload) per message type, its first
-# six bytes (magic, version, type) taken as one field; encode_frame packs
-# (layout, those six bytes, payload_len). A frame's last 4 bytes are its
-# crc, so zlib.crc32 of an intact frame is the residue.
+# six bytes (magic, version, type) taken as one field, and the same layout
+# with the crc after it, which reads a frame of exactly its length. A frame's
+# last 4 bytes are its crc, so zlib.crc32 of an intact frame is the residue.
 _LAYOUTS = {t: struct.Struct(f"<6sIQH{n}d") for t, n in PAYLOAD_COUNTS.items()}
-_ENCODERS = {t: (s.pack, MAGIC + bytes((VERSION, t)), 8 * PAYLOAD_COUNTS[t]) for t, s in _LAYOUTS.items()}
-_SENSOR_PREFIX, _SETPOINT_PREFIX = (_ENCODERS[t][1] for t in (MSG_SENSOR, MSG_SETPOINT))
+_PREFIXES = {t: MAGIC + bytes((VERSION, t)) for t in PAYLOAD_COUNTS}
+_SENSOR_PREFIX, _SETPOINT_PREFIX = _PREFIXES[MSG_SENSOR], _PREFIXES[MSG_SETPOINT]
+_pack_sensor, _pack_setpoint = (_LAYOUTS[t].pack for t in (MSG_SENSOR, MSG_SETPOINT))
+_unpack_sensor, _unpack_setpoint = (struct.Struct(_LAYOUTS[t].format + "I").unpack for t in (MSG_SENSOR, MSG_SETPOINT))
 _SENSOR_LEN, _SETPOINT_LEN = (_LAYOUTS[t].size + CRC_LEN for t in (MSG_SENSOR, MSG_SETPOINT))
-_unpack_sensor, _unpack_setpoint = (_LAYOUTS[t].unpack_from for t in (MSG_SENSOR, MSG_SETPOINT))
 _CRC_RESIDUE = 0x2144DF1C
 _crc32 = zlib.crc32
 _pack_crc = struct.Struct("<I").pack
@@ -118,20 +119,56 @@ def fault_frame(seq: int, sim_time_ms: int) -> BusFrame:
     return _new_frame(BusFrame, (MSG_FAULT, seq, sim_time_ms, ()))
 
 
+# The per-type codec of the frames of every step, without a BusFrame;
+# encode_frame and decode_frame are built on it. A decoder returns the
+# frame's fields from seq on, or None for any other bytes (decode_frame says
+# what they are).
+
+
+def encode_sensor(seq: int, sim_time_ms: int, p_pv_w: float, v_batt_v: float) -> bytes:
+    body = _pack_sensor(_SENSOR_PREFIX, seq, sim_time_ms, 16, p_pv_w, v_batt_v)
+    return body + _pack_crc(_crc32(body))
+
+
+def encode_setpoint(seq: int, sim_time_ms: int, i_set_a: float) -> bytes:
+    body = _pack_setpoint(_SETPOINT_PREFIX, seq, sim_time_ms, 8, i_set_a)
+    return body + _pack_crc(_crc32(body))
+
+
+def decode_sensor(data: bytes) -> tuple[int, int, float, float] | None:
+    """(seq, sim_time_ms, p_pv_w, v_batt_v) of an intact SENSOR frame."""
+    if len(data) == _SENSOR_LEN:
+        prefix, seq, sim_time_ms, payload_len, p_pv_w, v_batt_v, _ = _unpack_sensor(data)
+        if prefix == _SENSOR_PREFIX and payload_len == 16 and _crc32(data) == _CRC_RESIDUE:
+            return seq, sim_time_ms, p_pv_w, v_batt_v
+    return None
+
+
+def decode_setpoint(data: bytes) -> tuple[int, int, float] | None:
+    """(seq, sim_time_ms, i_set_a) of an intact SETPOINT frame."""
+    if len(data) == _SETPOINT_LEN:
+        prefix, seq, sim_time_ms, payload_len, i_set_a, _ = _unpack_setpoint(data)
+        if prefix == _SETPOINT_PREFIX and payload_len == 8 and _crc32(data) == _CRC_RESIDUE:
+            return seq, sim_time_ms, i_set_a
+    return None
+
+
 def encode_frame(frame: BusFrame) -> bytes:
     """Serialize to the wire layout. Deterministic: equal frames, equal bytes."""
     msg_type, seq, sim_time_ms, values = frame
+    expected = PAYLOAD_COUNTS.get(msg_type)
+    if expected is None:
+        raise UnknownMessageType(f"cannot encode msg_type 0x{msg_type:02x}")
     try:
-        pack, prefix, payload_len = _ENCODERS[msg_type]
-    except KeyError:
-        raise UnknownMessageType(f"cannot encode msg_type 0x{msg_type:02x}") from None
-    try:
-        body = pack(prefix, seq, sim_time_ms, payload_len, *values)
+        if len(values) != expected:
+            raise PayloadMismatch(f"{frame.type_name} carries {expected} values, got {len(values)}")
+        if msg_type == MSG_SENSOR:
+            return encode_sensor(seq, sim_time_ms, *values)
+        if msg_type == MSG_SETPOINT:
+            return encode_setpoint(seq, sim_time_ms, *values)
+        body = _LAYOUTS[msg_type].pack(_PREFIXES[msg_type], seq, sim_time_ms, 0)  # END, FAULT
     except struct.error:
         # name the field at fault, checked in a fixed order
-        expected = PAYLOAD_COUNTS[msg_type]
-        if len(values) != expected:
-            raise PayloadMismatch(f"{frame.type_name} carries {expected} values, got {len(values)}") from None
         if not 0 <= seq <= 0xFFFFFFFF:
             raise FrameError(f"seq {seq} outside u32 range") from None
         if not 0 <= sim_time_ms <= 0xFFFFFFFFFFFFFFFF:
@@ -142,18 +179,13 @@ def encode_frame(frame: BusFrame) -> bytes:
 
 def decode_frame(data: bytes) -> BusFrame:
     """Parse one frame from an exact byte buffer; inverse of encode_frame.
-    An intact SENSOR or SETPOINT frame, the two of every step, passes all
-    checks in one go; anything else goes through them in the documented
-    order."""
+    An intact SENSOR or SETPOINT frame passes all checks in one go; anything
+    else goes through them in the documented order."""
+    for msg_type, decode in ((MSG_SENSOR, decode_sensor), (MSG_SETPOINT, decode_setpoint)):
+        fields = decode(data)
+        if fields is not None:
+            return _new_frame(BusFrame, (msg_type, fields[0], fields[1], fields[2:]))
     n = len(data)
-    if n == _SENSOR_LEN:
-        prefix, seq, sim_time_ms, payload_len, p_pv_w, v_batt_v = _unpack_sensor(data)
-        if prefix == _SENSOR_PREFIX and payload_len == 16 and _crc32(data) == _CRC_RESIDUE:
-            return _new_frame(BusFrame, (MSG_SENSOR, seq, sim_time_ms, (p_pv_w, v_batt_v)))
-    elif n == _SETPOINT_LEN:
-        prefix, seq, sim_time_ms, payload_len, i_set_a = _unpack_setpoint(data)
-        if prefix == _SETPOINT_PREFIX and payload_len == 8 and _crc32(data) == _CRC_RESIDUE:
-            return _new_frame(BusFrame, (MSG_SETPOINT, seq, sim_time_ms, (i_set_a,)))
     if n < HEADER_LEN:
         raise FrameTruncated(f"need {HEADER_LEN} header bytes, got {n}")
     magic, version, msg_type, seq, sim_time_ms, payload_len = _HEADER.unpack_from(data)

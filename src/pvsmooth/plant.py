@@ -13,17 +13,11 @@ discharging (charging current is positive throughout).
 
 from __future__ import annotations
 
+from collections.abc import Generator
 from math import isfinite
 
 from .config import SUPPLY_HARD_LIMIT_A, BatteryParams, ScenarioConfig
-from .frames import (
-    MSG_FAULT,
-    MSG_SETPOINT,
-    BusFrame,
-    end_frame,
-    fault_frame,
-    sensor_frame,
-)
+from .frames import MSG_FAULT, BusFrame
 from .series import PowerSeries
 from .util import Records
 
@@ -70,6 +64,8 @@ def battery_step(
 
     Returns (soc, terminal voltage, applied current, clamps), where clamps
     counts the limits that acted: the SOC guard and the hard [0, 1] clamp.
+    The hard clamp applies only the current that takes soc to the bound it
+    would cross, so the applied current is always what moved soc.
     Raises an INVARIANT RunFault on a non-finite request.
     """
     if not isfinite(i_request_a):
@@ -91,7 +87,8 @@ def battery_step(
         soc_new = soc
         clamps = 1
     if soc_new < 0.0 or soc_new > 1.0:
-        soc_new = max(0.0, min(1.0, soc_new))
+        soc_new = 0.0 if soc_new < 0.0 else 1.0
+        i = (soc_new - soc) * (3600.0 * params.capacity_ah) / (eta * dt_s)
         clamps += 1
 
     v_terminal = open_circuit_voltage(params, soc_new) + i * params.internal_resistance_ohm
@@ -111,15 +108,25 @@ PLANT_TRACE_COLUMNS = {
 }
 
 
-class PlantDriver:
-    """Frame-level plant: emits sensor frames, holds setpoint frames.
+# a setpoint the plant holds: the (seq, sim_time_ms, i_set_a) of an intact
+# SETPOINT frame; any other decoded frame in its place is refused
+Setpoint = tuple[int, int, float] | BusFrame
+# a plant reading: (seq, sim_time_ms, p_pv_w, v_terminal_v), what sensor
+# frame seq carries; END's has None for both values
+Reading = tuple[int, int, float | None, float | None]
 
-    hold is the one place a setpoint enters the plant; tick integrates one
-    sample under the held current and yields the next sensor frame (or the
-    end-of-session marker). The session loop decides when a setpoint is held.
-    The battery state is plain numbers: soc, v_terminal_v and clamp_events,
-    the limit actions so far (see battery_step). `sink`, if given, receives
-    the trace block by block (see Records).
+
+class PlantDriver:
+    """The plant's side of a session: readings out, setpoints in.
+
+    hold is the one place a setpoint enters the plant, and apply_interval
+    integrates one sample under a current and returns the next reading; the
+    session loop decides what is held and when. first_reading is sensor
+    frame 1's, taken before any interval. The battery state (soc,
+    v_terminal_v and clamp_events, the limit actions so far; see
+    battery_step) and k, the samples applied, are current once the last
+    interval is applied. `sink`, if given, receives the trace block by
+    block (see Records).
     """
 
     def __init__(self, series: PowerSeries, cfg: ScenarioConfig, sink=None):
@@ -131,67 +138,63 @@ class PlantDriver:
         self.v_terminal_v = open_circuit_voltage(b, b.soc_init)
         self.clamp_events = 0
         self.trace = Records(PLANT_TRACE_COLUMNS, sink)  # one row per applied sample
-        self._rows = self.trace.rows  # a hand-off empties it in place
-        self._pack_row = self.trace.layout.pack
         self.k = 0  # samples applied so far
         self.held_seq = 0  # sequence number of the held setpoint
-        self.held_a = 0.0  # held current request; 0 A until the first setpoint
+        intervals = self._intervals()
+        self.first_reading: Reading = next(intervals)
+        self._integrate = intervals.send
 
     def sim_time_ms(self, sample_index: int) -> int:
         return round(sample_index * self.cfg.sample_period_s * 1000.0)
 
-    def first_sensor(self) -> BusFrame:
-        return sensor_frame(1, self.sim_time_ms(0), self._samples[0], self.v_terminal_v)
-
-    def apply_interval(self, i_request_a: float) -> None:
-        """Integrate one sample period under the given current request."""
-        k = self.k + 1
-        if k > self.n_samples:
-            raise RunFault(INVARIANT, "setpoint received past the end of the series", step=k)
-        p_pv = self._samples[k - 1]
-        cfg = self.cfg
-        i_supply = supply_apply(i_request_a, cfg.supply_limit_a)
-        soc, v, i, clamps = battery_step(self.soc, cfg.battery, i_supply, cfg.sample_period_s)
-        self.soc = soc
-        self.v_terminal_v = v
-        if clamps:
-            self.clamp_events += clamps
-        realized = i * v
-        rows = self._rows
-        rows += self._pack_row(k, p_pv, i_request_a, i, v, soc, realized, p_pv - realized)
-        self.k = k
-        if len(rows) >= self.trace.block_bytes:
-            self.trace.hand_off()
-
-    def hold(self, frame: BusFrame) -> None:
-        """Hold SETPOINT(seq=held_seq+1) for the coming intervals.
+    def hold(self, setpoint: Setpoint) -> float:
+        """Hold SETPOINT(seq=held_seq+1) for the coming intervals; returns
+        its current. Anything else is a PROTOCOL RunFault.
 
         A non-finite current is rejected here, before any clamp: min/max
         clamps turn NaN into a limit value.
         """
-        msg_type, seq, _, values = frame
         expected = self.held_seq + 1
-        if msg_type != MSG_SETPOINT:
-            if msg_type == MSG_FAULT:
+        if len(setpoint) != 3:
+            if setpoint.msg_type == MSG_FAULT:
                 raise RunFault(PROTOCOL, "controller reported a fault frame", step=expected)
-            raise RunFault(PROTOCOL, f"expected SETPOINT, got {frame.type_name}", step=expected)
+            raise RunFault(PROTOCOL, f"expected SETPOINT, got {setpoint.type_name}", step=expected)
+        seq, _, i_set_a = setpoint
         if seq != expected:
-            raise RunFault(
-                PROTOCOL, f"setpoint sequence gap: expected {expected}, got {seq}", step=expected
-            )
-        i_set_a = values[0]
+            raise RunFault(PROTOCOL, f"setpoint sequence gap: expected {expected}, got {seq}", step=expected)
         if not isfinite(i_set_a):
             raise RunFault(PROTOCOL, f"non-finite setpoint current {i_set_a}", step=expected)
         self.held_seq = expected
-        self.held_a = i_set_a
+        return i_set_a
 
-    def tick(self) -> BusFrame:
-        """Integrate one interval under the held setpoint; return SENSOR(k+1) or END."""
-        self.apply_interval(self.held_a)
-        k = self.k
-        if k == self.n_samples:
-            return end_frame(k + 1, self.sim_time_ms(k))
-        return sensor_frame(k + 1, self.sim_time_ms(k), self._samples[k], self.v_terminal_v)
+    def apply_interval(self, i_request_a: float) -> Reading:
+        """Integrate one sample period under the given current request;
+        returns the next reading (END's after the last sample)."""
+        return self._integrate(i_request_a)
 
-    def gap_fault(self) -> BusFrame:
-        return fault_frame(self.k + 1, self.sim_time_ms(self.k))
+    def _intervals(self) -> Generator[Reading, float, None]:
+        """apply_interval's integration, one resume per interval, its state
+        in local variables; the plant's attributes take it once the last
+        interval is applied, or the integration stops."""
+        samples, n, sim_time_ms = self._samples, self.n_samples, self.sim_time_ms
+        params, dt, supply_limit_a = self.cfg.battery, self.cfg.sample_period_s, self.cfg.supply_limit_a
+        trace = self.trace
+        rows, pack_row, block_bytes = trace.rows, trace.layout.pack, trace.block_bytes  # a hand-off empties rows in place
+        soc, v, clamp_events = self.soc, self.v_terminal_v, 0
+        k = 0
+        try:
+            while k < n:
+                p_pv = samples[k]
+                i_request_a = yield k + 1, sim_time_ms(k), p_pv, v
+                k += 1
+                soc, v, i, clamps = battery_step(soc, params, supply_apply(i_request_a, supply_limit_a), dt)
+                clamp_events += clamps
+                realized = i * v
+                rows += pack_row(k, p_pv, i_request_a, i, v, soc, realized, p_pv - realized)
+                if len(rows) >= block_bytes:
+                    trace.hand_off()
+            self.k, self.soc, self.v_terminal_v, self.clamp_events = k, soc, v, clamp_events
+            yield k + 1, sim_time_ms(k), None, None
+            raise RunFault(INVARIANT, "setpoint received past the end of the series", step=k + 1)
+        finally:
+            self.k, self.soc, self.v_terminal_v, self.clamp_events = k, soc, v, clamp_events

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import __version__, bus, synth
 from .bus import SESSION_SINKS, TRANSPORTS, SessionLog, SessionResult, Sinks, run_session
-from .config import ConfigError, ScenarioConfig, checked_kwargs, config_hash, validate_scenario
+from .config import BatteryParams, ConfigError, ScenarioConfig, checked_kwargs, config_hash, validate_scenario
 from .controller import CONTROLLER_LOG_COLUMNS
 from .frames import write_hexdump
 from .ingest import IngestSpec, ingest_csv
@@ -100,46 +100,40 @@ def _write_histogram_csv(reports: dict[str, RampReport], out: AtomicWriter) -> N
 
 
 def check_run_invariants(
-    cfg: ScenarioConfig, *, log: Records | None = None, trace: Records | None = None
+    cfg: ScenarioConfig, *, log: Records | None = None, trace: Records | None = None, soc_before: float | None = None
 ) -> None:
-    """Conservation over controller-log rows, then SOC bounds over plant-trace
-    rows; raises on the first breach, naming its step.
+    """Conservation over controller-log rows, then SOC bounds and the energy
+    balance over plant-trace rows; raises on the first breach, naming its
+    step.
 
     A streamed run checks each block of either table as it is handed off.
     Conservation is checked bitwise by recomputing the defining subtraction
     p_batt = p_pv - p_hat from the logged values. SOC bounds are also
-    enforced step-by-step inside the plant; this re-checks the trace.
+    enforced step-by-step inside the plant; this re-checks the trace. The
+    energy balance replays each row's coulomb count from the row before it
+    (soc_before for the first; by default soc_init, as at the start of the
+    run): its SOC step must be the one its applied current makes, within
+    2**-52, so no limit may apply a current that SOC does not count.
     """
     if log is not None:
         _check_controller_rows(log)
-    b = cfg.battery
-    if trace is not None and b.enforce_soc_limits:
-        rows = trace.view()
-        soc = rows["soc"]
-        bad = np.flatnonzero(~((b.soc_min <= soc) & (soc <= b.soc_max)))
-        if bad.size:
-            i = bad[0]
-            step = int(rows["k"][i])
-            raise RunFault(
-                INVARIANT,
-                f"soc {float(soc[i])} outside [{b.soc_min}, {b.soc_max}] at plant step {step}",
-                step=step,
-            )
+    if trace is not None:
+        _check_plant_rows(cfg.battery, cfg.sample_period_s, trace, soc_before)
 
 
 def _check_controller_rows(log: Records) -> None:
     rows = log.view()
     k = rows["k"]
-    p_pv, p_hat, p_batt = rows["p_pv_w"], rows["p_hat_w"], rows["p_batt_w"]
-    live = k != 0  # k=0 marks a lost sample (corrupt frame); no arithmetic to check
-    breach = live & (p_batt != p_pv - p_hat)
-    with np.errstate(divide="ignore", invalid="ignore"):  # faulted rows may have v <= 0
-        i_set = p_batt / rows["v_batt_v"]
-    skew = live & (rows["fault"] == 0) & (rows["i_set_a"] != i_set)
+    live = np.flatnonzero(k != 0)  # k=0 marks a lost sample (corrupt frame); no arithmetic to check
+    p_pv, p_hat, p_batt = rows["p_pv_w"][live], rows["p_hat_w"][live], rows["p_batt_w"][live]
+    with np.errstate(divide="ignore", invalid="ignore"):  # faulted rows may have v <= 0, edited ones inf
+        breach = p_batt != p_pv - p_hat
+        i_set = p_batt / rows["v_batt_v"][live]
+    skew = (rows["fault"][live] == 0) & (rows["i_set_a"][live] != i_set)
     bad = np.flatnonzero(breach | skew)
     if bad.size:
         i = bad[0]
-        step = int(k[i])
+        step = int(k[live[i]])
         if breach[i]:
             raise RunFault(
                 INVARIANT,
@@ -148,6 +142,30 @@ def _check_controller_rows(log: Records) -> None:
                 step=step,
             )
         raise RunFault(INVARIANT, f"setpoint identity breach at controller step {step}", step=step)
+
+
+def _check_plant_rows(b: BatteryParams, dt_s: float, trace: Records, soc_before: float | None) -> None:
+    rows = trace.view()
+    soc, i = rows["soc"], rows["i_applied_a"]
+    if b.enforce_soc_limits:
+        bad = np.flatnonzero(~((b.soc_min <= soc) & (soc <= b.soc_max)))
+        if bad.size:
+            step = int(rows["k"][bad[0]])
+            raise RunFault(INVARIANT, f"soc {float(soc[bad[0]])} outside [{b.soc_min}, {b.soc_max}] at plant step {step}",
+                           step=step)
+    before = np.concatenate(([b.soc_init if soc_before is None else soc_before], soc[:-1]))
+    eta = np.where(i >= 0, b.coulombic_efficiency, 1.0 / b.coulombic_efficiency)
+    with np.errstate(invalid="ignore"):
+        bad = np.flatnonzero(~(np.abs(soc - (before + eta * i * dt_s / (3600.0 * b.capacity_ah))) <= 2.0**-52))
+    if bad.size:
+        j = bad[0]
+        step = int(rows["k"][j])
+        raise RunFault(
+            INVARIANT,
+            f"energy breach at plant step {step}: soc {float(soc[j])!r} from {float(before[j])!r} "
+            f"under {float(i[j])!r} A",
+            step=step,
+        )
 
 
 def live_p_hat(log: Records) -> np.ndarray:
@@ -332,7 +350,7 @@ class RunLogs:
         self.writer.send(CONTROLLER, log)
 
     def plant_block(self, trace: Records) -> None:
-        check_run_invariants(self.cfg, trace=trace)
+        check_run_invariants(self.cfg, trace=trace, soc_before=None if trace.start == 0 else self.soc_final)
         soc = trace.soc
         self.soc_min = min(self.soc_min, float(soc.min()))
         self.soc_max = max(self.soc_max, float(soc.max()))

@@ -16,7 +16,12 @@ them:
   formatted a block at a time (once per distinct value, then in one orjson
   call): one repr per value;
 - decode_frame before its per-type fast path, when one whole-frame layout
-  was picked by the frame's length.
+  was picked by the frame's length;
+- the session's step before each peer ran in one coroutine: a BusFrame
+  per message, the plant-side boundary's outbound and inbound, the plant's
+  first_sensor, hold and tick, the controller's on_frame and one loop for
+  both session modes (run_session_reference). It shares the package's
+  codec, limits, moving average, quantizer and logs.
 
 tests/test_differential.py checks the package against these bitwise. They
 share the package's error classes and parameter types, so an error is the
@@ -32,14 +37,18 @@ import zlib
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from pvsmooth import frames
+from pvsmooth import bus, frames
+from pvsmooth import plant as pkg_plant
 from pvsmooth.bus import DIRECTION_NAMES, SessionLog
 from pvsmooth.config import SUPPLY_HARD_LIMIT_A, BatteryParams
+from pvsmooth.controller import CONTROLLER_LOG_COLUMNS, LOST_ROW
+from pvsmooth.controller import SmoothingController as PackageSmoothingController
 from pvsmooth.frames import (
     CRC_LEN,
     HEADER_LEN,
@@ -56,7 +65,7 @@ from pvsmooth.frames import (
     UnknownMessageType,
 )
 from pvsmooth.ingest import RESAMPLE_MODES, TIMESTAMP_FORMATS, IngestError, IngestResult, IngestSpec
-from pvsmooth.plant import INVARIANT, RunFault
+from pvsmooth.plant import INVARIANT, PLANT_TRACE_COLUMNS, PROTOCOL, RunFault
 from pvsmooth.ramp import RampReport, ramp_report
 from pvsmooth.series import PowerSeries
 from pvsmooth.util import FORMAT_ROWS, Records, atomic_write_text
@@ -235,7 +244,10 @@ def battery_step(
         soc_new = state.soc
         clamp_events += 1
     if soc_new < 0.0 or soc_new > 1.0:
+        # only the current that takes soc to the bound it would cross
         soc_new = max(0.0, min(1.0, soc_new))
+        eta = params.coulombic_efficiency if i >= 0 else 1.0 / params.coulombic_efficiency
+        i = (soc_new - state.soc) * (3600.0 * params.capacity_ah) / (eta * dt_s)
         clamp_events += 1
 
     v_terminal = open_circuit_voltage(params, soc_new) + i * params.internal_resistance_ohm
@@ -510,3 +522,223 @@ def tagged_hex(log: SessionLog) -> Iterator[tuple[str, str]]:
         end *= 2
         yield tag, hex_wire[start:end]
         start = end
+
+
+# --- the session's step before each peer ran in one coroutine --------------------
+
+
+class SessionDelays:
+    """Seeded per-frame delivery delay: latency +/- uniform jitter, one draw a frame."""
+
+    def __init__(self, latency_ms: float, jitter_ms: float, seed: int):
+        self.latency_ms = latency_ms
+        self._draws = bus._jitter_draws(np.random.default_rng(seed), jitter_ms) if jitter_ms > 0.0 else repeat(0.0)
+        self.last_draw = 0.0
+
+    def next_delay_ms(self) -> float:
+        draw = self.last_draw = next(self._draws)
+        return self.latency_ms + draw
+
+
+class PlantBoundaryReference:
+    """Plant-side bus boundary: quantization, codec, delays, frame log."""
+
+    def __init__(self, cfg, rated_power_w: float, corrupt_s2c=None):
+        t = cfg.transport
+        seed = t.seed if t.seed is not None else cfg.seed + 1
+        self.delays = SessionDelays(t.latency_ms, t.jitter_ms, seed)
+        self.quant = bus.resolve_quantization(t.quantization, cfg, rated_power_w)
+        self.log = SessionLog()
+        self.corrupt_s2c = corrupt_s2c
+        self._outbound_count = 0
+        self._last_s2c = self._last_c2s = 0.0
+
+    def _log(self, direction: int, frame, data: bytes, t_send_ms: float, last: float) -> float:
+        t = t_send_ms + self.delays.next_delay_ms()
+        if last > t:
+            t = last
+        self.log.wire += data
+        self.log.frames.rows += self.log.frames.layout.pack(
+            direction, frame.seq, frame.msg_type, t_send_ms, t, self.delays.last_draw, len(self.log.wire)
+        )
+        return t
+
+    def outbound(self, frame, t_send_ms: float) -> tuple[bytes, float]:
+        q = self.quant
+        if q is not None and frame.msg_type == frames.MSG_SENSOR:
+            values = map(bus.quantize, frame.values, (q.bits, q.bits), (q.power_range_w, q.voltage_range_v))
+            frame = frames.sensor_frame(frame.seq, frame.sim_time_ms, *values)
+        data = frames.encode_frame(frame)
+        if self.corrupt_s2c is not None:
+            data = self.corrupt_s2c(self._outbound_count, data)
+        self._outbound_count += 1
+        t = self._last_s2c = self._log(bus.S2C, frame, data, t_send_ms, self._last_s2c)
+        return data, t
+
+    def inbound(self, data: bytes, t_send_ms: float):
+        try:
+            frame = frames.decode_frame(data)
+        except FrameError as exc:
+            seq = len(self.log.frames) - self._outbound_count + 1
+            raise RunFault(PROTOCOL, f"undecodable reply in place of setpoint {seq}: {exc}", step=seq) from exc
+        t = self._last_c2s = self._log(bus.C2S, frame, data, t_send_ms, self._last_c2s)
+        q = self.quant
+        if q is not None and frame.msg_type == frames.MSG_SETPOINT:
+            frame = frames.setpoint_frame(frame.seq, frame.sim_time_ms, bus.quantize(frame.values[0], q.bits, q.current_range_a))
+        return frame, t
+
+
+class PlantReference:
+    """Frame-level plant: emits sensor frames, holds setpoint frames."""
+
+    def __init__(self, series: PowerSeries, cfg):
+        self.cfg = cfg
+        self.samples = series.samples.tolist()
+        b = cfg.battery
+        self.soc = b.soc_init
+        self.v_terminal_v = pkg_plant.open_circuit_voltage(b, b.soc_init)
+        self.clamp_events = 0
+        self.trace = Records(PLANT_TRACE_COLUMNS)
+        self.k = 0
+        self.held_seq = 0
+        self.held_a = 0.0
+
+    def sim_time_ms(self, sample_index: int) -> int:
+        return round(sample_index * self.cfg.sample_period_s * 1000.0)
+
+    def first_sensor(self):
+        return frames.sensor_frame(1, self.sim_time_ms(0), self.samples[0], self.v_terminal_v)
+
+    def apply_interval(self, i_request_a: float) -> None:
+        k = self.k + 1
+        if k > len(self.samples):
+            raise RunFault(INVARIANT, "setpoint received past the end of the series", step=k)
+        p_pv = self.samples[k - 1]
+        cfg = self.cfg
+        i_supply = pkg_plant.supply_apply(i_request_a, cfg.supply_limit_a)
+        soc, v, i, clamps = pkg_plant.battery_step(self.soc, cfg.battery, i_supply, cfg.sample_period_s)
+        self.soc, self.v_terminal_v = soc, v
+        self.clamp_events += clamps
+        realized = i * v
+        self.trace.rows += self.trace.layout.pack(k, p_pv, i_request_a, i, v, soc, realized, p_pv - realized)
+        self.k = k
+
+    def hold(self, frame) -> None:
+        msg_type, seq, _, values = frame
+        expected = self.held_seq + 1
+        if msg_type != frames.MSG_SETPOINT:
+            if msg_type == frames.MSG_FAULT:
+                raise RunFault(PROTOCOL, "controller reported a fault frame", step=expected)
+            raise RunFault(PROTOCOL, f"expected SETPOINT, got {frame.type_name}", step=expected)
+        if seq != expected:
+            raise RunFault(PROTOCOL, f"setpoint sequence gap: expected {expected}, got {seq}", step=expected)
+        i_set_a = values[0]
+        if not math.isfinite(i_set_a):
+            raise RunFault(PROTOCOL, f"non-finite setpoint current {i_set_a}", step=expected)
+        self.held_seq = expected
+        self.held_a = i_set_a
+
+    def tick(self):
+        self.apply_interval(self.held_a)
+        k = self.k
+        if k == len(self.samples):
+            return frames.end_frame(k + 1, self.sim_time_ms(k))
+        return frames.sensor_frame(k + 1, self.sim_time_ms(k), self.samples[k], self.v_terminal_v)
+
+    def gap_fault(self):
+        return frames.fault_frame(self.k + 1, self.sim_time_ms(self.k))
+
+
+class ControllerReference:
+    """Frame-level controller: sensor frame bytes in, setpoint frame bytes out."""
+
+    def __init__(self, n: int):
+        self.controller = PackageSmoothingController(n)
+        self.log = Records(CONTROLLER_LOG_COLUMNS)
+        self.error_count = 0
+        self.expected_seq = 1
+        self.done = False
+
+    @property
+    def driver(self):  # what bus.SocketLink reads of its peer
+        return self
+
+    def close(self) -> None:
+        pass
+
+    def exchange(self, data: bytes) -> bytes | None:
+        try:
+            reply = self.on_frame(frames.decode_frame(data))
+        except FrameError:
+            reply = self.on_bad_frame()
+        return None if reply is None else frames.encode_frame(reply)
+
+    def on_frame(self, frame):
+        msg_type, seq, sim_time_ms, values = frame
+        if msg_type != frames.MSG_SENSOR:
+            if msg_type in (frames.MSG_END, frames.MSG_FAULT):
+                self.done = True
+                return None
+            return self.on_bad_frame()
+        if seq != self.expected_seq:
+            self.done = True
+            return frames.fault_frame(seq, sim_time_ms)
+        p_pv, v_batt = values
+        if not math.isfinite(p_pv):
+            return self.on_bad_frame()
+        self.expected_seq = seq + 1
+        c = self.controller
+        p_hat, p_batt, i_set, fault = c.step(p_pv, v_batt)
+        k = c.k - 1
+        self.log.rows += self.log.layout.pack(k, p_pv, v_batt, p_hat, p_batt, i_set, k <= c.n, fault)
+        return frames.setpoint_frame(seq, sim_time_ms, i_set)
+
+    def on_bad_frame(self):
+        self.error_count += 1
+        seq = self.expected_seq
+        self.expected_seq = seq + 1
+        self.log.rows += self.log.layout.pack(*LOST_ROW)
+        return frames.setpoint_frame(seq, 0, 0.0)
+
+
+def run_session_reference(series: PowerSeries, cfg, corrupt_s2c=None, over_socket=False):
+    """(plant, controller, boundary, RunFault or None) of one sink-less
+    session in the scenario's mode, the controller called directly or
+    served over the package's socket pair (bus.SocketLink)."""
+    plant = PlantReference(series, cfg)
+    boundary = PlantBoundaryReference(cfg, series.rated_power_w, corrupt_s2c)
+    controller = ControllerReference(cfg.n_window)
+    peer = bus.SocketLink(controller) if over_socket else controller
+    free_running = cfg.transport.mode == "free_running"
+    s2c, c2s = [], []
+    frame = plant.first_sensor()
+    try:
+        while True:
+            data, t_arrive = boundary.outbound(frame, float(frame.sim_time_ms))
+            more = frame.msg_type == frames.MSG_SENSOR
+            if free_running:
+                s2c.append((data, t_arrive))
+                horizon = float(plant.sim_time_ms(plant.k + 1)) if more else math.inf
+                while s2c and s2c[0][1] <= horizon:
+                    data, t_arrive = s2c.pop(0)
+                    reply = peer.exchange(data)
+                    if reply is not None:
+                        c2s.append(boundary.inbound(reply, t_arrive))
+                while c2s and c2s[0][1] <= horizon:
+                    plant.hold(c2s.pop(0)[0])
+            else:
+                reply = peer.exchange(data)
+                if reply is not None:
+                    plant.hold(boundary.inbound(reply, t_arrive)[0])
+            if not more:
+                return plant, controller, boundary, None
+            frame = plant.tick()
+    except RunFault as fault:
+        if fault.kind == PROTOCOL:
+            try:
+                peer.exchange(frames.encode_frame(plant.gap_fault()))
+            except RunFault:
+                pass
+        return plant, controller, boundary, fault
+    finally:
+        peer.close()

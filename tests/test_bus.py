@@ -243,11 +243,10 @@ def test_loop_equals_direct_function_composition():
 
     ctrl = SmoothingController(cfg.n_window)
     plant = PlantDriver(series, cfg)
-    v = plant.v_terminal_v
+    v = plant.first_reading[3]
     for k in range(len(series)):
         p_hat, _, i_set, _ = ctrl.step(float(series.samples[k]), v)
-        plant.apply_interval(i_set)
-        v = plant.v_terminal_v
+        v = plant.apply_interval(i_set)[3]
         assert result.controller.log.p_hat_w[k] == p_hat
         assert result.controller.log.i_set_a[k] == i_set
     assert plant.trace.soc.tolist() == result.plant.trace.soc.tolist()

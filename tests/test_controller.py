@@ -146,10 +146,24 @@ def test_smooth_array_matches_step_bitwise():
 # --- frame-level driver ---------------------------------------------------
 
 
+def answerer(d: ControllerDriver):
+    """Answer one frame at a time through d's coroutine: frame in, decoded
+    reply (or None) out."""
+    replies = d.replies()
+    next(replies)
+
+    def answer(frame):
+        reply = replies.send(encode_frame(frame))
+        return None if reply is None else decode_frame(reply)
+
+    return answer
+
+
 def test_driver_answers_every_sensor_frame():
     d = ControllerDriver(n=4)
+    answer = answerer(d)
     for k in range(1, 11):
-        reply = d.on_frame(sensor_frame(k, (k - 1) * 5000, 100.0 * k, 50.0))
+        reply = answer(sensor_frame(k, (k - 1) * 5000, 100.0 * k, 50.0))
         assert reply is not None
         assert reply.msg_type == MSG_SETPOINT
         assert reply.seq == k
@@ -159,15 +173,15 @@ def test_driver_answers_every_sensor_frame():
 
 def test_driver_end_frame_stops():
     d = ControllerDriver(n=4)
-    assert d.on_frame(end_frame(1, 0)) is None
+    assert answerer(d)(end_frame(1, 0)) is None
     assert d.done
     assert len(d.log) == 0
 
 
 def test_driver_bad_frame_emits_safe_zero():
     d = ControllerDriver(n=4)
-    d.on_frame(sensor_frame(1, 0, 100.0, 50.0))
-    reply = d.on_bad_frame()
+    answerer(d)(sensor_frame(1, 0, 100.0, 50.0))
+    reply = decode_frame(d.on_bad_frame())
     assert reply.msg_type == MSG_SETPOINT
     assert reply.seq == 2
     assert reply.values == (0.0,)
@@ -179,22 +193,24 @@ def test_driver_bad_frame_emits_safe_zero():
 
 def test_driver_detects_sequence_gap():
     d = ControllerDriver(n=4)
-    d.on_frame(sensor_frame(1, 0, 100.0, 50.0))
-    reply = d.on_frame(sensor_frame(3, 10000, 100.0, 50.0))
+    answer = answerer(d)
+    answer(sensor_frame(1, 0, 100.0, 50.0))
+    reply = answer(sensor_frame(3, 10000, 100.0, 50.0))
     assert reply.msg_type == MSG_FAULT
     assert d.done
 
 
 def test_driver_warmup_flag():
     d = ControllerDriver(n=2)
+    answer = answerer(d)
     for k in range(1, 5):
-        d.on_frame(sensor_frame(k, 0, 10.0, 50.0))
+        answer(sensor_frame(k, 0, 10.0, 50.0))
     assert d.log.warmup.tolist() == [1, 1, 0, 0]
 
 
 def test_zero_frames_is_clean():
     d = ControllerDriver(n=4)
-    d.on_frame(end_frame(1, 0))
+    answerer(d)(end_frame(1, 0))
     assert len(d.log) == 0 and d.error_count == 0
 
 

@@ -812,3 +812,88 @@ def test_hex_dump_tags_match_a_repr_per_time(data):
         direction, seq, t_send, t_deliver = data.draw(st.tuples(st.integers(0, 1), seqs, cell, cell))
         log.frames.rows += log.frames.layout.pack(direction, seq, MSG_SENSOR, t_send, t_deliver, 0.0, len(log.wire))
     assert list(log.tagged_hex()) == list(ref.tagged_hex(log))
+
+
+# --- whole sessions against the step before each peer ran in a coroutine ------
+
+
+def session_corruption(plan: dict[int, tuple]):
+    """corrupt_s2c hook: outbound frame i is changed as plan[i] says: a
+    flipped bit ("flip", bit), a re-signed power ("power", value) or a
+    re-signed sequence number ("seq", seq), the last two under a valid CRC."""
+
+    def corrupt(index: int, data: bytes) -> bytes:
+        if index not in plan:
+            return data
+        kind, arg = plan[index]
+        if kind == "flip":
+            return data[: arg // 8] + bytes([data[arg // 8] ^ (1 << arg % 8)]) + data[arg // 8 + 1 :]
+        frame = decode_frame(data)
+        if kind == "power":
+            return encode_frame(BusFrame(MSG_SENSOR, frame.seq, frame.sim_time_ms, (arg, frame.values[1])))
+        return encode_frame(BusFrame(MSG_SENSOR, arg, frame.sim_time_ms, frame.values))
+
+    return corrupt
+
+
+@st.composite
+def corruption_plans(draw, n: int):
+    plan = {}
+    for index in draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True)):
+        plan[index] = draw(st.one_of(
+            st.tuples(st.just("flip"), st.integers(0, 8 * 40 - 1)),
+            st.tuples(st.just("power"), st.sampled_from([float("nan"), float("inf"), -0.0])),
+            st.tuples(st.just("seq"), st.sampled_from([index, index + 2, index + 7, 0])),
+        ))
+    return plan
+
+
+@given(
+    n=st.integers(1, 80),
+    window_s=st.sampled_from([5.0, 60.0, 600.0]),
+    free_running=st.booleans(),
+    latency_ms=st.sampled_from([0.0, 700.0, 4000.0, 9000.0]),
+    jitter_share=st.sampled_from([0.0, 0.3, 1.0]),
+    bits=st.sampled_from([None, 8, 12]),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_session_matches_the_step_before_the_coroutines_bitwise(
+    n, window_s, free_running, latency_ms, jitter_share, bits, seed, data
+):
+    # both modes on both transports: the plant trace, the controller log,
+    # the frame records and wire bytes, and the RunFault that ends the
+    # session (kind, step and words), with lost and re-signed sensor frames
+    from pvsmooth.bus import ControllerPeer, PlantBoundary, SocketLink, drive
+    from pvsmooth.config import QuantizationConfig, TransportConfig
+    from pvsmooth.plant import PlantDriver, RunFault
+    from pvsmooth.synth import synth_pv
+
+    plan = data.draw(corruption_plans(n))
+    transport = TransportConfig(
+        mode="free_running" if free_running else "lockstep", latency_ms=latency_ms,
+        jitter_ms=jitter_share * latency_ms, seed=seed,
+        quantization=None if bits is None else QuantizationConfig(bits=bits),
+    )
+    cfg = validate_scenario(ScenarioConfig(window_s=window_s, seed=seed, transport=transport))
+    series = synth_pv("cloud_random", n * 5.0, 5.0, 3000.0, seed=seed)
+    for over_socket in (False, True):
+        plant = PlantDriver(series, cfg)
+        peer = ControllerPeer(cfg.n_window)
+        boundary = PlantBoundary(cfg, series.rated_power_w, corrupt_s2c=session_corruption(plan))
+        fault = None
+        try:
+            drive(plant, boundary, SocketLink(peer) if over_socket else peer, free_running)
+        except RunFault as exc:
+            fault = exc
+        want_plant, want_controller, want_boundary, want_fault = ref.run_session_reference(
+            series, cfg, session_corruption(plan), over_socket
+        )
+        assert bytes(plant.trace.rows) == bytes(want_plant.trace.rows)
+        assert bytes(peer.driver.log.rows) == bytes(want_controller.log.rows)
+        assert bytes(boundary.log.frames.rows) == bytes(want_boundary.log.frames.rows)
+        assert bytes(boundary.log.wire) == bytes(want_boundary.log.wire)
+        assert peer.driver.error_count == want_controller.error_count
+        faults = [None if f is None else (f.kind, f.step, str(f)) for f in (fault, want_fault)]
+        assert faults[0] == faults[1]

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import ideal_battery
 from pvsmooth.config import BatteryParams, ScenarioConfig, validate_scenario
-from pvsmooth.frames import MSG_END, MSG_SENSOR, fault_frame, setpoint_frame
+from pvsmooth.frames import end_frame, fault_frame
 from pvsmooth.plant import (
     INVARIANT,
     PROTOCOL,
@@ -40,6 +40,25 @@ def test_overshoot_without_soc_guard_rails_at_physical_bounds():
     soc, _, _, clamps = battery_step(p.soc_init, p, p.capacity_ah, 3600.0)
     assert soc == 1.0  # 1.5 clamped to the physical ceiling
     assert clamps == 1
+
+
+@pytest.mark.parametrize("soc, request_a, bound", [(1.0, 10.0, 1.0), (0.0, -10.0, 0.0), (0.9999, 40.0, 1.0),
+                                                   (0.0001, -40.0, 0.0)])
+def test_hard_clamp_applies_only_the_current_that_reaches_the_bound(soc, request_a, bound):
+    # without the SOC guard, a battery at a physical bound takes no current
+    # that would push it past, and one short of it takes only what fills or
+    # empties it: the applied current is what moved SOC
+    p = BatteryParams(capacity_wh=20.0, current_limit_a=50.0, soc_min=0.0, soc_max=1.0,
+                      enforce_soc_limits=False, coulombic_efficiency=0.95)
+    new_soc, v, i_applied, clamps = battery_step(soc, p, request_a, 2.0)
+    assert (new_soc, clamps) == (bound, 1)
+    if soc == bound:
+        assert i_applied == 0.0
+    else:
+        assert 0.0 < i_applied / request_a < 1.0
+    eta = p.coulombic_efficiency if i_applied >= 0 else 1.0 / p.coulombic_efficiency
+    assert abs(soc + eta * i_applied * 2.0 / (3600.0 * p.capacity_ah) - new_soc) <= 2.0**-52
+    assert v == open_circuit_voltage(p, bound) + i_applied * p.internal_resistance_ohm
 
 
 def test_charge_blocked_at_soc_max():
@@ -153,35 +172,29 @@ def make_driver(values, cfg=None):
     return PlantDriver(series, cfg), cfg
 
 
-def test_first_sensor_carries_initial_state():
+def test_first_reading_carries_initial_state():
     d, _ = make_driver([100.0, 200.0])
-    f = d.first_sensor()
-    assert f.msg_type == MSG_SENSOR
-    assert f.seq == 1 and f.sim_time_ms == 0
-    assert f.values == (100.0, 53.0)
+    assert d.first_reading == (1, 0, 100.0, 53.0)
 
 
 def test_lockstep_sequence_and_end():
     d, _ = make_driver([100.0, 200.0, 300.0])
-    d.first_sensor()
-    d.hold(setpoint_frame(1, 0, 0.0))
-    f2 = d.tick()
-    assert f2.msg_type == MSG_SENSOR and f2.seq == 2 and f2.values[0] == 200.0
-    d.hold(setpoint_frame(2, 5000, 0.0))
-    f3 = d.tick()
-    assert f3.seq == 3 and f3.values[0] == 300.0
-    d.hold(setpoint_frame(3, 10000, 0.0))
-    f4 = d.tick()
-    assert f4.msg_type == MSG_END
+    assert d.hold((1, 0, 0.0)) == 0.0
+    r2 = d.apply_interval(0.0)
+    assert r2[:3] == (2, 5000, 200.0)
+    d.hold((2, 5000, 0.0))
+    r3 = d.apply_interval(0.0)
+    assert r3[:3] == (3, 10000, 300.0)
+    d.hold((3, 10000, 0.0))
+    r4 = d.apply_interval(0.0)
+    assert r4 == (4, 15000, None, None)  # END's reading
     assert d.k == d.n_samples == len(d.trace) == 3
 
 
 def test_zero_setpoints_hold_soc_and_power():
     d, _ = make_driver([100.0, 200.0, 300.0])
-    d.first_sensor()
     for k in range(1, 4):
-        d.hold(setpoint_frame(k, 0, 0.0))
-        d.tick()
+        d.apply_interval(d.hold((k, 0, 0.0)))
     assert d.trace.soc.tolist() == [0.5] * 3
     assert d.trace.realized_p_batt_w.tolist() == [0.0] * 3
     assert d.trace.p_grid_w.tolist() == [100.0, 200.0, 300.0]
@@ -189,18 +202,18 @@ def test_zero_setpoints_hold_soc_and_power():
 
 def test_sequence_gap_raises_protocol_fault():
     d, _ = make_driver([100.0, 200.0])
-    d.first_sensor()
-    with pytest.raises(RunFault) as err:
-        d.hold(setpoint_frame(5, 0, 0.0))
-    assert err.value.kind == PROTOCOL
+    with pytest.raises(RunFault, match="setpoint sequence gap: expected 1, got 5") as err:
+        d.hold((5, 0, 0.0))
+    assert (err.value.kind, err.value.step) == (PROTOCOL, 1)
 
 
-def test_fault_frame_raises():
+@pytest.mark.parametrize("frame, words", [(fault_frame(1, 0), "controller reported a fault frame"),
+                                          (end_frame(1, 0), "expected SETPOINT, got END")])
+def test_a_frame_other_than_a_setpoint_raises(frame, words):
     d, _ = make_driver([100.0, 200.0])
-    d.first_sensor()
-    with pytest.raises(RunFault) as err:
-        d.hold(fault_frame(1, 0))
-    assert err.value.kind == PROTOCOL
+    with pytest.raises(RunFault, match=words) as err:
+        d.hold(frame)
+    assert (err.value.kind, err.value.step) == (PROTOCOL, 1)
 
 
 @pytest.mark.parametrize("current", [math.nan, math.inf, -math.inf])
@@ -208,9 +221,8 @@ def test_non_finite_setpoint_is_a_protocol_fault(current):
     # min/max clamps pass NaN through as a limit value (+55 A), so the plant
     # must reject it before any clamp, and integrate nothing
     d, _ = make_driver([100.0, 200.0])
-    d.first_sensor()
     with pytest.raises(RunFault, match="non-finite") as err:
-        d.hold(setpoint_frame(1, 0, current))
+        d.hold((1, 0, current))
     assert err.value.kind == PROTOCOL
     assert len(d.trace) == 0
     assert d.held_seq == 0
@@ -218,19 +230,15 @@ def test_non_finite_setpoint_is_a_protocol_fault(current):
 
 def test_setpoint_past_series_end_faults():
     d, _ = make_driver([100.0])
-    d.first_sensor()
-    d.hold(setpoint_frame(1, 0, 0.0))
-    d.tick()
+    d.apply_interval(d.hold((1, 0, 0.0)))
     with pytest.raises(RunFault) as err:
         d.apply_interval(0.0)
-    assert err.value.kind == INVARIANT
+    assert (err.value.kind, err.value.step) == (INVARIANT, 2)
 
 
 def test_requested_vs_realized_divergence_logged():
     d, _ = make_driver([100.0, 200.0])
-    d.first_sensor()
-    d.hold(setpoint_frame(1, 0, 80.0))  # over the 55 A supply ceiling
-    d.tick()
+    d.apply_interval(d.hold((1, 0, 80.0)))  # over the 55 A supply ceiling
     t = d.trace
     assert t.i_request_a[0] == 80.0
     assert t.i_applied_a[0] == 55.0
@@ -245,17 +253,12 @@ def test_closed_loop_constant_pv_settles():
     n_steps = 12
     series = PowerSeries([1200.0] * n_steps, 5.0, 3000.0)
     plant = PlantDriver(series, cfg)
-    frame = plant.first_sensor()
+    seq, sim_time_ms, p_pv, v = plant.first_reading
     n = cfg.n_window
-    buf_sum = 0.0
-    k = 0
-    while frame.msg_type == MSG_SENSOR:
-        k += 1
-        p_pv, v = frame.values
-        p_hat = 1200.0 * min(k, n) / n
+    while p_pv is not None:
+        p_hat = 1200.0 * min(seq, n) / n
         i_set = (p_pv - p_hat) / v
-        plant.hold(setpoint_frame(k, frame.sim_time_ms, i_set))
-        frame = plant.tick()
+        seq, sim_time_ms, p_pv, v = plant.apply_interval(plant.hold((seq, sim_time_ms, i_set)))
     # independent coulomb accumulation of the analytic warm-up currents
     cap_ah = 1e9 / 64.0
     soc = 0.5

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import ideal_battery, read_csv_columns
 from pvsmooth import bus
 from pvsmooth.config import (
+    BatteryParams,
     ConfigError,
     QuantizationConfig,
     ScenarioConfig,
@@ -17,7 +19,7 @@ from pvsmooth.config import (
     validate_scenario,
 )
 from pvsmooth.ingest import IngestSpec, ingest_csv
-from pvsmooth.plant import INVARIANT, RunFault
+from pvsmooth.plant import INVARIANT, PLANT_TRACE_COLUMNS, RunFault
 from pvsmooth.ramp import ramp_report
 from pvsmooth.run import (
     check_run_invariants,
@@ -27,6 +29,7 @@ from pvsmooth.run import (
 )
 from pvsmooth.series import PowerSeries
 from pvsmooth.synth import synth_pv
+from pvsmooth.util import Records
 
 
 def test_constant_series_steady_state(tmp_path):
@@ -219,6 +222,55 @@ def test_invariant_check_reports_the_first_offending_step():
     assert (err.value.kind, err.value.step) == (INVARIANT, 11)
 
 
+# a 20 Wh battery with a 5 A limit and no SOC guard, 2 s steps: the clear
+# profile fills it, and cloud_square from 5 % empties it
+UNGUARDED = BatteryParams(capacity_wh=20.0, current_limit_a=5.0, soc_min=0.0, enforce_soc_limits=False)
+
+
+@pytest.mark.parametrize("profile, soc_init, bound", [("clear", 0.5, 1.0), ("cloud_square", 0.05, 0.0)])
+def test_no_current_flows_into_a_battery_at_a_physical_bound(profile, soc_init, bound):
+    cfg = validate_scenario(ScenarioConfig(sample_period_s=2.0, battery=replace(UNGUARDED, soc_init=soc_init)))
+    session = bus.run_lockstep_inproc(synth_pv(profile, 2000 * 2.0, 2.0, 3000.0), cfg)
+    trace = session.plant.trace
+    before = np.concatenate(([soc_init], trace.soc[:-1]))
+    at_bound = before == bound
+    assert at_bound.sum() > 100 and session.plant.clamp_events > 100
+    pushed = trace.i_request_a[at_bound] > 0 if bound == 1.0 else trace.i_request_a[at_bound] < 0
+    assert pushed.any()
+    assert (trace.i_applied_a[at_bound][pushed] == 0.0).all()  # held there with no current flowing
+    reached = (trace.soc == bound) & ~at_bound
+    assert reached.any() and (trace.i_applied_a[reached] != 0.0).all()  # the last partial current
+    check_session(session, cfg)  # every SOC step is its applied current's charge
+
+
+def test_energy_check_trips_on_soc_held_while_current_flows():
+    series = synth_pv("clear", 600, 5, 1000.0)
+    cfg = validate_scenario(ScenarioConfig(window_s=60.0))
+    session = bus.run_lockstep_inproc(series, cfg)
+    trace = session.plant.trace
+    check_session(session, cfg)
+    k = int(np.flatnonzero(trace.i_applied_a != 0.0)[5])
+    trace.soc[k:] = trace.soc[k - 1]  # SOC stops while current still flows
+    with pytest.raises(RunFault, match=f"energy breach at plant step {k + 1}: ") as err:
+        check_session(session, cfg)
+    assert (err.value.kind, err.value.step) == (INVARIANT, k + 1)
+
+
+def test_energy_check_carries_soc_across_blocks():
+    series = synth_pv("cloud_random", 600, 5, 1000.0, seed=4)
+    cfg = validate_scenario(ScenarioConfig(window_s=60.0))
+    trace = bus.run_lockstep_inproc(series, cfg).plant.trace
+    head, tail = Records(PLANT_TRACE_COLUMNS), Records(PLANT_TRACE_COLUMNS)
+    size = trace.layout.size
+    head.rows[:], tail.rows[:] = trace.rows[: 50 * size], trace.rows[50 * size :]
+    tail.start = 50
+    check_run_invariants(cfg, trace=head)
+    check_run_invariants(cfg, trace=tail, soc_before=float(head.soc[-1]))
+    with pytest.raises(RunFault, match="energy breach at plant step 51") as err:
+        check_run_invariants(cfg, trace=tail, soc_before=float(head.soc[-2]))
+    assert err.value.step == 51
+
+
 def loop_invariant_check(session, cfg):
     """The per-row reference the vectorised check must agree with: the
     (step, message) of the first breach, or None."""
@@ -232,10 +284,17 @@ def loop_invariant_check(session, cfg):
         if not fault and i_set != p_batt / v_batt:
             return k, f"setpoint identity breach at controller step {k}"
     b = cfg.battery
+    trace = session.plant.trace
     if b.enforce_soc_limits:
-        for k, soc in zip(session.plant.trace.k.tolist(), session.plant.trace.soc.tolist()):
+        for k, soc in zip(trace.k.tolist(), trace.soc.tolist()):
             if not (b.soc_min <= soc <= b.soc_max):
                 return k, f"soc {soc} outside [{b.soc_min}, {b.soc_max}] at plant step {k}"
+    before = b.soc_init
+    for k, soc, i in zip(trace.k.tolist(), trace.soc.tolist(), trace.i_applied_a.tolist()):
+        eta = b.coulombic_efficiency if i >= 0 else 1.0 / b.coulombic_efficiency
+        if not abs(soc - (before + eta * i * cfg.sample_period_s / (3600.0 * b.capacity_ah))) <= 2.0**-52:
+            return k, f"energy breach at plant step {k}: soc {soc!r} from {before!r} under {i!r} A"
+        before = soc
     return None
 
 
