@@ -16,12 +16,18 @@ session step does) is timed in this process, in µs per iteration, best of
 three passes. Each run's us_per_step divided by it is recorded as
 us_per_step_calibrated, the step's cost in loop iterations: a figure that
 can be compared across BENCH files, where the raw figures of one tree
-drift with the host.
+drift with the host. Then the loop is timed once alone and once in two
+processes at once (this one and a forked child): parallel_ratio, the wall
+time of the two over that of one. About 1 means a second CPU was free, so
+a run's log writer could overlap its session; about 2 means wall time is
+the sum of the two processes' CPU, so the writer's CPU shows in
+us_per_step.
 
 The result is written to BENCH_<pr>.json at the repository root: per
 workload and end-to-end metric, each side's runs, median and quartiles, how
 many pairs the change won (ties count for neither side), the calibration
-of each pair, and the traced per-layer metrics of each side. `host` records
+and parallel_ratio of each pair, and the traced per-layer metrics of each
+side. `host` records
 the CPUs the runs could use, since a run's log writer process overlaps the
 session only on a second CPU.
 """
@@ -75,14 +81,32 @@ def _calibration_pass(n: int) -> float:
     return total
 
 
+def _pass_s(n: int) -> float:
+    t0 = time.perf_counter()
+    _calibration_pass(n)
+    return time.perf_counter() - t0
+
+
 def calibration_us(n: int = 200_000) -> float:
     """µs per iteration of a fixed pure-Python loop, best of three passes."""
-    best = float("inf")
-    for _ in range(3):
-        t0 = time.perf_counter()
-        _calibration_pass(n)
-        best = min(best, time.perf_counter() - t0)
-    return best * 1e6 / n
+    return min(_pass_s(n) for _ in range(3)) * 1e6 / n
+
+
+def parallel_ratio(n: int = 200_000) -> float:
+    """Wall time of the calibration loop in two processes at once (this one
+    and one forked child) over its wall time alone: about 1 where the two
+    run side by side, about 2 where they share one CPU."""
+    alone = _pass_s(n)
+    t0 = time.perf_counter()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            _calibration_pass(n)
+        finally:
+            os._exit(0)
+    _calibration_pass(n)
+    os.waitpid(pid, 0)
+    return (time.perf_counter() - t0) / alone
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -150,9 +174,10 @@ def main(argv: list[str] | None = None) -> int:
         ).stdout.strip()
         sides = {"parent": parent_tree, "change": ROOT}
         for workload in workloads:
-            pairs, calibrations = [], []
+            pairs, calibrations, ratios = [], [], []
             for i in range(args.pairs):
                 calibrations.append(calibration_us())
+                ratios.append(parallel_ratio())
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 runs = {side: run_bench(sides[side], workload, args.seed, args.seconds, 0) for side in order}
                 for run in runs.values():
@@ -161,12 +186,14 @@ def main(argv: list[str] | None = None) -> int:
                         run["metrics"]["us_per_step_calibrated"] = {"value": us["value"] / calibrations[-1], "unit": "1"}
                 pairs.append((runs["parent"], runs["change"]))
                 us = {side: runs[side]["metrics"].get("us_per_step", {}).get("value") for side in order}
-                print(f"{workload} pair {i + 1}/{args.pairs} us_per_step {us}", file=sys.stderr)
+                print(f"{workload} pair {i + 1}/{args.pairs} us_per_step {us}, parallel_ratio {ratios[-1]:.2f}",
+                      file=sys.stderr)
             traced = {side: run_bench(tree, workload, args.seed, args.seconds, 1) for side, tree in sides.items()}
             report["workloads"][workload] = {
                 "end_to_end": {name: compare(pairs, name, lower)
                                for name, lower in {**metrics, "us_per_step_calibrated": True}.items()},
                 "calibration_us": summary(calibrations),
+                "parallel_ratio": summary(ratios),
                 "operations": {side: {"attempted": sum(r["attempted"] for r in runs),
                                       "failed": sum(r["failed"] for r in runs)}
                                for side, runs in zip(("parent", "change"), zip(*pairs))},

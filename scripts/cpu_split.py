@@ -16,9 +16,13 @@ removed after the run. For each run it prints, per simulated step:
 - writer CPU: user + system time of the reaped log writer process
   (`RUSAGE_CHILDREN`).
 
-The last line gives the median of each over the runs. The pvsmooth that
-PYTHONPATH names is the one measured, so the same script measures another
-checkout's `src`. The temporary directory is removed at the end.
+The last line gives the median of each over the runs. Before the runs it
+prints the host's parallel_ratio (bench_pairs.parallel_ratio): about 1
+means the log writer could overlap the session on a second CPU, so wall
+time follows the session's CPU; about 2 means wall time is the sum of the
+two. The pvsmooth that PYTHONPATH names is the one measured, so the same
+script measures another checkout's `src`. The temporary directory is
+removed at the end.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import workloads  # noqa: E402  (perfbench's input files, unchanged)
+from bench_pairs import parallel_ratio  # noqa: E402
 
 from pvsmooth.config import load_scenario  # noqa: E402
 from pvsmooth.run import resolve_source, run_scenario  # noqa: E402
@@ -54,6 +59,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     rows = []
+    print(f"parallel_ratio {parallel_ratio():.2f} (about 1: the writer can overlap the session; "
+          "about 2: wall time sums the two)")
     with tempfile.TemporaryDirectory(prefix="cpu_split-") as tmp:
         wl = workloads.prepare(args.workload, args.seed, Path(tmp) / "inputs")
         cfg, source = load_scenario(wl.scenario_path)

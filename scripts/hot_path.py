@@ -20,21 +20,43 @@ which integrates an interval and makes the next reading) and battery_step.
 The last two lines are whole sink-less sessions, the best of --repeat runs
 each, in µs per simulated step: bus.run_lockstep_inproc, and
 bus.run_free_running on the same series with the csv_free_running
-workload's transport (4,000 ms latency, 1,500 ms jitter). The pvsmooth that
-PYTHONPATH names is the one measured.
+workload's transport (4,000 ms latency, 1,500 ms jitter).
+
+Then the log writer, on the session of each benchmark workload at seed 1:
+multiday_inproc (lockstep) and csv_free_running (free-running, on the
+ingested CSV, whose night rows hold the running sums' tiny residues), their
+inputs made by perfbench's `workloads.prepare` in a temporary directory.
+Each session runs once with a run's sinks (run.RunLogs), its blocks
+recorded as run.LogWriter would send them, and the recorded stream is
+replayed through run._format_blocks in this process, into temporary files:
+each table's blocks alone (plant trace, controller log, frames) and the
+whole stream. Each is reported as the process CPU (time.process_time) of
+the best of --repeat replays, in µs per simulated step. A run's writer
+process does this work; perfbench's traced figures read 0 for it, since its
+spans stay in the writer process. The pvsmooth that PYTHONPATH names is the
+one measured.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import sys
+import tempfile
 import time
 from math import inf
+from pathlib import Path
 
-from pvsmooth import bus, frames, plant
-from pvsmooth.config import ScenarioConfig, TransportConfig, validate_scenario
-from pvsmooth.controller import ControllerDriver, SmoothingController
-from pvsmooth.synth import synth_pv
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import workloads  # noqa: E402  (perfbench's input files, unchanged)
+
+from pvsmooth import bus, frames, plant  # noqa: E402
+from pvsmooth import run as pvrun  # noqa: E402
+from pvsmooth.config import ScenarioConfig, TransportConfig, load_scenario, validate_scenario  # noqa: E402
+from pvsmooth.controller import ControllerDriver, SmoothingController  # noqa: E402
+from pvsmooth.synth import synth_pv  # noqa: E402
+from pvsmooth.util import AtomicWriter  # noqa: E402
 
 
 def best_ns(make_call, inputs: list[tuple], repeat: int) -> float:
@@ -52,6 +74,46 @@ def best_ns(make_call, inputs: list[tuple], repeat: int) -> float:
         t2 = time.perf_counter_ns()
         best, loop = min(best, t1 - t0), min(loop, t2 - t1)
     return (best - loop) / len(inputs)
+
+
+class StreamRecorder:
+    """Stands in for run.LogWriter: keeps each block as send puts it on the
+    writer's stream, (table id, header and data)."""
+
+    def __init__(self):
+        self.blocks: list[tuple[int, bytes]] = []
+
+    def send(self, table_id: int, table, wire: bytes | None = None) -> None:
+        data = bytes(table.rows) + (b"" if wire is None else bytes(wire))
+        self.blocks.append((table_id, pvrun._HEADER.pack(table_id, len(table), table.start, len(data)) + data))
+
+
+def streamed_blocks(series, cfg) -> list[tuple[int, bytes]]:
+    """The blocks an in-process session streams to a run's log writer."""
+    recorder = StreamRecorder()
+    logs = pvrun.RunLogs(cfg, recorder)
+    token = bus.SESSION_SINKS.set(logs.sinks)
+    try:
+        session = bus.run_session(series, cfg)
+    finally:
+        bus.SESSION_SINKS.reset(token)
+    logs.finish(session)
+    return recorder.blocks
+
+
+def replay_cpu_s(stream: bytes, repeat: int) -> float:
+    """Best process CPU of run._format_blocks over stream, in seconds, the
+    files written into a temporary directory."""
+    best = inf
+    with tempfile.TemporaryDirectory(prefix="hot_path-") as tmp:
+        for _ in range(repeat):
+            files = [AtomicWriter(Path(tmp) / name) for name in pvrun.STREAMED_FILES]
+            t0 = time.process_time()
+            pvrun._format_blocks(io.BufferedReader(io.BytesIO(stream)), files)
+            best = min(best, time.process_time() - t0)
+            for out in files:
+                out.tmp.unlink()
+    return best
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -108,6 +170,21 @@ def main(argv: list[str] | None = None) -> int:
             engine(series, engine_cfg)
             best = min(best, time.perf_counter() - t0)
         print(f"{name}: {1e6 * best / steps:.2f} us/step")
+
+    end = pvrun._HEADER.pack(pvrun._END, 0, 0, 0)
+    for workload in ("multiday_inproc", "csv_free_running"):
+        with tempfile.TemporaryDirectory(prefix="hot_path-") as tmp:
+            wl = workloads.prepare(workload, 1, Path(tmp))
+            wl_cfg, source = load_scenario(wl.scenario_path)
+            wl_series = pvrun.resolve_source(source, wl_cfg)
+        blocks = streamed_blocks(wl_series, wl_cfg)
+        tables = {"plant": pvrun.PLANT, "controller": pvrun.CONTROLLER, "frames": pvrun.FRAMES}
+        streams = {table: b"".join(block for t, block in blocks if t == table_id) + end
+                   for table, table_id in tables.items()}
+        streams["total"] = b"".join(block for _, block in blocks) + end
+        cpu = {table: 1e6 * replay_cpu_s(stream, args.repeat) / len(wl_series) for table, stream in streams.items()}
+        print(f"writer replay of {workload} ({wl_cfg.transport.mode}), process CPU us/step: "
+              + ", ".join(f"{table} {us:.2f}" for table, us in cpu.items()))
     return 0
 
 

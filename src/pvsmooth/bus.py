@@ -45,15 +45,16 @@ from .frames import (
     encode_sensor,
     end_frame,
     fault_frame,
+    hexdump,
 )
 from .plant import PROTOCOL, PlantDriver, Reading, RunFault, Setpoint
 from .series import PowerSeries
-from .util import Records, float_texts
+from .util import Records, number_texts
 
-# frame directions, as coded in the frame log, and their names in frame tags
+# frame directions, as coded in the frame log, and the starts of their hex-dump tags
 S2C = 0  # plant sensor -> controller
 C2S = 1  # controller setpoint -> plant
-DIRECTION_NAMES = ("s2c", "c2s")
+_TAG_PREFIXES = np.array([b"s2c seq=", b"c2s seq="], dtype=object)
 TRANSPORTS = ("inproc", "socket")  # the media a session runs over
 
 # longest wait for a message from a peer
@@ -170,21 +171,13 @@ class SessionLog:
         self._sink(self)
         self.wire.clear()
 
-    def tagged_hex(self) -> Iterator[tuple[str, str]]:
-        """(tag, wire bytes as hex) per frame, the tag naming direction, seq
-        and times. The tags are built column by column, the times formatted
-        in one float_texts call; the wire is hex-encoded once and sliced per
-        frame."""
+    def hexdump(self) -> bytes:
+        """The hex dump of the frames held (frames.hexdump), tagged with their
+        direction, seq and times: each column's texts in one number_texts call."""
         frames = self.frames.view()
-        n = len(frames)
-        times = float_texts(np.concatenate((frames["t_send_ms"], frames["t_deliver_ms"])))
-        tags = [
-            f"{DIRECTION_NAMES[d]} seq={seq} send={t_send} recv={t_deliver}"
-            for d, seq, t_send, t_deliver in zip(frames["direction"].tolist(), frames["seq"].tolist(), times[:n], times[n:])
-        ]
-        hex_wire = self.wire.hex()
-        ends = (2 * frames["wire_end"]).tolist()
-        return zip(tags, map(hex_wire.__getitem__, map(slice, [0, *ends[:-1]], ends)))
+        tags = (_TAG_PREFIXES[frames["direction"]].tolist(), number_texts(frames["seq"]), b" send=",
+                number_texts(frames["t_send_ms"]), b" recv=", number_texts(frames["t_deliver_ms"]))
+        return hexdump(tags, self.wire, frames["wire_end"].tolist())
 
 
 class PlantBoundary:

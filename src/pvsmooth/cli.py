@@ -24,9 +24,9 @@ from .frames import (
     encode_frame,
     end_frame,
     fault_frame,
+    hexdump,
     sensor_frame,
     setpoint_frame,
-    write_hexdump,
 )
 from .ingest import RESAMPLE_MODES, TIMESTAMP_FORMATS, IngestSpec, ingest_csv, write_series_csv
 from .plant import INVARIANT, PROTOCOL, RunFault
@@ -222,8 +222,9 @@ def cmd_protocol_check(n_frames: int, seed: int, dump_path: str | None) -> None:
     )
 
     if dump_path:
+        wires, tags = [encode_frame(f) for f in reference], [f.type_name.encode() for f in reference]
         with AtomicWriter(dump_path) as out:
-            write_hexdump([(f.type_name, encode_frame(f).hex()) for f in reference], out)
+            out.write(hexdump([tags], b"".join(wires), np.cumsum(list(map(len, wires)))))
         click.echo(f"wrote {dump_path}")
 
     failed = [name for name, passed in checks if not passed]

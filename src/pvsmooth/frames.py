@@ -24,12 +24,13 @@ crc, message type, payload shape.
 
 from __future__ import annotations
 
+import binascii
 import struct
 import zlib
-from collections.abc import Iterable
+from collections.abc import Sequence
 from typing import NamedTuple
 
-from .util import AtomicWriter, chunked
+from .util import join_lines
 
 MAGIC = b"HESB"
 VERSION = 0x01
@@ -218,8 +219,11 @@ def decode_frame(data: bytes) -> BusFrame:
 # ---------------------------------------------------------------------------
 
 
-def write_hexdump(tagged_hex: Iterable[tuple[str, str]], out: AtomicWriter) -> None:
-    """Append one `tag hex` line per (tag, frame bytes as hex) pair; stable
-    text form of a frame log."""
-    out.write(chunked(f"{tag} {hex_text}\n" for tag, hex_text in tagged_hex))
-
+def hexdump(tags: Sequence[bytes | Sequence[bytes]], wire: bytes, ends: Sequence[int]) -> bytes:
+    """One `tag hex` line per frame, the stable text form of a frame log: the
+    tag is the frame's item of each `tags` column (join_lines), the hex its
+    bytes in `wire` from the previous frame's end (0 for the first) to its
+    own in `ends`, hex-encoded with the whole wire and sliced."""
+    hex_wire = binascii.hexlify(wire)
+    hexes = [hex_wire[2 * start : 2 * end] for start, end in zip([0, *ends], ends)]
+    return join_lines([*tags, b" ", hexes, b"\n"], len(hexes))

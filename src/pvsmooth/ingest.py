@@ -16,7 +16,7 @@ from array import array
 from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import chain, islice
+from itertools import islice
 from math import isfinite
 from pathlib import Path
 
@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import InputError
 from .series import PowerSeries
-from .util import BLOCK_ROWS, atomic_write_text, float_texts
+from .util import BLOCK_ROWS, AtomicWriter, number_texts
 
 TIMESTAMP_FORMATS = ("epoch_s", "iso8601")
 RESAMPLE_MODES = ("none", "zero_order_hold")
@@ -413,10 +413,10 @@ def ingest_csv(spec: IngestSpec) -> IngestResult:
 
 def write_series_csv(series: PowerSeries, path: str | Path) -> None:
     """Canonical two-column form: epoch seconds and watts, each as repr writes
-    it (float_texts, one call a column a block of BLOCK_ROWS rows)."""
+    it (number_texts, one call a block of BLOCK_ROWS rows)."""
     times, samples = series.times_s(), series.samples
-    blocks = (
-        zip(float_texts(times[i : i + BLOCK_ROWS]), float_texts(samples[i : i + BLOCK_ROWS]))
-        for i in range(0, len(samples), BLOCK_ROWS)
-    )
-    atomic_write_text(path, chain(["t_s,power_w\n"], ("\n".join(map(",".join, rows)) + "\n" for rows in blocks)))
+    with AtomicWriter(path) as out:
+        out.write(b"t_s,power_w\n")
+        for i in range(0, len(samples), BLOCK_ROWS):
+            rows = number_texts(np.stack((times[i : i + BLOCK_ROWS], samples[i : i + BLOCK_ROWS]), axis=1))
+            out.write(b"\n".join(rows) + b"\n")

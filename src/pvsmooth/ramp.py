@@ -12,8 +12,8 @@ default) or by one sample (sliding) for sensitivity studies.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Any
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import InputError
 from .series import PowerSeries
-from .util import AtomicWriter, atomic_write_text, chunked
+from .util import AtomicWriter, atomic_write_text
 
 
 class RampMetricError(InputError):
@@ -209,12 +209,10 @@ def write_rates_file(
 ) -> None:
     """Two-column plot file: evaluation time (s) and ramp rate (%/min)."""
     stride = round(report.rr_interval_s / sample_period_s)
-
-    def lines() -> Iterator[str]:
-        yield "t_s,rr_pct_per_min\n"
-        for j, rr in enumerate(report.rr_pct_per_min):
-            i = (stride + j) if sliding else (j + 1) * stride
-            t = start_time_s + i * sample_period_s
-            yield f"{float(t)!r},{float(rr)!r}\n"
-
-    out.write(chunked(lines()))
+    n = len(report.rr_pct_per_min)
+    steps = range(stride, stride + n) if sliding else range(stride, (n + 1) * stride, stride)
+    times = (float(start_time_s + i * sample_period_s) for i in steps)
+    lines = (f"{t!r},{float(rr)!r}\n" for t, rr in zip(times, report.rr_pct_per_min))
+    out.write(b"t_s,rr_pct_per_min\n")
+    while chunk := "".join(islice(lines, 256)):  # a few lines at a time: the file is not held whole
+        out.write(chunk.encode())

@@ -43,7 +43,6 @@ from . import __version__, bus, synth
 from .bus import SESSION_SINKS, TRANSPORTS, SessionLog, SessionResult, Sinks, run_session
 from .config import BatteryParams, ConfigError, ScenarioConfig, checked_kwargs, config_hash, validate_scenario
 from .controller import CONTROLLER_LOG_COLUMNS
-from .frames import write_hexdump
 from .ingest import IngestSpec, ingest_csv
 from .plant import INVARIANT, PLANT_TRACE_COLUMNS, RunFault
 from .ramp import RampReport, ramp_report, report_to_dict, stride_for, write_rates_file
@@ -83,20 +82,23 @@ class RunArtifacts:
 
 
 def write_controller_log(log: Records, out: AtomicWriter) -> None:
-    out.write(log.csv_chunks())
+    out.write(log.csv_bytes())
 
 
 def write_plant_trace(trace: Records, out: AtomicWriter) -> None:
-    out.write(trace.csv_chunks())
+    out.write(trace.csv_bytes())
+
+
+def write_hexdump(log: SessionLog, out: AtomicWriter) -> None:
+    out.write(log.hexdump())
 
 
 def _write_histogram_csv(reports: dict[str, RampReport], out: AtomicWriter) -> None:
-    lines = ["series,bin_lo,bin_hi,count"]
+    lines = ["series,bin_lo,bin_hi,count\n"]
     for name, rep in reports.items():
-        edges, counts = rep.histogram.bin_edges, rep.histogram.counts
-        for i in range(len(counts)):
-            lines.append(f"{name},{float(edges[i])!r},{float(edges[i + 1])!r},{int(counts[i])}")
-    out.write("\n".join(lines) + "\n")
+        edges, counts = rep.histogram.bin_edges.tolist(), rep.histogram.counts.tolist()
+        lines += (f"{name},{lo!r},{hi!r},{count}\n" for lo, hi, count in zip(edges, edges[1:], counts))
+    out.write("".join(lines).encode())
 
 
 def check_run_invariants(
@@ -216,7 +218,7 @@ def _format_blocks(stream: BinaryIO, files: Sequence[AtomicWriter]) -> None:
             write_controller_log(table, ctrl_csv)
         else:
             frame_log.wire[:] = view[end:]
-            write_hexdump(frame_log.tagged_hex(), frames_hex)
+            write_hexdump(frame_log, frames_hex)
 
 
 class OutputError(RuntimeError):

@@ -6,18 +6,17 @@ import os
 import struct
 import sys
 import threading
-from collections.abc import Callable, Iterable, Iterator
-from itertools import islice
+from collections.abc import Callable, Sequence
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 
 BLOCK_ROWS = 1024  # rows per block handed to a table's sink
-FORMAT_ROWS = 256  # rows converted to Python values, and lines joined, at a time
 
 
 class AtomicWriter:
-    """A text file written piece by piece and renamed into place at the end.
+    """A file written piece by piece, as bytes, and renamed into place at the end.
 
     The pieces go to a temporary file beside the target, named after the
     writing process and thread, so concurrent writers never share one; the
@@ -29,11 +28,10 @@ class AtomicWriter:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.tmp = self.path.with_name(f"{self.path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-        self._fh = open(self.tmp, "w", encoding="utf-8")
+        self._fh = open(self.tmp, "wb")
 
-    def write(self, text: str | Iterable[str]) -> None:
-        """Append `text`, a string or an iterable of chunks written in order."""
-        self._fh.writelines([text] if isinstance(text, str) else text)
+    def write(self, data: bytes) -> None:
+        self._fh.write(data)
 
     def close(self) -> None:
         """Flush and close the temporary file, leaving it in place; a writer
@@ -52,48 +50,54 @@ class AtomicWriter:
             self.tmp.unlink(missing_ok=True)  # already gone after the rename
 
 
-def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
-    """Write-then-rename so readers never observe a partial file.
-
-    `text` is the whole content or an iterable of chunks written in order.
-    """
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write `text` as UTF-8, then rename, so readers never observe a partial file."""
     with AtomicWriter(path) as out:
-        out.write(text)
-
-
-def chunked(lines: Iterable[str], size: int = FORMAT_ROWS) -> Iterator[str]:
-    """Join consecutive lines into chunks of `size` lines."""
-    it = iter(lines)
-    while chunk := "".join(islice(it, size)):
-        yield chunk
+        out.write(text.encode())
 
 
 # orjson writes a float64 as repr does (the shortest text that reads back
-# bitwise) when it is zero or its magnitude lies in [1e-4, 1e16); outside
-# that window it writes 1e16 where repr writes 1e+16, 0.00001 for 1e-05,
-# and null for NaN and inf
-TEXT_WINDOW = (1e-4, 1e16)
+# bitwise) but at magnitudes in [1e-9, 1e-4), where it writes 0.00001 and
+# 1e-6 for repr's 1e-05 and 1e-06 (below 1e-9 both exponents have two
+# digits), from 1e16 up (1e16 for 1e+16), and for NaN and inf (null)
+REPR_EDGES = (1e-9, 1e-4, 1e16)
 
 
-def float_texts(values: np.ndarray) -> list[str]:
-    """repr of each value of a float64 array, in order.
-
-    One orjson call, a shortest round-trip formatter in compiled code,
-    writes every value; repr rewrites the few outside TEXT_WINDOW, so each
-    text equals repr of its value (-0.0, NaN and inf included).
-    """
+def number_texts(values: np.ndarray) -> list[bytes]:
+    """The text of each value of a 1-D numeric array, or of each row of a 2-D
+    one (its values joined by commas): integers as str writes them, floats
+    as repr does. orjson, a shortest round-trip formatter in compiled code,
+    writes every value in one call; repr rewrites the few floats whose
+    orjson text differs (REPR_EDGES)."""
     import orjson  # only a writer formats: the session's process never loads it
 
-    if not values.size:
+    if not len(values):
         return []
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    texts = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
-    size = np.abs(values)
-    lo, hi = TEXT_WINDOW
-    odd = np.flatnonzero(~(((lo <= size) & (size < hi)) | (values == 0.0)))
-    for i, value in zip(odd.tolist(), values[odd].tolist()):
-        texts[i] = repr(value)
+    values = np.ascontiguousarray(values)
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
+    texts = text[1:-1].split(b",") if values.ndim == 1 else text[2:-2].split(b"],[")
+    if values.dtype.kind == "f":
+        rows = values.reshape(len(values), -1)
+        size = np.abs(rows)
+        tiny, lo, hi = REPR_EDGES
+        odd = ~((size < tiny) | ((lo <= size) & (size < hi)))  # NaN compares false
+        for i in np.flatnonzero(odd.any(axis=1)).tolist():
+            cells = texts[i].split(b",")
+            for j in np.flatnonzero(odd[i]).tolist():
+                cells[j] = repr(rows[i, j].item()).encode()
+            texts[i] = b",".join(cells)
     return texts
+
+
+def join_lines(columns: Sequence[bytes | Sequence[bytes]], n: int) -> bytes:
+    """n lines, each its item of every column in turn: a column is a bytes
+    object, the same on every line, or a sequence of n of them. Every item
+    goes in its place in one list, a column at a time, joined once."""
+    items = [column if isinstance(column, bytes) else b"" for column in columns] * n
+    for j, column in enumerate(columns):
+        if not isinstance(column, bytes):
+            items[j :: len(columns)] = column
+    return b"".join(items)
 
 
 class Records:
@@ -145,19 +149,17 @@ class Records:
         self.start += len(self)
         del self.rows[:]
 
-    def csv_chunks(self) -> Iterator[str]:
+    def csv_bytes(self) -> bytes:
         """The rows held as CSV text, after the header when they start the
-        table, so a table's blocks in order make up its whole file. Floats
-        are written as repr writes them (float_texts, one call for all of
-        the block's floats), so each reads back bitwise with float(); flags
-        and integers as decimal integers."""
-        if self.start == 0:
-            yield ",".join(self.names) + "\n"
+        table, so a table's blocks in order make up its whole file; each run
+        of adjacent float columns, and each integer column, in one
+        number_texts call."""
+        head = (",".join(self.names) + "\n").encode() if self.start == 0 else b""
         recs = self.view()
-        n = len(recs)
-        floats = [name for name in self.names if self.dtype[name].kind == "f"]
-        texts = float_texts(np.stack([recs[name] for name in floats]).ravel()) if n else []
-        float_cells = {name: texts[j * n : (j + 1) * n] for j, name in enumerate(floats)}
-        cols = [float_cells[name] if name in float_cells else list(map(str, recs[name].tolist())) for name in self.names]
-        for i in range(0, n, FORMAT_ROWS):  # join rows a chunk at a time
-            yield "\n".join(map(",".join, zip(*(col[i : i + FORMAT_ROWS] for col in cols)))) + "\n"
+        columns = []
+        for floats, names in groupby(self.names, key=lambda name: self.dtype[name].kind == "f"):
+            cols = [recs[name] for name in names]
+            for col in [np.stack(cols, axis=1)] if floats else cols:  # a float run's rows in one call
+                columns += [number_texts(col), b","]
+        columns[-1] = b"\n"
+        return head + join_lines(columns, len(recs))

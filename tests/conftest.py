@@ -32,7 +32,7 @@ def smooth_array(controller: SmoothingController, p_pv_w: np.ndarray) -> np.ndar
 
 
 def read_hexdump(path: str | Path) -> list[tuple[str, bytes]]:
-    """The (tag, frame bytes) pairs of a hex dump (frames.write_hexdump)."""
+    """The (tag, frame bytes) pairs of a hex dump (frames.hexdump)."""
     out = []
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         if not line.strip():

@@ -34,7 +34,6 @@ import csv
 import math
 import struct
 import zlib
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import repeat
@@ -45,7 +44,7 @@ import numpy as np
 
 from pvsmooth import bus, frames
 from pvsmooth import plant as pkg_plant
-from pvsmooth.bus import DIRECTION_NAMES, SessionLog
+from pvsmooth.bus import SessionLog
 from pvsmooth.config import SUPPLY_HARD_LIMIT_A, BatteryParams
 from pvsmooth.controller import CONTROLLER_LOG_COLUMNS, LOST_ROW
 from pvsmooth.controller import SmoothingController as PackageSmoothingController
@@ -68,7 +67,7 @@ from pvsmooth.ingest import RESAMPLE_MODES, TIMESTAMP_FORMATS, IngestError, Inge
 from pvsmooth.plant import INVARIANT, PLANT_TRACE_COLUMNS, PROTOCOL, RunFault
 from pvsmooth.ramp import RampReport, ramp_report
 from pvsmooth.series import PowerSeries
-from pvsmooth.util import FORMAT_ROWS, Records, atomic_write_text
+from pvsmooth.util import Records, atomic_write_text
 
 _HEADER = struct.Struct("<4sBBIQH")
 
@@ -501,27 +500,26 @@ def write_series_csv(series: PowerSeries, path: str | Path) -> None:
 # --- log formatters: one repr per value ----------------------------------------
 
 
-def csv_chunks(table: Records) -> Iterator[str]:
-    """Records.csv_chunks with every cell formatted by its own repr."""
-    if table.start == 0:
-        yield ",".join(table.names) + "\n"
+def csv_bytes(table: Records) -> bytes:
+    """Records.csv_bytes with every cell formatted by its own repr."""
+    lines = [",".join(table.names)] if table.start == 0 else []
     cols = [getattr(table, name).tolist() for name in table.names]
-    for i in range(0, len(table), FORMAT_ROWS):
-        cells = [map(repr, col[i : i + FORMAT_ROWS]) for col in cols]
-        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+    lines.extend(",".join(map(repr, row)) for row in zip(*cols))
+    return "".join(line + "\n" for line in lines).encode()
 
 
-def tagged_hex(log: SessionLog) -> Iterator[tuple[str, str]]:
-    """SessionLog.tagged_hex with a repr per time and an f-string per tag."""
+def hexdump(log: SessionLog) -> bytes:
+    """SessionLog.hexdump with a repr per time and an f-string per line."""
     hex_wire = log.wire.hex()
     start = 0
     f = log.frames
     names = ("direction", "seq", "t_send_ms", "t_deliver_ms", "wire_end")
+    lines = []
     for d, seq, t_send, t_deliver, end in zip(*(getattr(f, name).tolist() for name in names)):
-        tag = f"{DIRECTION_NAMES[d]} seq={seq} send={t_send!r} recv={t_deliver!r}"
         end *= 2
-        yield tag, hex_wire[start:end]
+        lines.append(f"{('s2c', 'c2s')[d]} seq={seq} send={t_send!r} recv={t_deliver!r} {hex_wire[start:end]}\n")
         start = end
+    return "".join(lines).encode()
 
 
 # --- the session's step before each peer ran in one coroutine --------------------

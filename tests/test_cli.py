@@ -299,8 +299,8 @@ def test_exit_code_of_a_failed_artifact_write(tmp_path, monkeypatch, capsys, pat
     else:  # in the session's process, after the streamed files are complete
         real_write = AtomicWriter.write
 
-        def write(self, text):
-            (disk_full if self.path.name == "metrics.json" else real_write)(self, text)
+        def write(self, data):
+            (disk_full if self.path.name == "metrics.json" else real_write)(self, data)
 
         monkeypatch.setattr(AtomicWriter, "write", write)
     out = tmp_path / "out"

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 import reference as ref
 from conftest import report_bytes
-from pvsmooth.bus import SessionLog
+from pvsmooth.bus import FRAME_LOG_COLUMNS, SessionLog
 from pvsmooth.config import SUPPLY_HARD_LIMIT_A, BatteryParams, ScenarioConfig, validate_scenario
 from pvsmooth.controller import CONTROLLER_LOG_COLUMNS, LOST_ROW, SmoothingController
 from pvsmooth.frames import (
@@ -44,6 +44,7 @@ from pvsmooth.frames import (
     encode_frame,
 )
 from pvsmooth import ingest
+from pvsmooth import run as pvrun
 from pvsmooth.ingest import CHUNK_ROWS, IngestError, IngestSpec, _floats, ingest_csv, write_series_csv
 from pvsmooth.plant import PLANT_TRACE_COLUMNS, battery_step, supply_apply
 from pvsmooth.ramp import RampMetricError, warmup_skip_count
@@ -783,7 +784,7 @@ def test_csv_logs_sharing_float_texts_match_a_repr_per_cell(tmp_path_factory, da
         start = 0
         for _ in range(data.draw(st.integers(1, 4), label="blocks")):
             rows = data.draw(st.integers(0, 8), label="rows")
-            repeat = data.draw(st.integers(1, 40), label="repeat")  # up to 320 rows: two format chunks
+            repeat = data.draw(st.integers(1, 40), label="repeat")  # up to 320 rows
             for table, write, out, want in tables:
                 columns = []
                 for name, code in zip(table.names, table.layout.format[1:]):
@@ -796,10 +797,10 @@ def test_csv_logs_sharing_float_texts_match_a_repr_per_cell(tmp_path_factory, da
                 table.rows[:] = b"".join(table.layout.pack(*row) for row in zip(*columns))
                 table.start = start
                 write(table, out)
-                want.extend(ref.csv_chunks(table))
+                want.append(ref.csv_bytes(table))
             start += rows * repeat
     for i, (*_, want) in enumerate(tables):
-        assert (tmp / f"{i}.csv").read_bytes() == "".join(want).encode()
+        assert (tmp / f"{i}.csv").read_bytes() == b"".join(want)
 
 
 @given(data=st.data())
@@ -811,7 +812,78 @@ def test_hex_dump_tags_match_a_repr_per_time(data):
         log.wire += data.draw(st.binary(max_size=40))
         direction, seq, t_send, t_deliver = data.draw(st.tuples(st.integers(0, 1), seqs, cell, cell))
         log.frames.rows += log.frames.layout.pack(direction, seq, MSG_SENSOR, t_send, t_deliver, 0.0, len(log.wire))
-    assert list(log.tagged_hex()) == list(ref.tagged_hex(log))
+    assert log.hexdump() == ref.hexdump(log)
+
+
+def signed(values):
+    return st.tuples(values, st.sampled_from([1.0, -1.0])).map(lambda v: v[0] * v[1])
+
+
+# floats as the writer gets them: running-sum residues like the night's, the
+# ones whose text repr writes (magnitudes in [1e-9, 1e-4), from 1e16 up, NaN
+# and inf), and any double
+writer_floats = st.one_of(
+    signed(st.floats(1e-15, 1e-3)),
+    signed(st.one_of(st.floats(1e-9, 1e-4, exclude_max=True), st.floats(min_value=1e16))),
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    doubles,
+)
+writer_cells = {
+    "d": writer_floats,
+    "q": st.integers(-(2**63), 2**63 - 1),
+    "b": st.integers(-128, 127),
+}
+
+
+@st.composite
+def wire_bytes(draw):
+    """A frame's bytes as the plant may log them: intact, with a bit
+    flipped, cut short, or any bytes at all."""
+    data = encode_frame(draw(frames()))
+    how = draw(st.sampled_from(["intact", "flip", "cut", "any"]))
+    if how == "flip":
+        bit = draw(st.integers(0, 8 * len(data) - 1))
+        return data[: bit // 8] + bytes([data[bit // 8] ^ 1 << bit % 8]) + data[bit // 8 + 1 :]
+    if how == "cut":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    return data if how == "intact" else draw(st.binary(max_size=40))
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_the_writer_process_writes_a_repr_per_cell_and_per_time(tmp_path_factory, data):
+    # plant, controller and frame blocks interleaved as a session streams
+    # them, empty ones too, through the writer's loop; each file must equal
+    # the text of a repr per value, block by block
+    specs = {pvrun.PLANT: PLANT_TRACE_COLUMNS, pvrun.CONTROLLER: CONTROLLER_LOG_COLUMNS, pvrun.FRAMES: FRAME_LOG_COLUMNS}
+    starts = dict.fromkeys(specs, 0)
+    stream, want = [], {table_id: [] for table_id in specs}
+    for _ in range(data.draw(st.integers(0, 8), label="blocks")):
+        table_id = data.draw(st.sampled_from(list(specs)), label="table")
+        n = data.draw(st.integers(0, 12), label="rows")
+        log = SessionLog()
+        table = log.frames if table_id == pvrun.FRAMES else Records(specs[table_id])
+        for _ in range(n):
+            if table_id == pvrun.FRAMES:
+                log.wire += data.draw(wire_bytes())
+                direction, seq, msg_type = data.draw(st.tuples(st.integers(0, 1), seqs, st.integers(-128, 127)))
+                t_send, t_deliver, draw_ms = data.draw(st.tuples(writer_floats, writer_floats, writer_floats))
+                row = (direction, seq, msg_type, t_send, t_deliver, draw_ms, len(log.wire))
+            else:
+                row = data.draw(st.tuples(*(writer_cells[code] for code in specs[table_id].values())))
+            table.rows += table.layout.pack(*row)
+        table.start = starts[table_id]
+        starts[table_id] += n
+        block = table.rows + (log.wire if table_id == pvrun.FRAMES else b"")
+        stream.append(pvrun._HEADER.pack(table_id, n, table.start, len(block)) + block)
+        want[table_id].append(ref.hexdump(log) if table_id == pvrun.FRAMES else ref.csv_bytes(table))
+    stream.append(pvrun._HEADER.pack(pvrun._END, 0, 0, 0))
+    tmp = tmp_path_factory.mktemp("writer")
+    files = [AtomicWriter(tmp / name) for name in pvrun.STREAMED_FILES]
+    pvrun._format_blocks(io.BufferedReader(io.BytesIO(b"".join(stream))), files)
+    for table_id, out in enumerate(files):
+        assert out.tmp.read_bytes() == b"".join(want[table_id]), pvrun.STREAMED_FILES[table_id]
+        out.tmp.unlink()
 
 
 # --- whole sessions against the step before each peer ran in a coroutine ------

@@ -1,5 +1,6 @@
 import struct
 import zlib
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -24,9 +25,9 @@ from pvsmooth.frames import (
     encode_frame,
     end_frame,
     fault_frame,
+    hexdump,
     sensor_frame,
     setpoint_frame,
-    write_hexdump,
 )
 from pvsmooth.util import AtomicWriter
 
@@ -183,7 +184,8 @@ def test_hexdump_round_trip(tmp_path):
     ]
     path = tmp_path / "frames.hex"
     with AtomicWriter(path) as out:
-        write_hexdump([(tag, data.hex()) for tag, data in frames], out)
+        out.write(hexdump([[tag.encode() for tag, _ in frames]], b"".join(data for _, data in frames),
+                          list(accumulate(len(data) for _, data in frames))))
     assert read_hexdump(path) == frames
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("SENSOR ")

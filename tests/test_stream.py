@@ -80,7 +80,7 @@ def whole_table_files(session, out_dir):
     with AtomicWriter(out_dir / "controller_log.csv") as out:
         write_controller_log(session.controller.log, out)
     with AtomicWriter(out_dir / "frames.hex") as out:
-        write_hexdump(session.log.tagged_hex(), out)
+        write_hexdump(session.log, out)
 
 
 def assert_streamed_equals_whole(engine, cfg, series, lost, tmp_path, monkeypatch):
@@ -317,7 +317,7 @@ def test_a_stopped_writer_process_ends_the_run_within_the_timeout(transport, tmp
 def test_a_failing_writer_process_raises_its_message_in_the_run(transport, tmp_path, monkeypatch):
     writers = capture_writers(monkeypatch)
 
-    def disk_full(tagged_hex, out):  # runs in the writer process, which inherits the patch
+    def disk_full(log, out):  # runs in the writer process, which inherits the patch
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(pvrun, "write_hexdump", disk_full)
@@ -438,6 +438,6 @@ def test_the_writer_formats_nothing_of_a_truncated_block(tmp_path):
         pvrun._format_blocks(io.BufferedReader(io.BytesIO(stream)), files)
     for out in files:
         out.close()
-    plant_csv, ctrl_csv, frames_hex = (out.tmp.read_text(encoding="utf-8") for out in files)
-    assert ctrl_csv == "".join(tables[pvrun.CONTROLLER].csv_chunks())
-    assert plant_csv == frames_hex == ""  # not even the plant trace's header
+    plant_csv, ctrl_csv, frames_hex = (out.tmp.read_bytes() for out in files)
+    assert ctrl_csv == tables[pvrun.CONTROLLER].csv_bytes()
+    assert plant_csv == frames_hex == b""  # not even the plant trace's header

@@ -13,14 +13,22 @@ from pvsmooth.bus import FRAME_LOG_COLUMNS
 from pvsmooth.controller import CONTROLLER_LOG_COLUMNS
 from pvsmooth.plant import PLANT_TRACE_COLUMNS
 from pvsmooth.run import write_controller_log
-from pvsmooth.util import BLOCK_ROWS, TEXT_WINDOW, AtomicWriter, Records, atomic_write_text, chunked, float_texts
+from pvsmooth.util import (
+    BLOCK_ROWS,
+    REPR_EDGES,
+    AtomicWriter,
+    Records,
+    atomic_write_text,
+    join_lines,
+    number_texts,
+)
 
 # --- atomic writes ------------------------------------------------------------
 
 
 def test_concurrent_writers_never_mix_or_leave_temp_files(tmp_path):
-    # one writer passes whole strings, the other chunk iterables; a reader
-    # must only ever see one input in full, and the last rename wins
+    # one writer passes whole strings, the other writes piece by piece; a
+    # reader must only ever see one input in full, and the last rename wins
     path = tmp_path / "shared.csv"
     contents = ["a" * 100_000 + "\n", "b" * 70_000 + "\n"]
     pieces = [contents[1][j : j + 1000] for j in range(0, len(contents[1]), 1000)]
@@ -30,7 +38,12 @@ def test_concurrent_writers_never_mix_or_leave_temp_files(tmp_path):
 
     def write(i: int) -> None:
         for _ in range(60):
-            atomic_write_text(path, contents[0] if i == 0 else chunked(pieces))
+            if i == 0:
+                atomic_write_text(path, contents[0])
+                continue
+            with AtomicWriter(path) as out:
+                for piece in pieces:
+                    out.write(piece.encode())
 
     def read() -> None:
         while not stop.is_set():
@@ -60,12 +73,9 @@ def test_failed_write_keeps_the_old_file_and_no_temp_file(tmp_path):
     path = tmp_path / "out.txt"
     atomic_write_text(path, "old\n")
 
-    def chunks():
-        yield "new, partial\n"
+    with pytest.raises(RuntimeError, match="writer broke"), AtomicWriter(path) as out:
+        out.write(b"new, partial\n")
         raise RuntimeError("writer broke")
-
-    with pytest.raises(RuntimeError, match="writer broke"):
-        atomic_write_text(path, chunks())
     assert path.read_text(encoding="utf-8") == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
@@ -77,10 +87,10 @@ def test_written_file_gets_the_mode_of_a_plain_open(tmp_path):
     assert os.stat(tmp_path / "atomic.txt").st_mode == os.stat(plain).st_mode
 
 
-def test_chunked_joins_lines_in_blocks():
-    lines = [f"{i}\n" for i in range(10)]
-    assert list(chunked(lines, 4)) == ["0\n1\n2\n3\n", "4\n5\n6\n7\n", "8\n9\n"]
-    assert list(chunked([], 4)) == []
+def test_join_lines_puts_each_item_in_its_place():
+    assert join_lines([[b"a", b"b", b"c"], b"=", [b"1", b"2", b"3"], b"\n"], 3) == b"a=1\nb=2\nc=3\n"
+    assert join_lines([b">", [b"x"]], 1) == b">x"
+    assert join_lines([[], b"\n"], 0) == b""
 
 
 # --- packed tables ---------------------------------------------------------------
@@ -175,20 +185,46 @@ def ulps_from(x: float, k: int) -> float:
     return struct.unpack("<d", struct.pack("<q", bits + k))[0]
 
 
+def decimal_exponents(lo: int, hi: int):
+    """Doubles of either sign with a decimal exponent in [lo, hi]."""
+    return st.builds(lambda m, e, sign: sign * m * 10.0**e, st.floats(1.0, 10.0, exclude_max=True),
+                     st.integers(lo, hi), st.sampled_from([1.0, -1.0]))
+
+
 edge_doubles = st.one_of(
-    st.builds(lambda edge, k, sign: sign * ulps_from(edge, k), st.sampled_from(TEXT_WINDOW),
+    st.builds(lambda edge, k, sign: sign * ulps_from(edge, k), st.sampled_from(REPR_EDGES),
               st.integers(-64, 64), st.sampled_from([1.0, -1.0])),
-    float_bits.map(float_from_bits),
+    decimal_exponents(-99, -10),  # two-digit negative exponents
+    decimal_exponents(-307, -100),  # three-digit ones
+    float_bits.map(float_from_bits),  # arbitrary bit patterns, subnormals, NaN payloads, +-0, +-inf
     st.floats(),
 )
 
 
-@given(values=st.lists(edge_doubles, max_size=50))
-@example(values=[])
-@example(values=[1e-4, ulps_from(1e-4, -1), 1e16, ulps_from(1e16, -1), -0.0, 0.0, math.nan, -math.inf])
+# the integer columns of the logs: int64 steps, u32 seqs and int8 flags
+INT_COLUMNS = {
+    "<i8": st.one_of(st.sampled_from([-(2**63), -1, 0, 2**63 - 1]), st.integers(-(2**63), 2**63 - 1)),
+    "<u4": st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1)),
+    "<i1": st.one_of(st.sampled_from([-128, 0, 1, 127]), st.integers(-128, 127)),
+}
+
+
+@given(values=st.lists(edge_doubles, max_size=50),
+       ints=st.tuples(*(st.lists(cells, max_size=20) for cells in INT_COLUMNS.values())))
+@example(values=[], ints=([], [], []))
+@example(values=[1e-4, ulps_from(1e-4, -1), 1e16, ulps_from(1e16, -1), 1e-9, ulps_from(1e-9, -1), -0.0, 0.0,
+                 5e-324, -2.2250738585072014e-308, math.nan, -math.nan, math.inf, -math.inf],
+         ints=([-(2**63), 2**63 - 1], [2**32 - 1], [-128, 127]))
 @settings(max_examples=300, deadline=None)
-def test_float_texts_equal_repr_around_the_window_edges(values):
-    assert float_texts(np.array(values, dtype=np.float64)) == [repr(v) for v in values]
+def test_float_texts_equal_repr_around_the_window_edges(values, ints):
+    # pins orjson's format on the version installed: repr's text wherever
+    # number_texts keeps orjson's, and str's for every integer column
+    assert number_texts(np.array(values, dtype=np.float64)) == [repr(v).encode() for v in values]
+    for width in (2, 3):  # rows of a 2-D array: their texts joined by commas
+        rows = np.array(values[: len(values) // width * width], dtype=np.float64).reshape(-1, width)
+        assert number_texts(rows) == [b",".join(repr(v).encode() for v in row) for row in rows.tolist()]
+    for dtype, column in zip(INT_COLUMNS, ints):
+        assert number_texts(np.array(column, dtype=dtype)) == [str(v).encode() for v in column], dtype
 
 
 def bits(x: float) -> bytes:
