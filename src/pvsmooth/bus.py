@@ -47,7 +47,7 @@ from .frames import (
     fault_frame,
     hexdump,
 )
-from .plant import PROTOCOL, PlantDriver, Reading, RunFault, Setpoint
+from .plant import PROTOCOL, PlantDriver, RunFault, Setpoint
 from .series import PowerSeries
 from .util import Records, number_texts
 
@@ -261,91 +261,71 @@ SESSION_SINKS: ContextVar[Sinks] = ContextVar("SESSION_SINKS", default=NO_SINKS)
 def drive(plant: PlantDriver, boundary: PlantBoundary, peer, free_running: bool) -> None:
     """Run one session from the plant side until END has reached the peer.
 
-    Each plant reading goes out as a frame (send). Before each tick, every
-    queued frame due by the horizon is delivered: sensor frames to the peer,
-    its replies (receive) to plant.hold. The horizon is the tick's sample
-    time when free-running and infinite in lockstep, where no frame waits:
-    each one is delivered as it is sent, and no queue is kept. A PROTOCOL
-    RunFault is reported to the peer with a FAULT frame before it propagates.
+    Each plant reading goes out once as a frame: encoded, delayed no earlier
+    than the frame before it in its direction (FIFO), logged (a hand-off
+    empties the wire and the records in place) and queued. Before each tick
+    every queued frame due by the horizon is delivered: sensor frames to the
+    peer, whose replies take the same steps, and setpoints to plant.hold.
+    The horizon is the tick's sample time when free-running and infinite
+    otherwise (lockstep, END), so a lockstep frame is delivered as it is
+    sent. The boundary's outbound and inbound code the frames the plain
+    paths do not. A PROTOCOL RunFault is reported to the peer with a FAULT
+    frame before it propagates.
     """
-    hold, apply_interval, exchange = plant.hold, plant.apply_interval, peer.exchange
+    hold, apply_interval, sim_time_ms, exchange = plant.hold, plant.apply_interval, plant.sim_time_ms, peer.exchange
     outbound, inbound, corrupt = boundary.outbound, boundary.inbound, boundary.corrupt_s2c
     plain = boundary.quant is None  # no converter: readings and setpoints pass as they are
     delays, wire, frames = boundary.delays, boundary.log.wire, boundary.log.frames
     latency, next_delay = delays.latency_ms, delays.next_delay_ms if delays.jittered else None
     rows, pack_row, block_bytes, hand_off = frames.rows, frames.layout.pack, frames.block_bytes, frames.hand_off
+    s2c: deque[tuple[bytes, float]] = deque()  # (frame, delivery time) sent and not yet delivered
+    c2s: deque[tuple[Setpoint, float]] = deque()
     sent, last_s2c, last_c2s = 0, 0.0, 0.0  # frames sent; each direction's last delivery time
-
-    # send and receive each draw their frame's delay, deliver it no earlier
-    # than the frame before it in the same direction (FIFO), and log it: its
-    # bytes to the wire, a record to the frames (a hand-off empties both in
-    # place); the boundary's outbound and inbound code the frames they do not
-
-    def send(reading: Reading) -> tuple[bytes, float]:
-        """Encode a plant reading; returns (wire bytes, delivery time)."""
-        nonlocal sent, last_s2c, wire, rows
-        seq, sim_time_ms, p_pv, v_batt = reading
-        if plain and p_pv is not None:
-            data, msg_type = encode_sensor(seq, sim_time_ms, p_pv, v_batt), MSG_SENSOR
-        else:
-            data, msg_type = outbound(*reading)
-        if corrupt is not None:
-            data = corrupt(sent, data)
-        sent += 1
-        t_send = float(sim_time_ms)
-        t, draw = (t_send + latency, 0.0) if next_delay is None else (t_send + next_delay(), delays.last_draw)
-        if last_s2c > t:
-            t = last_s2c
-        last_s2c = t
-        wire += data
-        rows += pack_row(S2C, seq, msg_type, t_send, t, draw, len(wire))
-        if len(rows) >= block_bytes:
-            hand_off()
-        return data, t
-
-    def receive(data: bytes, t_send: float) -> tuple[Setpoint, float]:
-        """Decode a controller reply; returns (setpoint, delivery time)."""
-        nonlocal last_c2s, wire, rows
-        setpoint = decode_setpoint(data)
-        if plain and setpoint is not None:
-            seq, msg_type = setpoint[0], MSG_SETPOINT
-        else:
-            setpoint, seq, msg_type = inbound(data, sent)
-        t, draw = (t_send + latency, 0.0) if next_delay is None else (t_send + next_delay(), delays.last_draw)
-        if last_c2s > t:
-            t = last_c2s
-        last_c2s = t
-        wire += data
-        rows += pack_row(C2S, seq, msg_type, t_send, t, draw, len(wire))
-        if len(rows) >= block_bytes:
-            hand_off()
-        return setpoint, t
-
     reading = plant.first_reading
     i_held = 0.0  # the held setpoint's current; 0 A until the first
     try:
-        if not free_running:
-            while True:
-                data, t_arrive = send(reading)
-                reply = exchange(data)
-                if reply is not None:
-                    i_held = hold(receive(reply, t_arrive)[0])
-                if reading[2] is None:  # END
-                    return
-                reading = apply_interval(i_held)
-        s2c: deque[tuple[bytes, float]] = deque()
-        c2s: deque[tuple[Setpoint, float]] = deque()
         while True:
-            s2c.append(send(reading))
-            horizon = math.inf if reading[2] is None else float(plant.sim_time_ms(reading[0]))  # the next tick's
+            seq, t_ms, p_pv, v_batt = reading
+            if plain and p_pv is not None:
+                data, msg_type = encode_sensor(seq, t_ms, p_pv, v_batt), MSG_SENSOR
+            else:
+                data, msg_type = outbound(seq, t_ms, p_pv, v_batt)
+            if corrupt is not None:
+                data = corrupt(sent, data)
+            sent += 1
+            t_send = float(t_ms)
+            t = t_send + latency if next_delay is None else t_send + next_delay()
+            if last_s2c > t:
+                t = last_s2c
+            last_s2c = t
+            wire += data
+            rows += pack_row(S2C, seq, msg_type, t_send, t, delays.last_draw, len(wire))
+            if len(rows) >= block_bytes:
+                hand_off()
+            s2c.append((data, t))
+            horizon = float(sim_time_ms(seq)) if free_running and p_pv is not None else math.inf  # the next tick's
             while s2c and s2c[0][1] <= horizon:
-                data, t_arrive = s2c.popleft()
+                data, t_send = s2c.popleft()
                 reply = exchange(data)
-                if reply is not None:
-                    c2s.append(receive(reply, t_arrive))
+                if reply is None:
+                    continue
+                setpoint = decode_setpoint(reply)
+                if plain and setpoint is not None:
+                    reply_seq, msg_type = setpoint[0], MSG_SETPOINT
+                else:
+                    setpoint, reply_seq, msg_type = inbound(reply, sent)
+                t = t_send + latency if next_delay is None else t_send + next_delay()
+                if last_c2s > t:
+                    t = last_c2s
+                last_c2s = t
+                wire += reply
+                rows += pack_row(C2S, reply_seq, msg_type, t_send, t, delays.last_draw, len(wire))
+                if len(rows) >= block_bytes:
+                    hand_off()
+                c2s.append((setpoint, t))
             while c2s and c2s[0][1] <= horizon:
                 i_held = hold(c2s.popleft()[0])
-            if reading[2] is None:
+            if p_pv is None:  # END
                 return
             reading = apply_interval(i_held)
     except RunFault as fault:

@@ -24,6 +24,7 @@ is byte-identical.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import math
 import os
@@ -222,7 +223,8 @@ def _format_blocks(stream: BinaryIO, files: Sequence[AtomicWriter]) -> None:
 
 
 class OutputError(RuntimeError):
-    """The log writer process failed, died or went silent."""
+    """The log writer process failed, died or went silent, or another run
+    holds the output directory."""
 
 
 class LogWriter:
@@ -427,7 +429,9 @@ def run_scenario(
     The session's logs stream to disk as it runs (RunLogs, LogWriter); the
     files are renamed into place only when the run has passed and the writer
     process has closed them, so an invariant breach, a protocol fault, a
-    crash or a failed writer leaves no artifact and no temporary file.
+    crash or a failed writer leaves no artifact and no temporary file. The
+    run holds an exclusive flock on out_dir throughout; an OutputError
+    refuses it, before anything is written, while another run holds it.
     """
     cfg = validate_scenario(cfg)
     if transport not in TRANSPORTS:
@@ -445,6 +449,13 @@ def run_scenario(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with ExitStack() as stack:
+        # one run at a time in out: the lock lasts until every file is renamed
+        out_fd = os.open(out, os.O_RDONLY | os.O_DIRECTORY)
+        stack.callback(os.close, out_fd)
+        try:
+            fcntl.flock(out_fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise OutputError(f"another run is writing to {out}") from None
         files = [stack.enter_context(AtomicWriter(out / name)) for name in STREAMED_FILES]
         writer = stack.enter_context(LogWriter(files))
         logs = RunLogs(cfg, writer)

@@ -572,17 +572,30 @@ def test_free_running_draws_equal_scalar_draws():
     seed=st.integers(0, 2**16),
     n=st.integers(1, 200),
     window_s=st.sampled_from([5.0, 60.0, 1800.0]),
+    bits=st.one_of(st.none(), st.integers(8, 16)),
+    corrupted=st.sets(st.integers(0, 199), max_size=3),
 )
 @settings(max_examples=20, deadline=None)
-def test_free_running_zero_latency_matches_lockstep(seed, n, window_s):
-    # with no delay the free-running delivery rule and the socket peer change
-    # nothing: same frames, same times, same plant and controller columns,
-    # bit for bit
+def test_free_running_zero_latency_matches_lockstep(seed, n, window_s, bits, corrupted):
+    # lockstep is free-running with an infinite horizon: with no delay the
+    # free-running delivery rule and the socket peer change nothing, with or
+    # without the converters (whose frames take the boundary's outbound and
+    # inbound) and with up to three sensor frames lost to a flipped bit: same
+    # frames, same times, same plant and controller columns, bit for bit
     series = synth_pv("cloud_random", n * 5.0, 5, 3000.0, seed=seed)
-    cfg = validate_scenario(ScenarioConfig(window_s=window_s, seed=seed))
-    lock = run_lockstep_inproc(series, cfg)
-    free_cfg = validate_scenario(replace(cfg, transport=TransportConfig(mode="free_running")))
-    for other in (run_free_running(series, free_cfg), run_lockstep_socket(series, cfg)):
+    transport = TransportConfig(quantization=None if bits is None else QuantizationConfig(bits=bits))
+    cfg = validate_scenario(ScenarioConfig(window_s=window_s, seed=seed, transport=transport))
+    lost = {i % n for i in corrupted}  # sensor frames, not END
+    corrupt = flip_bit_of_frames(lost, 25, 4)
+    lock = run_lockstep_inproc(series, cfg, corrupt_s2c=corrupt)
+    assert lock.controller.error_count == len(lost)
+    free_cfg = validate_scenario(replace(cfg, transport=replace(cfg.transport, mode="free_running")))
+    for other in (
+        run_free_running(series, free_cfg, corrupt_s2c=corrupt),
+        run_lockstep_socket(series, cfg, corrupt_s2c=corrupt),
+        # run_session's socket engine, which takes no corrupt_s2c hook
+        bus._run(series, free_cfg, corrupt, free_running=True, over_socket=True),
+    ):
         assert session_bytes(other) == session_bytes(lock)
 
 

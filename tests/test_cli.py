@@ -1,4 +1,6 @@
+import fcntl
 import json
+import os
 import re
 from pathlib import Path
 
@@ -308,6 +310,33 @@ def test_exit_code_of_a_failed_artifact_write(tmp_path, monkeypatch, capsys, pat
     assert code == 5
     assert capsys.readouterr().err == f"output error: {message}\n"
     assert list(out.iterdir()) == []  # no artifact, no temporary file
+
+
+def test_a_run_into_a_directory_another_run_holds_exits_5(tmp_path, capsys):
+    # a second run into the directory of a run in progress is refused before
+    # it writes anything: the running one's files are left as they are
+    import pvsmooth.run as pvrun
+    from pvsmooth.config import ScenarioConfig
+    from pvsmooth.synth import synth_pv
+
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "plant_trace.csv.1.2.tmp").write_bytes(b"the other run's bytes")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    fd = os.open(out, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        series = synth_pv("clear", 600.0, 5.0, 3000.0)
+        with pytest.raises(pvrun.OutputError, match=f"another run is writing to {re.escape(str(out))}$"):
+            pvrun.run_scenario(ScenarioConfig(), series, out)
+        code = main(["run", "--scenario", str(SCENARIOS / "default.json"), "--out", str(out)])
+        assert code == 5
+        assert capsys.readouterr().err == f"output error: another run is writing to {out}\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    finally:
+        os.close(fd)
+    pvrun.run_scenario(ScenarioConfig(), series, out)  # the lock went with the holder
+    assert sorted(p.name for p in out.iterdir()) == sorted([*pvrun.ARTIFACT_FILES, *before])
 
 
 def test_help_exits_zero(capsys):
